@@ -19,6 +19,7 @@ from .errors import (
     DomainError,
     FormatError,
     ResourceLimitExceeded,
+    UnknownFixture,
 )
 from .graphs import (
     WeightedOrientedGraph,
@@ -70,6 +71,7 @@ __all__ = [
     "MonomialIdeal",
     "MonomialPrime",
     "ResourceLimitExceeded",
+    "UnknownFixture",
     "WeightedOrientedGraph",
     "alexander_dual",
     "associated_primes",

@@ -598,9 +598,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyError as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return 2
     except ResourceLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -5,8 +5,12 @@ irreducible ideals q_a = ({t_i^{a_i} : a_i >= 1}), and that irredundant
 decomposition is unique.  We compute it by generator splitting: as long as
 some minimal generator mixes two variables, write the ideal as an
 intersection of two strictly simpler ideals and recurse; leaves have only
-pure-power generators and are irreducible.  Redundant components are then
-filtered greedily.  Results are memoized per canonical generating set.
+pure-power generators and are irreducible.  Redundant leaves are then
+dropped by inclusion: irreducible monomial ideals are meet-prime (if
+q contains J ^ K it contains J or K, since the lcm of two witnesses outside
+q stays outside q), so a leaf is redundant exactly when it contains another
+leaf (Miller-Sturmfels, Combinatorial Commutative Algebra).  Results are
+memoized per canonical generating set.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class IrreducibleIdeal:
             for i, e in enumerate(self.alpha)
             if e
         ]
-        return MonomialIdeal.from_gens(gens, self.num_vars)
+        return MonomialIdeal._from_trusted(gens, self.num_vars)
 
     def support(self) -> frozenset[int]:
         """1-indexed variables appearing in alpha."""
@@ -81,7 +85,7 @@ class MonomialPrime:
             raise ValueError(f"variable indices {bad} out of range 1..{self.num_vars}")
 
     def as_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal.from_gens(
+        return MonomialIdeal._from_trusted(
             [unit_vector(i, self.num_vars) for i in sorted(self.support)],
             self.num_vars,
         )
@@ -144,28 +148,35 @@ def _raw_components(ideal: MonomialIdeal, split_last: bool) -> frozenset[Exponen
     i = indices[-1] if split_last else indices[0]
     power = tuple(g[i] if j == i else 0 for j in range(ideal.num_vars))
     rest = tuple(0 if j == i else g[j] for j in range(ideal.num_vars))
-    left = MonomialIdeal.from_gens(ideal.gens + (power,), ideal.num_vars)
-    right = MonomialIdeal.from_gens(ideal.gens + (rest,), ideal.num_vars)
+    left = MonomialIdeal._from_trusted(ideal.gens + (power,), ideal.num_vars)
+    right = MonomialIdeal._from_trusted(ideal.gens + (rest,), ideal.num_vars)
     return _raw_components(left, split_last) | _raw_components(right, split_last)
+
+
+def _contains_irreducible(a: Exponent, b: Exponent) -> bool:
+    """q_a contains q_b: 0 < a_i <= b_i for every i in supp(b)."""
+    return all(0 < x <= y for x, y in zip(a, b) if y)
 
 
 def irredundant_subset(
     components, target: MonomialIdeal
 ) -> tuple[IrreducibleIdeal, ...]:
-    """Greedily drop components whose removal keeps the intersection == target.
+    """The components that contain no other component, canonically sorted.
 
-    Candidates are tried in descending canonical order, so the result is
-    deterministic.  Raises if the input does not intersect to `target`.
+    By meet-primality these are exactly the components of the unique
+    irredundant decomposition of their intersection.  Raises if they do
+    not intersect to `target`.
     """
-    kept = sorted(set(components), key=lambda c: graded_lex_key(c.alpha))
+    comps = sorted(set(components), key=lambda c: graded_lex_key(c.alpha))
+    kept = [
+        c
+        for c in comps
+        if not any(
+            d is not c and _contains_irreducible(c.alpha, d.alpha) for d in comps
+        )
+    ]
     if intersect_all([c.as_ideal() for c in kept], target.num_vars) != target:
         raise ConsistencyError("components do not intersect to the expected ideal")
-    for c in sorted(kept, key=lambda c: graded_lex_key(c.alpha), reverse=True):
-        if len(kept) == 1:
-            break
-        rest = [k for k in kept if k != c]
-        if intersect_all([k.as_ideal() for k in rest], target.num_vars) == target:
-            kept = rest
     return tuple(kept)
 
 

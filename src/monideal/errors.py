@@ -14,6 +14,16 @@ class DomainError(ValueError):
     """
 
 
+class UnknownFixture(DomainError, KeyError):
+    """No built-in fixture has the requested name.
+
+    A KeyError too, since it is a failed lookup; its message is printed as
+    is, without the quotes KeyError would add.
+    """
+
+    __str__ = DomainError.__str__
+
+
 class ResourceLimitExceeded(RuntimeError):
     """The instance exceeds a configured size limit.
 

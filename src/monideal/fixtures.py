@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import UnknownFixture
 from .graphs import WeightedOrientedGraph
 
 
@@ -171,7 +172,7 @@ def fixture(name: str) -> NamedGraph:
         if item.name == name:
             return item
     known = ", ".join(item.name for item in ALL_FIXTURES)
-    raise KeyError(f"no fixture named {name!r} (known: {known})")
+    raise UnknownFixture(f"no fixture named {name!r} (known: {known})")
 
 
 # ------------------------------------------------------------ check lists

@@ -9,12 +9,22 @@ ints, so arithmetic never overflows.
 
 Conventions: the zero ideal has no generators, the unit ideal is generated
 by the zero vector, and variables are written t1..ts (1-indexed).
+
+Vectors are validated in one place.  :meth:`MonomialIdeal.from_gens` (and
+:func:`minimalize`, :func:`parse_ideal` on top of it) coerces and checks
+vectors that come from outside; the public constructor checks its `gens`
+too.  Results that the library derives from ideals it already holds
+(products, intersections, colons, radicals, localizations, the splitting
+steps of a decomposition) go through the private
+:meth:`MonomialIdeal._from_trusted`, which minimalizes without checking
+again.  Only vectors built from valid operands may be passed to it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add
 
 from .errors import DimensionMismatch, DomainError, FormatError
 
@@ -35,7 +45,7 @@ def divides(a: Exponent, b: Exponent) -> bool:
 
 
 def vec_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vec_max(a: Exponent, b: Exponent) -> Exponent:
@@ -65,10 +75,32 @@ def minimal_generators(vectors) -> tuple[Exponent, ...]:
     Scanning in graded-lex order means every vector only needs to be tested
     against already kept vectors: a later vector has weakly larger degree
     and can never divide an earlier one.
+
+    The test runs on packed ints (Bachmann-Schoenemann, ISSAC 1998).  Each
+    vector becomes one int holding a field of `width` bits per variable,
+    variable 1 in the lowest field, where `width` is the bit length of the
+    largest exponent plus one guard bit on top of each field.  With G
+    (`guards`) the int whose guard bits are all set, ``((v | G) - k) & G ==
+    G`` holds exactly when k <= v in every field: the guard bit of a field
+    survives the subtraction iff that field does not borrow, and a field
+    never borrows from its neighbour.
     """
+    vecs = sorted(set(vectors), key=graded_lex_key)
+    if len(vecs) < 2:
+        return tuple(vecs)
+    width = max(map(max, vecs)).bit_length() + 1
+    shifts = range(0, width * len(vecs[0]), width)
+    guards = sum(1 << (s + width - 1) for s in shifts)
+    kept: list[int] = []
     out: list[Exponent] = []
-    for v in sorted(set(vectors), key=graded_lex_key):
-        if not any(divides(k, v) for k in out):
+    for v in vecs:
+        p = sum(e << s for e, s in zip(v, shifts))
+        p_guarded = p | guards
+        for k in kept:
+            if (p_guarded - k) & guards == guards:
+                break
+        else:
+            kept.append(p)
             out.append(v)
     return tuple(out)
 
@@ -79,7 +111,8 @@ class MonomialIdeal:
 
     Instances are immutable and hashable; build them with
     :func:`minimalize` (or :meth:`from_gens`) rather than the raw
-    constructor, which trusts that `gens` is already canonical.
+    constructor, which checks the vectors but trusts that `gens` is
+    already canonical.
     """
 
     num_vars: int
@@ -107,6 +140,18 @@ class MonomialIdeal:
             if any(e < 0 for e in v):
                 raise ValueError(f"generator {v} has a negative exponent")
         return MonomialIdeal(num_vars, minimal_generators(vecs))
+
+    @classmethod
+    def _from_trusted(cls, vectors, num_vars: int) -> "MonomialIdeal":
+        """Minimalize vectors derived from valid ideals, skipping the checks.
+
+        Every vector must already be a tuple of naturals of length
+        `num_vars`; see the module docstring for who may call this.
+        """
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "num_vars", num_vars)
+        object.__setattr__(ideal, "gens", minimal_generators(vectors))
+        return ideal
 
     @staticmethod
     def zero(num_vars: int) -> "MonomialIdeal":
@@ -153,7 +198,7 @@ class MonomialIdeal:
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_compatible(other)
-        return MonomialIdeal.from_gens(
+        return MonomialIdeal._from_trusted(
             [vec_add(v, w) for v in self.gens for w in other.gens], self.num_vars
         )
 
@@ -168,7 +213,7 @@ class MonomialIdeal:
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection, via pairwise lcms of the generators."""
         self._check_compatible(other)
-        return MonomialIdeal.from_gens(
+        return MonomialIdeal._from_trusted(
             [vec_max(v, w) for v in self.gens for w in other.gens], self.num_vars
         )
 
@@ -181,12 +226,12 @@ class MonomialIdeal:
             )
         if any(e < 0 for e in f):
             raise ValueError(f"monomial {f} has a negative exponent")
-        return MonomialIdeal.from_gens(
+        return MonomialIdeal._from_trusted(
             [vec_sub_clamped(g, f) for g in self.gens], self.num_vars
         )
 
     def radical(self) -> "MonomialIdeal":
-        return MonomialIdeal.from_gens(
+        return MonomialIdeal._from_trusted(
             [vec_support(g) for g in self.gens], self.num_vars
         )
 
@@ -234,19 +279,21 @@ def power_contains(ideal: MonomialIdeal, a: Exponent, n: int) -> bool:
     if not gens or sum(a) < n * sum(gens[0]):  # gens sorted by degree
         return False
 
-    def search(i: int, left: int, room: Exponent) -> bool:
+    # Depth-first over (next generator, multiplicity still to place, room
+    # left in a); an explicit stack, since the depth is the generator count.
+    # Larger multiplicities are pushed last, so they are tried first.
+    stack = [(0, n, a)]
+    while stack:
+        i, left, room = stack.pop()
         if left == 0:
             return True
         if i == len(gens):
-            return False
+            continue
         g = gens[i]
         cap = min(room[k] // g[k] for k in range(len(room)) if g[k])
-        for c in range(min(cap, left), -1, -1):
-            if search(i + 1, left - c, tuple(r - c * e for r, e in zip(room, g))):
-                return True
-        return False
-
-    return search(0, n, a)
+        for c in range(min(cap, left) + 1):
+            stack.append((i + 1, left - c, tuple(r - c * e for r, e in zip(room, g))))
+    return False
 
 
 # ---------------------------------------------------------------- text forms

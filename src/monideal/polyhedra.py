@@ -39,7 +39,6 @@ from .ideals import (
     Exponent,
     MonomialIdeal,
     intersect_all,
-    minimal_generators,
     power_contains,
 )
 from .symbolic import symbolic_power_min
@@ -288,7 +287,7 @@ def integral_closure_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
             sum(x * y for x, y in zip(a, row)) >= rhs for row, rhs in scaled
         )
     ]
-    return MonomialIdeal(ideal.num_vars, minimal_generators(members))
+    return MonomialIdeal._from_trusted(members, ideal.num_vars)
 
 
 def closure_witness_scale(ideal: MonomialIdeal) -> int:

@@ -30,7 +30,7 @@ def localize(ideal: MonomialIdeal, prime: MonomialPrime) -> MonomialIdeal:
     if prime.num_vars != ideal.num_vars:
         raise DomainError("prime and ideal live in different rings")
     keep = prime.support
-    return MonomialIdeal.from_gens(
+    return MonomialIdeal._from_trusted(
         [
             tuple(e if (i + 1) in keep else 0 for i, e in enumerate(g))
             for g in ideal.gens
@@ -86,10 +86,18 @@ class SymbolicPowerReport:
 
 
 def compare_powers(ideal: MonomialIdeal, n: int) -> SymbolicPowerReport:
-    """Compare I^n with both symbolic powers; witnesses live in I^(n) \\ I^n."""
+    """Compare I^n with both symbolic powers; witnesses live in I^(n) \\ I^n.
+
+    When the minimal primes are also the maximal associated ones, Ass(I)
+    has no embedded primes, both symbolic powers intersect over the same
+    primes, and I^(n) is computed once.
+    """
     ordinary = ideal ** n
     smin = symbolic_power_min(ideal, n)
-    sass = symbolic_power_ass(ideal, n)
+    if max_ass(ideal) == minimal_primes(ideal):
+        sass = smin
+    else:
+        sass = symbolic_power_ass(ideal, n)
     witnesses = tuple(g for g in smin.gens if not ordinary.contains(g))
     return SymbolicPowerReport(
         n=n,

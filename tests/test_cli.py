@@ -221,6 +221,27 @@ def test_unknown_example_name(capsys):
     assert "mystery_graph" in err
 
 
+def test_unknown_example_stderr_is_exact(capsys):
+    code, out, err = run(capsys, "examples", "mystery_graph", "--show")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: no fixture named 'mystery_graph' (known: four_cycle_sinks, "
+        "triangle_cycle, triangle_nonsink, triangle_sink, path_middle, seven_cycle)\n"
+    )
+
+
+def test_internal_key_error_is_not_a_usage_error(workdir, monkeypatch):
+    """Only typed errors map to exit 2; a stray KeyError is a bug and propagates."""
+    import monideal.cli as cli
+
+    def broken(ideal):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "irreducible_decomposition", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["decompose", str(workdir / "ex51.ideal")])
+
+
 def test_bad_flag_value_exits_two(workdir, capsys):
     with pytest.raises(SystemExit) as info:
         main(["compare", str(workdir / "ex52.ideal"), "--n", "0"])

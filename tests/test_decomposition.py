@@ -1,14 +1,18 @@
 """Irreducible decompositions, associated primes, and their brute-force oracles."""
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from monideal.errors import ConsistencyError, DomainError
-from monideal.ideals import MonomialIdeal, intersect_all, parse_ideal
+from monideal.ideals import MonomialIdeal, graded_lex_key, intersect_all, parse_ideal
 from monideal.decomposition import (
     IrreducibleIdeal,
     MonomialPrime,
     _decomposition,
+    _raw_components,
     ass_witness_oracle,
     associated_primes,
     colon_prime_scan,
@@ -132,3 +136,50 @@ def test_decomposition_supports_are_the_associated_primes(I):
     assert {c.support() for c in dec.components} == {
         p.support for p in associated_primes(I)
     }
+
+
+def greedy_irredundant_oracle(components, target):
+    """The earlier filter: drop components, largest first, while the rest
+    still intersect to `target`."""
+    kept = sorted(set(components), key=lambda c: graded_lex_key(c.alpha))
+    assert intersect_all([c.as_ideal() for c in kept], target.num_vars) == target
+    for c in sorted(kept, key=lambda c: graded_lex_key(c.alpha), reverse=True):
+        if len(kept) == 1:
+            break
+        rest = [k for k in kept if k != c]
+        if intersect_all([k.as_ideal() for k in rest], target.num_vars) == target:
+            kept = rest
+    return tuple(kept)
+
+
+@given(ideals(), st.booleans())
+def test_inclusion_filter_matches_greedy_oracle(I, split_last):
+    leaves = [IrreducibleIdeal(I.num_vars, a) for a in _raw_components(I, split_last)]
+    assert irredundant_subset(leaves, I) == greedy_irredundant_oracle(leaves, I)
+
+
+def test_inclusion_filter_keeps_incomparable_and_drops_containing():
+    q = lambda *a: IrreducibleIdeal(len(a), a)  # noqa: E731
+    # (t1, t2) contains (t1^2, t2); (t1, t3) and (t1^2, t2) are incomparable.
+    comps = [q(1, 1, 0), q(2, 1, 0), q(1, 0, 1)]
+    target = intersect_all([c.as_ideal() for c in comps], 3)
+    assert irredundant_subset(iter(comps), target) == (q(1, 0, 1), q(2, 1, 0))
+
+
+def _validated(vectors, num_vars):
+    return MonomialIdeal.from_gens(list(vectors), num_vars)
+
+
+@given(ideals())
+def test_decomposition_matches_validated_rebuild(I):
+    """With every trusted construction sent through from_gens instead, the
+    splitting sees only valid vectors and ends in the same decomposition."""
+    trusted = irreducible_decomposition(I)
+    with patch.object(MonomialIdeal, "_from_trusted", staticmethod(_validated)):
+        _raw_components.cache_clear()
+        _decomposition.cache_clear()
+        validated = irreducible_decomposition(I)
+        assert validated.intersection() == I
+    _raw_components.cache_clear()
+    _decomposition.cache_clear()
+    assert validated == trusted

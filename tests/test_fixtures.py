@@ -2,6 +2,7 @@
 
 import pytest
 
+from monideal.errors import DomainError, UnknownFixture
 from monideal.fixtures import ALL_FIXTURES, fixture, fixture_checks
 
 
@@ -18,3 +19,13 @@ def test_fixture_registry_is_consistent():
     assert len(names) == len(set(names)) == 6
     for name in names:
         assert fixture(name).name == name
+
+
+def test_unknown_fixture_is_a_typed_lookup_error():
+    with pytest.raises(UnknownFixture) as info:
+        fixture("no_such_graph")
+    assert isinstance(info.value, DomainError)
+    assert isinstance(info.value, KeyError)
+    assert str(info.value).startswith("no fixture named 'no_such_graph' (known: ")
+    with pytest.raises(UnknownFixture):
+        fixture_checks("no_such_graph")

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from monideal.errors import DomainError, FormatError, ResourceLimitExceeded
+from monideal.errors import ConsistencyError, DomainError, FormatError, ResourceLimitExceeded
 from monideal.fixtures import (
     FOUR_CYCLE_DUAL_COMPONENT_ALPHAS,
     FOUR_CYCLE_DUAL_GENS,
@@ -162,6 +162,17 @@ def test_cover_ideal_uses_weights_on_l2_and_l3():
 @settings(max_examples=30)
 def test_cover_decomposition_agrees_with_generic_route(g):
     assert decomposition_via_covers(g) == irreducible_decomposition(edge_ideal(g))
+
+
+def test_cover_decomposition_refuses_missing_covers(monkeypatch):
+    """Covers that do not intersect back to I(D) are caught by the one
+    re-intersection in irredundant_subset."""
+    import monideal.graphs as graphs_module
+
+    covers = graphs_module.strong_covers(PATH_MIDDLE.graph)
+    monkeypatch.setattr(graphs_module, "strong_covers", lambda g, limit: covers[:1])
+    with pytest.raises(ConsistencyError):
+        decomposition_via_covers(PATH_MIDDLE.graph)
 
 
 def test_irrelevant_prime_membership():

@@ -122,7 +122,7 @@ def test_product_contains_pairwise_sums(I, J):
 @given(ideals(max_vars=3, max_gens=4, max_exp=2), st.integers(min_value=1, max_value=3))
 @settings(max_examples=30)
 def test_power_contains_matches_expanded_power(I, n):
-    """The recursive membership test agrees with expanding I^n."""
+    """The membership search agrees with expanding I^n."""
     expanded = I ** n
     probes = list(expanded.gens[:4])
     cap = n * 2 + 1
@@ -204,3 +204,84 @@ def test_canonical_form_is_permutation_equivariant(I):
     s = I.num_vars
     flipped = MonomialIdeal.from_gens([g[::-1] for g in I.gens], s)
     assert frozenset(g[::-1] for g in flipped.gens) == frozenset(I.gens)
+
+
+# ------------------------------------------------- packed kernel and trust
+
+
+def naive_minimal_generators(vectors):
+    """Reference antichain: tuple-by-tuple divisibility, no packing."""
+    vecs = sorted(set(vectors), key=graded_lex_key)
+    return tuple(
+        v for v in vecs if not any(divides(k, v) for k in vecs if k != v)
+    )
+
+
+@st.composite
+def exponent_lists(draw):
+    """Vectors of one common length whose exponents are small or huge."""
+    num_vars = draw(st.integers(min_value=1, max_value=4))
+    exponent = st.one_of(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2**70),
+    )
+    vector = st.tuples(*[exponent] * num_vars)
+    return draw(st.lists(vector, max_size=12))
+
+
+@given(exponent_lists())
+def test_packed_minimal_generators_matches_naive(vectors):
+    assert minimal_generators(vectors) == naive_minimal_generators(vectors)
+
+
+def test_packed_minimal_generators_edge_cases():
+    big = 2**64
+    assert minimal_generators([(big, 0), (big + 1, 0), (0, big)]) == ((0, big), (big, 0))
+    assert minimal_generators([(big, 1), (big - 1, 2)]) == ((big - 1, 2), (big, 1))
+    assert minimal_generators([(127,), (128,), (3,), (200,)]) == ((3,),)
+    assert minimal_generators([(5,), (0,)]) == ((0,),)
+    assert minimal_generators([(0, 0, 0), (1, 2, 3)]) == ((0, 0, 0),)
+    # A field that would borrow from its neighbour must not fake divisibility.
+    assert minimal_generators([(1, 0), (0, 1)]) == ((0, 1), (1, 0))
+    assert minimal_generators([]) == ()
+
+
+@given(ideals(), ideals())
+def test_trusted_arithmetic_matches_from_gens(I, J):
+    if I.num_vars != J.num_vars:
+        return
+    s = I.num_vars
+    assert I * J == MonomialIdeal.from_gens(
+        [vec_add(v, w) for v in I.gens for w in J.gens], s
+    )
+    assert I & J == MonomialIdeal.from_gens(
+        [vec_max(v, w) for v in I.gens for w in J.gens], s
+    )
+    f = J.gens[0]
+    assert I.colon(f) == MonomialIdeal.from_gens(
+        [vec_sub_clamped(g, f) for g in I.gens], s
+    )
+    assert I.radical() == MonomialIdeal.from_gens(
+        [vec_support(g) for g in I.gens], s
+    )
+
+
+def test_from_gens_refuses_bad_vectors():
+    with pytest.raises(DimensionMismatch):
+        MonomialIdeal.from_gens([(1, 0), (1, 0, 0)], 2)
+    with pytest.raises(DimensionMismatch):
+        MonomialIdeal.from_gens([(1,)], 2)
+    with pytest.raises(ValueError, match="negative exponent"):
+        MonomialIdeal.from_gens([(1, -1)], 2)
+    with pytest.raises(DimensionMismatch):
+        MonomialIdeal(2, ((1, 0, 0),))
+    with pytest.raises(ValueError, match="negative exponent"):
+        MonomialIdeal(2, ((0, -2),))
+
+
+def test_power_contains_deep_generator_list():
+    """1,201 generators of one degree: the search goes 1,201 levels deep."""
+    I = MonomialIdeal.from_gens([(i, 1200 - i) for i in range(1201)], 2)
+    assert len(I.gens) == 1201
+    assert power_contains(I, (1200, 1200), 2)
+    assert not power_contains(I, (1199, 1200), 2)

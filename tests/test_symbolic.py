@@ -63,6 +63,17 @@ def test_symbolic_square_of_path():
     assert report.equal_ass
 
 
+@given(ideals(max_vars=3, max_gens=4), st.integers(min_value=1, max_value=3))
+@settings(max_examples=30)
+def test_compare_powers_reports_both_symbolic_powers(I, n):
+    """The shortcut for ideals without embedded primes changes no result."""
+    report = compare_powers(I, n)
+    assert report.symbolic_min == symbolic_power_min(I, n)
+    assert report.symbolic_ass == symbolic_power_ass(I, n)
+    if not embedded_primes(I):
+        assert report.symbolic_ass is report.symbolic_min
+
+
 def test_symbolic_square_of_weighted_triangle():
     I = edge_ideal(TRIANGLE_CYCLE.graph)
     assert symbolic_power_min(I, 2).gens == TRIANGLE_CYCLE_SYMBOLIC_SQUARE
