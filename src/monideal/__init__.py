@@ -56,6 +56,7 @@ from .symbolic import (
     is_ntf_up_to,
     localize,
     max_ass,
+    powers_equal_up_to,
     symbolic_power_ass,
     symbolic_power_min,
 )
@@ -102,6 +103,7 @@ __all__ = [
     "parse_ideal",
     "parse_monomial",
     "polyhedral_conditions_check",
+    "powers_equal_up_to",
     "strong_covers",
     "symbolic_power_ass",
     "symbolic_power_min",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .decomposition import (
     associated_primes,
@@ -52,7 +53,13 @@ from .polyhedra import (
     parse_constraint_block,
     polyhedral_conditions_check,
 )
-from .symbolic import compare_powers, is_ntf_up_to, symbolic_power_ass, symbolic_power_min
+from .symbolic import (
+    compare_powers,
+    is_ntf_up_to,
+    powers_equal_up_to,
+    symbolic_power_ass,
+    symbolic_power_min,
+)
 
 
 def _positive(text: str) -> int:
@@ -85,15 +92,20 @@ def _flag(value) -> str:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value) or "none"
     return str(value)
-
-
-def _prime_text(prime) -> str:
-    return str(prime)
 
 
 def _set_text(vertices) -> str:
     return "{" + ",".join(str(v) for v in sorted(vertices)) + "}"
+
+
+def _ideal_result(ideal, **fields):
+    """Payload and text line of a command whose answer is one ideal."""
+    text = format_ideal(ideal)
+    payload = {**fields, "gens": [list(g) for g in ideal.gens], "text": text}
+    return payload, [text], 0
 
 
 # ------------------------------------------------------------ subcommands
@@ -120,13 +132,13 @@ def _cmd_ass(args):
             {
                 "support": sorted(p.support),
                 "kind": "minimal" if p in minimal else "embedded",
-                "text": _prime_text(p),
+                "text": str(p),
             }
             for p in ordered
         ]
     }
     lines = [
-        f"{'minimal' if p in minimal else 'embedded'} {_prime_text(p)}"
+        f"{'minimal' if p in minimal else 'embedded'} {p}"
         for p in ordered
     ]
     return payload, lines, 0
@@ -135,13 +147,7 @@ def _cmd_ass(args):
 def _cmd_symbolic(args):
     ideal = _load_ideal(args)
     power = (symbolic_power_ass if args.ass else symbolic_power_min)(ideal, args.n)
-    payload = {
-        "n": args.n,
-        "kind": "ass" if args.ass else "min",
-        "gens": [list(g) for g in power.gens],
-        "text": format_ideal(power),
-    }
-    return payload, [format_ideal(power)], 0
+    return _ideal_result(power, n=args.n, kind="ass" if args.ass else "min")
 
 
 def _cmd_compare(args):
@@ -175,7 +181,7 @@ def _cmd_ntf(args):
     report = is_ntf_up_to(_load_ideal(args), args.max_n)
     base = report.ass_by_power[0][1]
     ordered_base = sorted(base, key=lambda p: p.sort_key())
-    lines = ["ass: " + "; ".join(_prime_text(p) for p in ordered_base)]
+    lines = ["ass: " + "; ".join(str(p) for p in ordered_base)]
     per_n = []
     for n, ass_n in report.ass_by_power:
         gained = sorted(ass_n - base, key=lambda p: p.sort_key())
@@ -193,9 +199,9 @@ def _cmd_ntf(args):
         else:
             parts = []
             if gained:
-                parts.append("gained " + "; ".join(_prime_text(p) for p in gained))
+                parts.append("gained " + "; ".join(str(p) for p in gained))
             if lost:
-                parts.append("lost " + "; ".join(_prime_text(p) for p in lost))
+                parts.append("lost " + "; ".join(str(p) for p in lost))
             lines.append(f"n={n}: " + ", ".join(parts))
     lines.append(f"holds: {_flag(report.holds)}")
     payload = {
@@ -208,33 +214,8 @@ def _cmd_ntf(args):
 
 
 def _cmd_wog_classify(args):
-    report = classify(_load_graph(args))
-    fields = [
-        ("square", report.square),
-        ("all_powers", report.all_powers),
-        ("ntf", report.ntf),
-        ("all_heavy_are_sinks", report.all_heavy_are_sinks),
-        (
-            "heavy_non_sinks",
-            ",".join(str(v) for v in report.heavy_non_sinks) or None,
-        ),
-        ("has_triangle", report.has_triangle),
-        ("is_bipartite", report.is_bipartite),
-        ("odd_girth", report.odd_girth),
-        ("has_embedded_primes", report.has_embedded_primes),
-    ]
-    payload = {
-        "square": report.square,
-        "all_powers": report.all_powers,
-        "ntf": report.ntf,
-        "all_heavy_are_sinks": report.all_heavy_are_sinks,
-        "heavy_non_sinks": list(report.heavy_non_sinks),
-        "has_triangle": report.has_triangle,
-        "is_bipartite": report.is_bipartite,
-        "odd_girth": report.odd_girth,
-        "has_embedded_primes": report.has_embedded_primes,
-    }
-    return payload, [f"{k}: {_flag(v)}" for k, v in fields], 0
+    payload = asdict(classify(_load_graph(args)))
+    return payload, [f"{k}: {_flag(v)}" for k, v in payload.items()], 0
 
 
 def _cmd_wog_covers(args):
@@ -266,12 +247,7 @@ def _cmd_wog_covers(args):
 
 def _cmd_wog_ideal(args):
     ideal = edge_ideal(_load_graph(args))
-    payload = {
-        "num_vars": ideal.num_vars,
-        "gens": [list(g) for g in ideal.gens],
-        "text": format_ideal(ideal),
-    }
-    return payload, [format_ideal(ideal)], 0
+    return _ideal_result(ideal, num_vars=ideal.num_vars)
 
 
 def _cmd_wog_dual(args):
@@ -333,13 +309,7 @@ def _cmd_newton(args):
 
 
 def _cmd_closure(args):
-    closure = integral_closure_power(_load_ideal(args), args.n)
-    payload = {
-        "n": args.n,
-        "gens": [list(g) for g in closure.gens],
-        "text": format_ideal(closure),
-    }
-    return payload, [format_ideal(closure)], 0
+    return _ideal_result(integral_closure_power(_load_ideal(args), args.n), n=args.n)
 
 
 def _cmd_normal(args):
@@ -369,41 +339,31 @@ def _cmd_normal(args):
 
 def _cmd_thm41(args):
     ideal = _load_ideal(args)
-    powers_equal = all(
-        compare_powers(ideal, n).equal_min for n in range(1, args.max_n + 1)
-    )
     report = polyhedral_conditions_check(
         ideal,
         args.max_n,
-        powers_equal=powers_equal,
+        powers_equal=powers_equal_up_to(ideal, args.max_n),
         max_dim=args.max_vars,
         max_constraints=args.max_constraints,
     )
-    per_power = (
-        ", ".join(f"n={n} {_flag(ok)}" for n, ok in report.closure_per_power)
-        if report.closure_per_power
-        else "skipped"
-    )
-    lines = [
-        f"bound: {report.bound}",
-        f"powers_equal: {_flag(report.powers_equal)}",
-        f"minimal_decomposition: {_flag(report.minimal)}",
-        f"closure_intersections: {_flag(report.closure_intersections)} ({per_power})",
-        f"newton_equals_irreducible: {_flag(report.newton_equals_irreducible)}",
-        f"vertices_are_component_inverses: {_flag(report.vertices_are_component_inverses)}",
-        f"consistent: {_flag(report.consistent)}",
-    ]
-    payload = {
+    per_power = report.closure_per_power or ()
+    verdicts = {
         "bound": report.bound,
         "powers_equal": report.powers_equal,
         "minimal_decomposition": report.minimal,
         "closure_intersections": report.closure_intersections,
-        "closure_per_power": [
-            {"n": n, "holds": ok} for n, ok in (report.closure_per_power or ())
-        ],
         "newton_equals_irreducible": report.newton_equals_irreducible,
         "vertices_are_component_inverses": report.vertices_are_component_inverses,
         "consistent": report.consistent,
+    }
+    details = ", ".join(f"n={n} {_flag(ok)}" for n, ok in per_power) or "skipped"
+    lines = [
+        f"{k}: {_flag(v)}" + (f" ({details})" if k == "closure_intersections" else "")
+        for k, v in verdicts.items()
+    ]
+    payload = {
+        **verdicts,
+        "closure_per_power": [{"n": n, "holds": ok} for n, ok in per_power],
     }
     return payload, lines, 1 if report.consistent is False else 0
 

@@ -149,52 +149,33 @@ class UnderlyingProps:
 
 
 def underlying_props(graph: WeightedOrientedGraph) -> UnderlyingProps:
-    """Bipartiteness, triangles and odd girth of the underlying simple graph."""
+    """Bipartiteness, triangles and odd girth of the underlying simple graph.
+
+    All three come from the odd girth: a breadth-first search per root,
+    where an edge between two vertices at distance d closes an odd walk of
+    length 2d + 1.  No odd cycle means bipartite; odd girth 3, a triangle.
+    """
     adjacency = {
-        v: sorted(graph.underlying_neighbors(v))
-        for v in range(1, graph.num_vertices + 1)
+        v: graph.underlying_neighbors(v) for v in range(1, graph.num_vertices + 1)
     }
-    color: dict[int, int] = {}
-    bipartite = True
-    for root in adjacency:
-        if root in color:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for u in adjacency[v]:
-                if u not in color:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    bipartite = False
-    has_triangle = any(
-        bool(set(adjacency[i]) & set(adjacency[j]))
-        for i, j in (tuple(sorted(e)) for e in graph.underlying_edges())
-    )
     odd_girth = None
-    if not bipartite:
-        best = None
-        for root in adjacency:
-            dist = {root: 0}
-            frontier = [root]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for u in adjacency[v]:
-                        if u not in dist:
-                            dist[u] = dist[v] + 1
-                            nxt.append(u)
-                frontier = nxt
-            for e in graph.underlying_edges():
-                i, j = tuple(e)
-                if i in dist and j in dist and dist[i] == dist[j]:
-                    length = dist[i] + dist[j] + 1
-                    if best is None or length < best:
-                        best = length
-        odd_girth = best
-    return UnderlyingProps(bipartite, has_triangle, odd_girth)
+    for root in adjacency:
+        dist = {root: 0}
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in adjacency[v]:
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        for i, j in graph.edges:
+            if i in dist and j in dist and dist[i] == dist[j]:
+                length = 2 * dist[i] + 1
+                if odd_girth is None or length < odd_girth:
+                    odd_girth = length
+    return UnderlyingProps(odd_girth is None, odd_girth == 3, odd_girth)
 
 
 def edge_ideal(graph: WeightedOrientedGraph) -> MonomialIdeal:
@@ -419,7 +400,9 @@ class ClassifyReport:
     triangle); `all_powers` predicts I^n == I^(n) for every n (heavy
     vertices all sinks, bipartite).  `ntf` reports whether Ass(I^n) stays
     put for all n, which equals `all_powers` when I(D) has no embedded
-    primes and is left None otherwise.
+    primes and is left None otherwise.  The edgeless graph has the zero
+    ideal, so its `has_embedded_primes` is None.  The CLI prints the
+    fields in this order.
     """
 
     square: bool
@@ -440,19 +423,7 @@ def classify(graph: WeightedOrientedGraph) -> ClassifyReport:
     heavy_non_sinks = tuple(sorted(roles.heavy - roles.sinks))
     square = roles.all_heavy_are_sinks and not props.has_triangle
     all_powers = roles.all_heavy_are_sinks and props.is_bipartite
-    if not graph.edges:
-        return ClassifyReport(
-            square=True,
-            all_powers=True,
-            ntf=True,
-            all_heavy_are_sinks=True,
-            heavy_non_sinks=(),
-            has_triangle=False,
-            is_bipartite=True,
-            odd_girth=None,
-            has_embedded_primes=None,
-        )
-    embedded = bool(embedded_primes(edge_ideal(graph)))
+    embedded = bool(embedded_primes(edge_ideal(graph))) if graph.edges else None
     return ClassifyReport(
         square=square,
         all_powers=all_powers,

@@ -10,14 +10,15 @@ ints, so arithmetic never overflows.
 Conventions: the zero ideal has no generators, the unit ideal is generated
 by the zero vector, and variables are written t1..ts (1-indexed).
 
-Vectors are validated in one place.  :meth:`MonomialIdeal.from_gens` (and
-:func:`minimalize`, :func:`parse_ideal` on top of it) coerces and checks
-vectors that come from outside; the public constructor checks its `gens`
-too.  Results that the library derives from ideals it already holds
-(products, intersections, colons, radicals, localizations, the splitting
-steps of a decomposition) go through the private
-:meth:`MonomialIdeal._from_trusted`, which minimalizes without checking
-again.  Only vectors built from valid operands may be passed to it.
+Vectors are validated in one place, :func:`_check_vectors`, which checks
+the vectors that come from outside: those given to
+:meth:`MonomialIdeal.from_gens` (and so to :func:`parse_ideal`), and the
+`gens` of the public constructor.  Results that the library derives from
+ideals it already holds (products, intersections, colons, radicals,
+localizations, the splitting steps of a decomposition) go through the
+private :meth:`MonomialIdeal._from_trusted`, which minimalizes without
+checking again.  Only vectors built from valid operands may be passed to
+it.
 """
 
 from __future__ import annotations
@@ -105,53 +106,50 @@ def minimal_generators(vectors) -> tuple[Exponent, ...]:
     return tuple(out)
 
 
+def _check_vectors(vectors, num_vars: int):
+    """Refuse a ring without variables, and vectors that are not exponent
+    vectors of length `num_vars`."""
+    if num_vars < 1:
+        raise ValueError(f"need at least one variable, got {num_vars}")
+    for v in vectors:
+        if len(v) != num_vars:
+            raise DimensionMismatch(
+                f"generator {v} has length {len(v)}, expected {num_vars}"
+            )
+        if any(e < 0 for e in v):
+            raise ValueError(f"generator {v} has a negative exponent")
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal given by its canonical minimal generators.
 
     Instances are immutable and hashable; build them with
-    :func:`minimalize` (or :meth:`from_gens`) rather than the raw
-    constructor, which checks the vectors but trusts that `gens` is
-    already canonical.
+    :meth:`from_gens` rather than the raw constructor, which checks the
+    vectors but trusts that `gens` is already canonical.
     """
 
     num_vars: int
     gens: tuple[Exponent, ...]
 
     def __post_init__(self):
-        if self.num_vars < 1:
-            raise ValueError(f"need at least one variable, got {self.num_vars}")
-        for g in self.gens:
-            if len(g) != self.num_vars:
-                raise DimensionMismatch(
-                    f"generator {g} has length {len(g)}, expected {self.num_vars}"
-                )
-            if any(e < 0 for e in g):
-                raise ValueError(f"generator {g} has a negative exponent")
+        _check_vectors(self.gens, self.num_vars)
 
     @staticmethod
     def from_gens(vectors, num_vars: int) -> "MonomialIdeal":
+        """The ideal generated by `vectors`, in canonical minimal form."""
         vecs = [tuple(int(e) for e in v) for v in vectors]
-        for v in vecs:
-            if len(v) != num_vars:
-                raise DimensionMismatch(
-                    f"generator {v} has length {len(v)}, expected {num_vars}"
-                )
-            if any(e < 0 for e in v):
-                raise ValueError(f"generator {v} has a negative exponent")
-        return MonomialIdeal(num_vars, minimal_generators(vecs))
+        _check_vectors(vecs, num_vars)
+        return _trusted_ideal(vecs, num_vars)
 
-    @classmethod
-    def _from_trusted(cls, vectors, num_vars: int) -> "MonomialIdeal":
+    @staticmethod
+    def _from_trusted(vectors, num_vars: int) -> "MonomialIdeal":
         """Minimalize vectors derived from valid ideals, skipping the checks.
 
         Every vector must already be a tuple of naturals of length
         `num_vars`; see the module docstring for who may call this.
         """
-        ideal = object.__new__(cls)
-        object.__setattr__(ideal, "num_vars", num_vars)
-        object.__setattr__(ideal, "gens", minimal_generators(vectors))
-        return ideal
+        return _trusted_ideal(vectors, num_vars)
 
     @staticmethod
     def zero(num_vars: int) -> "MonomialIdeal":
@@ -239,9 +237,13 @@ class MonomialIdeal:
         return format_ideal(self)
 
 
-def minimalize(vectors, num_vars: int) -> MonomialIdeal:
-    """Build the ideal generated by `vectors`, in canonical minimal form."""
-    return MonomialIdeal.from_gens(vectors, num_vars)
+def _trusted_ideal(vectors, num_vars: int) -> MonomialIdeal:
+    """The body of ``_from_trusted``.  ``from_gens`` calls it directly, so
+    that a test can reroute every trusted construction through ``from_gens``."""
+    ideal = object.__new__(MonomialIdeal)
+    object.__setattr__(ideal, "num_vars", num_vars)
+    object.__setattr__(ideal, "gens", minimal_generators(vectors))
+    return ideal
 
 
 def intersect_all(ideals, num_vars: int | None = None) -> MonomialIdeal:

@@ -41,7 +41,7 @@ from .ideals import (
     intersect_all,
     power_contains,
 )
-from .symbolic import symbolic_power_min
+from .symbolic import powers_equal_up_to
 
 FractionVector = tuple[Fraction, ...]
 
@@ -184,15 +184,6 @@ def enumerate_vertices(
     return tuple(c.point for c in _vertex_certificates(poly))
 
 
-def vertex_certificates(
-    poly: CoveringFormPolyhedron,
-    max_dim: int = DEFAULT_DIMENSION_LIMIT,
-    max_constraints: int = DEFAULT_CONSTRAINT_LIMIT,
-) -> tuple[VertexCertificate, ...]:
-    enumerate_vertices(poly, max_dim, max_constraints)  # limit checks
-    return _vertex_certificates(poly)
-
-
 def polyhedra_equal(
     a: CoveringFormPolyhedron, b: CoveringFormPolyhedron, **limits
 ) -> bool:
@@ -264,17 +255,17 @@ def irreducible_polyhedron(dec: IrreducibleDecomposition) -> CoveringFormPolyhed
 
 
 @lru_cache(maxsize=None)
-def integral_closure_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
+def integral_closure_power(ideal: MonomialIdeal, n: int, **limits) -> MonomialIdeal:
     """The integral closure of I^n.
 
     A monomial t^a lies in it iff a pairs to >= n with every vertex of
     Q(I).  Minimal such a satisfy a_k <= n * (max generator exponent in
     coordinate k), so a finite box scan plus divisibility filtering finds
-    the minimal generators.
+    the minimal generators.  `limits` go to :func:`enumerate_vertices`.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"integral closure of I^n requires an integer n >= 1, got {n!r}")
-    verts = enumerate_vertices(covering_polyhedron(ideal))
+    verts = enumerate_vertices(covering_polyhedron(ideal), **limits)
     scaled = []
     for u in verts:
         d = math.lcm(*(x.denominator for x in u))
@@ -329,43 +320,9 @@ def is_normal_up_to(ideal: MonomialIdeal, bound: int) -> bool:
 # ------------------------------------------------------- combined checks
 
 
-@dataclass(frozen=True)
-class ClosureIntersectionReport:
-    """Closure of I^n vs intersected closures of the component powers.
-
-    Only evaluated when the irreducible decomposition is minimal (pairwise
-    distinct radicals); otherwise the check is skipped and `holds` is None.
-    """
-
-    bound: int
-    minimal: bool
-    per_power: tuple[tuple[int, bool], ...] | None
-    holds: bool | None
-
-
 def decomposition_is_minimal(dec: IrreducibleDecomposition) -> bool:
     supports = [c.support() for c in dec.components]
     return len(supports) == len(set(supports))
-
-
-def closure_intersection_check(
-    ideal: MonomialIdeal, bound: int
-) -> ClosureIntersectionReport:
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
-    dec = irreducible_decomposition(ideal)
-    if not decomposition_is_minimal(dec):
-        return ClosureIntersectionReport(bound, False, None, None)
-    per_power = []
-    for n in range(1, bound + 1):
-        lhs = integral_closure_power(ideal, n)
-        rhs = intersect_all(
-            [integral_closure_power(c.as_ideal(), n) for c in dec.components],
-            ideal.num_vars,
-        )
-        per_power.append((n, lhs == rhs))
-    holds = all(ok for _, ok in per_power)
-    return ClosureIntersectionReport(bound, True, tuple(per_power), holds)
 
 
 @dataclass(frozen=True)
@@ -373,8 +330,9 @@ class PolyhedralConditionsReport:
     """The three polyhedral conditions that accompany I^n == I^(n) for all n.
 
     (a) the closure of I^n is the intersection of the closures of the
-        component powers (checked up to `bound`; needs a minimal
-        decomposition, else None),
+        component powers, checked for n = 1..`bound` (`closure_per_power`).
+        It is only evaluated when the irreducible decomposition is minimal
+        (pairwise distinct radicals); otherwise both fields are None,
     (b) the Newton polyhedron equals the irreducible polyhedron,
     (c) the vertices of Q(I) are exactly the entrywise inverses of the
         component exponent vectors.
@@ -401,24 +359,38 @@ def polyhedral_conditions_check(
     powers_equal: bool | None = None,
     **limits,
 ) -> PolyhedralConditionsReport:
-    closure_report = closure_intersection_check(ideal, bound)
+    if bound < 1:
+        raise DomainError(f"bound must be >= 1, got {bound}")
     dec = irreducible_decomposition(ideal)
-    b = polyhedra_equal(
-        newton_hrep(ideal, **limits), irreducible_polyhedron(dec), **limits
-    )
-    inverse_columns = set(irreducible_polyhedron(dec).columns)
-    c = set(enumerate_vertices(covering_polyhedron(ideal), **limits)) == inverse_columns
-    if powers_equal is None or not closure_report.minimal:
+    minimal = decomposition_is_minimal(dec)
+    per_power = holds = None
+    if minimal:
+        per_power = []
+        for n in range(1, bound + 1):
+            lhs = integral_closure_power(ideal, n, **limits)
+            rhs = intersect_all(
+                [integral_closure_power(c.as_ideal(), n, **limits) for c in dec.components],
+                ideal.num_vars,
+            )
+            per_power.append((n, lhs == rhs))
+        per_power = tuple(per_power)
+        holds = all(ok for _, ok in per_power)
+    # The columns of the Newton inequality description are the vertices of Q(I).
+    hrep = newton_hrep(ideal, **limits)
+    irreducible = irreducible_polyhedron(dec)
+    b = polyhedra_equal(hrep, irreducible, **limits)
+    c = set(hrep.columns) == set(irreducible.columns)
+    if powers_equal is None or not minimal:
         consistent = None
     elif not powers_equal:
         consistent = True
     else:
-        consistent = bool(closure_report.holds) and b and c
+        consistent = holds and b and c
     return PolyhedralConditionsReport(
         bound=bound,
-        minimal=closure_report.minimal,
-        closure_intersections=closure_report.holds,
-        closure_per_power=closure_report.per_power,
+        minimal=minimal,
+        closure_intersections=holds,
+        closure_per_power=per_power,
         newton_equals_irreducible=b,
         vertices_are_component_inverses=c,
         powers_equal=powers_equal,
@@ -450,9 +422,7 @@ def dual_ntf_check(
 ) -> DualNtfReport:
     dual = alexander_dual(graph)
     ideal = dual.ideal
-    powers_equal = all(
-        ideal ** n == symbolic_power_min(ideal, n) for n in range(1, bound + 1)
-    )
+    powers_equal = powers_equal_up_to(ideal, bound)
     normal = is_normal_up_to(ideal, bound)
     np_eq_ip = polyhedra_equal(
         newton_hrep(ideal, **limits),

@@ -110,6 +110,13 @@ def compare_powers(ideal: MonomialIdeal, n: int) -> SymbolicPowerReport:
     )
 
 
+def powers_equal_up_to(ideal: MonomialIdeal, bound: int) -> bool:
+    """Does I^n equal I^(n) for every n = 1..bound?"""
+    if bound < 1:
+        raise DomainError(f"bound must be >= 1, got {bound}")
+    return all(ideal ** n == symbolic_power_min(ideal, n) for n in range(1, bound + 1))
+
+
 @dataclass(frozen=True)
 class NtfReport:
     """Does Ass(I^n) stay equal to Ass(I) for every checked power?"""
@@ -123,8 +130,8 @@ def is_ntf_up_to(ideal: MonomialIdeal, bound: int) -> NtfReport:
     """Check Ass(I^n) == Ass(I) for n = 1..bound.
 
     When I has no embedded primes the per-power verdict must coincide with
-    I^n == I^(n); both routes are computed and compared, and a mismatch
-    raises, since it could only come from a bug.
+    I^n == I^(n); both routes are computed on the same I^n and compared,
+    and a mismatch raises, since it could only come from a bug.
     """
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
@@ -133,9 +140,10 @@ def is_ntf_up_to(ideal: MonomialIdeal, bound: int) -> NtfReport:
     per_power = []
     holds = True
     for n in range(1, bound + 1):
-        ass_n = associated_primes(ideal ** n)
+        power = ideal ** n
+        ass_n = associated_primes(power)
         same = ass_n == base
-        if no_embedded and same != (compare_powers(ideal, n).equal_min):
+        if no_embedded and same != (power == symbolic_power_min(ideal, n)):
             raise ConsistencyError(
                 f"Ass(I^{n}) vs symbolic-power routes disagree at n={n}"
             )

@@ -215,6 +215,17 @@ def test_resource_limit_exit_code(workdir, capsys):
     assert "--max-covers" in err
 
 
+def test_thm41_passes_its_limits_to_the_closure(workdir, capsys):
+    """--max-vars reaches every vertex enumeration, the closures' included."""
+    wide = workdir / "wide.ideal"
+    wide.write_text("t1, t2\n")
+    code, out, err = run(
+        capsys, "thm41", str(wide), "--vars", "9", "--max-n", "2", "--max-vars", "9"
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("bound: 2\npowers_equal: true\n")
+
+
 def test_unknown_example_name(capsys):
     code, _, err = run(capsys, "examples", "mystery_graph")
     assert code == 2

@@ -38,6 +38,7 @@ from monideal.graphs import (
     normalize,
     parse_graph,
     strong_covers,
+    underlying_props,
     vertex_roles,
 )
 from monideal.decomposition import irreducible_decomposition
@@ -208,6 +209,60 @@ def test_classify_fixture_table():
     seven = classify(SEVEN_CYCLE.graph)
     assert seven.square and not seven.all_powers
     assert seven.odd_girth == 7
+
+
+# Independent routes for the invariants that classify reads off the odd girth.
+
+
+def _underlying_adjacency(g):
+    adjacency = {v: set() for v in range(1, g.num_vertices + 1)}
+    for i, j in g.edges:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    return adjacency
+
+
+def _two_colourable(g) -> bool:
+    adjacency = _underlying_adjacency(g)
+    colour = {}
+    for root in adjacency:
+        if root in colour:
+            continue
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u in adjacency[v]:
+                if u not in colour:
+                    colour[u] = 1 - colour[v]
+                    stack.append(u)
+                elif colour[u] == colour[v]:
+                    return False
+    return True
+
+
+def _has_triangle(g) -> bool:
+    adjacency = _underlying_adjacency(g)
+    return any(adjacency[i] & adjacency[j] for i, j in g.edges)
+
+
+@given(graphs(max_vertices=7))
+def test_classify_invariants_match_colouring_and_triangle_scan(g):
+    report = classify(g)
+    assert report.is_bipartite == _two_colourable(g)
+    assert report.has_triangle == _has_triangle(g)
+
+
+@pytest.mark.parametrize("length", range(3, 10))
+def test_odd_girth_of_oriented_cycles(length):
+    edges = [(i, i % length + 1) for i in range(1, length + 1)]
+    props = underlying_props(WeightedOrientedGraph.build(length, edges))
+    assert props.odd_girth == (length if length % 2 else None)
+
+
+def test_odd_girth_of_an_edgeless_graph():
+    props = underlying_props(WeightedOrientedGraph.build(3, []))
+    assert (props.odd_girth, props.is_bipartite, props.has_triangle) == (None, True, False)
 
 
 def test_non_sink_witness_selection():

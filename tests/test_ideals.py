@@ -279,6 +279,11 @@ def test_from_gens_refuses_bad_vectors():
         MonomialIdeal(2, ((0, -2),))
 
 
+def test_from_gens_refuses_a_ring_without_variables():
+    with pytest.raises(ValueError, match="at least one variable"):
+        MonomialIdeal.from_gens([], 0)
+
+
 def test_power_contains_deep_generator_list():
     """1,201 generators of one degree: the search goes 1,201 levels deep."""
     I = MonomialIdeal.from_gens([(i, 1200 - i) for i in range(1201)], 2)

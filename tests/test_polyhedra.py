@@ -26,7 +26,7 @@ from monideal.graphs import alexander_dual, edge_ideal
 from monideal.ideals import MonomialIdeal, parse_ideal, power_contains
 from monideal.polyhedra import (
     _rank,
-    closure_intersection_check,
+    _vertex_certificates,
     closure_member_by_power_scan,
     closure_witness_scale,
     contains_point,
@@ -45,7 +45,6 @@ from monideal.polyhedra import (
     parse_constraint_block,
     polyhedra_equal,
     polyhedral_conditions_check,
-    vertex_certificates,
 )
 
 from conftest import ideals
@@ -94,7 +93,8 @@ def test_vertex_certificates_are_basic_and_feasible(I):
     """Every reported vertex satisfies s independent constraints with equality."""
     poly = covering_polyhedron(I)
     s = poly.num_vars
-    for cert in vertex_certificates(poly):
+    enumerate_vertices(poly)  # within the limits
+    for cert in _vertex_certificates(poly):
         assert contains_point(poly, cert.point)
         rows = []
         for kind, index in cert.tight_rows:
@@ -190,14 +190,14 @@ def test_decomposition_minimality_flag():
 
 def test_closure_intersection_check_reports():
     I = edge_ideal(FOUR_CYCLE_SINKS.graph)
-    report = closure_intersection_check(I, 2)
-    assert report.minimal and report.holds
-    assert report.per_power == ((1, True), (2, True))
+    report = polyhedral_conditions_check(I, 2)
+    assert report.minimal and report.closure_intersections
+    assert report.closure_per_power == ((1, True), (2, True))
 
     J = parse_ideal("(t1^3, t1*t2, t2^2)")
-    skipped = closure_intersection_check(J, 2)
+    skipped = polyhedral_conditions_check(J, 2)
     assert not skipped.minimal
-    assert skipped.holds is None
+    assert skipped.closure_intersections is None
 
 
 def test_polyhedral_conditions_consistency_logic():
