@@ -2,15 +2,20 @@
 
 Every proper nonzero monomial ideal is a finite irredundant intersection of
 irreducible ideals q_a = ({t_i^{a_i} : a_i >= 1}), and that irredundant
-decomposition is unique.  We compute it by generator splitting: as long as
-some minimal generator mixes two variables, write the ideal as an
-intersection of two strictly simpler ideals and recurse; leaves have only
-pure-power generators and are irreducible.  Redundant leaves are then
-dropped by inclusion: irreducible monomial ideals are meet-prime (if
-q contains J ^ K it contains J or K, since the lcm of two witnesses outside
-q stays outside q), so a leaf is redundant exactly when it contains another
-leaf (Miller-Sturmfels, Combinatorial Commutative Algebra).  Results are
-memoized per canonical generating set.
+decomposition is unique.  We compute it by folding in one minimal generator
+at a time, starting from q_0, the zero ideal.  Monomial ideals form a
+distributive lattice, so (J ^ K) + L = (J + L) ^ (K + L): adding t^g to an
+intersection adds it to each component.  A component that already contains
+t^g stays; any other q_a becomes the intersection of the pieces
+q_a + (t_i^{g_i}), i in supp(g), which is q_a with a_i set to g_i.
+Redundant components are dropped by inclusion: irreducible monomial ideals
+are meet-prime (if q contains J ^ K it contains J or K, since the lcm of two
+witnesses outside q stays outside q), so a component is redundant exactly
+when it contains another one (Miller-Sturmfels, Combinatorial Commutative
+Algebra).  Only the new pieces need that test: the components that stay were
+pairwise incomparable before, and each piece contains the component it came
+from, so no kept component can contain a piece.  Results are memoized per
+canonical generating set.
 """
 
 from __future__ import annotations
@@ -119,40 +124,6 @@ class IrreducibleDecomposition:
         return " ^ ".join(str(c) for c in self.components)
 
 
-def _first_mixed(gens, last: bool):
-    """A generator with at least two nonzero entries, or None."""
-    source = reversed(gens) if last else gens
-    for g in source:
-        if sum(1 for e in g if e) >= 2:
-            return g
-    return None
-
-
-@lru_cache(maxsize=None)
-def _raw_components(ideal: MonomialIdeal, split_last: bool) -> frozenset[Exponent]:
-    """All leaves of the splitting recursion (possibly redundant).
-
-    `split_last` flips both choices the algorithm makes (which mixed
-    generator to split and on which of its variables); the default is the
-    canonically least generator and its least-index variable.  Exposing the
-    flipped schedule lets tests confirm the filtered result is
-    schedule-independent, as uniqueness of the decomposition demands.
-    """
-    g = _first_mixed(ideal.gens, split_last)
-    if g is None:
-        # Only pure powers remain: at most one per variable, so the
-        # componentwise max assembles the exponent vector of q_alpha.
-        alpha = tuple(max(col) for col in zip(*ideal.gens))
-        return frozenset([alpha])
-    indices = [i for i, e in enumerate(g) if e]
-    i = indices[-1] if split_last else indices[0]
-    power = tuple(g[i] if j == i else 0 for j in range(ideal.num_vars))
-    rest = tuple(0 if j == i else g[j] for j in range(ideal.num_vars))
-    left = MonomialIdeal._from_trusted(ideal.gens + (power,), ideal.num_vars)
-    right = MonomialIdeal._from_trusted(ideal.gens + (rest,), ideal.num_vars)
-    return _raw_components(left, split_last) | _raw_components(right, split_last)
-
-
 def _contains_irreducible(a: Exponent, b: Exponent) -> bool:
     """q_a contains q_b: 0 < a_i <= b_i for every i in supp(b)."""
     return all(0 < x <= y for x, y in zip(a, b) if y)
@@ -181,20 +152,37 @@ def irredundant_subset(
 
 
 @lru_cache(maxsize=None)
-def _decomposition(ideal: MonomialIdeal, split_last: bool) -> IrreducibleDecomposition:
+def _decomposition(ideal: MonomialIdeal) -> IrreducibleDecomposition:
     if ideal.is_zero() or ideal.is_unit():
         raise DomainError("only proper nonzero ideals have an irreducible decomposition")
-    comps = [
-        IrreducibleIdeal(ideal.num_vars, a)
-        for a in _raw_components(ideal, split_last)
-    ]
-    kept = irredundant_subset(comps, ideal)
-    return IrreducibleDecomposition(ideal.num_vars, kept)
+    comps = [(0,) * ideal.num_vars]
+    for g in ideal.gens:
+        support = [i for i, e in enumerate(g) if e]
+        kept, pieces = [], set()
+        for a in comps:
+            if any(0 < a[i] <= g[i] for i in support):
+                kept.append(a)
+            else:
+                # t^g lies outside q_a, so each a_i on supp(g) is 0 or above
+                # g_i, and q_a + (t_i^{g_i}) sets a_i to g_i.
+                pieces.update(a[:i] + (g[i],) + a[i + 1:] for i in support)
+        # A piece contains its parent, so it never equals a kept component
+        # (that would contain the parent too): `b != p` skips only p itself.
+        survivors = kept + list(pieces)
+        comps = kept + [
+            p
+            for p in pieces
+            if not any(b != p and _contains_irreducible(p, b) for b in survivors)
+        ]
+    components = irredundant_subset(
+        [IrreducibleIdeal(ideal.num_vars, a) for a in comps], ideal
+    )
+    return IrreducibleDecomposition(ideal.num_vars, components)
 
 
 def irreducible_decomposition(ideal: MonomialIdeal) -> IrreducibleDecomposition:
     """The unique irredundant irreducible decomposition of a proper nonzero ideal."""
-    return _decomposition(ideal, False)
+    return _decomposition(ideal)
 
 
 def exponent_duality(ideal: MonomialIdeal) -> tuple[Exponent, ...]:

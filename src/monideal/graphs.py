@@ -95,9 +95,6 @@ class WeightedOrientedGraph:
     def underlying_neighbors(self, v: int) -> set[int]:
         return self.out_neighbors(v) | self.in_neighbors(v)
 
-    def underlying_edges(self) -> set[frozenset[int]]:
-        return {frozenset(e) for e in self.edges}
-
 
 def normalize(graph: WeightedOrientedGraph) -> WeightedOrientedGraph:
     """Force weight 1 on every source (vertex with no incoming edge).
@@ -349,7 +346,7 @@ def decomposition_via_covers(
 
     The cover ideals of all strong covers must intersect to I(D), which
     :func:`irredundant_subset` checks on the components it keeps; the result
-    has to match the generator-splitting decomposition, which the test-suite
+    has to match :func:`irreducible_decomposition`, which the test-suite
     checks graph by graph.
     """
     graph = normalize(graph)

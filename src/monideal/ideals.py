@@ -15,10 +15,9 @@ the vectors that come from outside: those given to
 :meth:`MonomialIdeal.from_gens` (and so to :func:`parse_ideal`), and the
 `gens` of the public constructor.  Results that the library derives from
 ideals it already holds (products, intersections, colons, radicals,
-localizations, the splitting steps of a decomposition) go through the
-private :meth:`MonomialIdeal._from_trusted`, which minimalizes without
-checking again.  Only vectors built from valid operands may be passed to
-it.
+localizations) go through the private :meth:`MonomialIdeal._from_trusted`,
+which minimalizes without checking again.  Only vectors built from valid
+operands may be passed to it.
 """
 
 from __future__ import annotations

@@ -308,12 +308,16 @@ def closure_member_by_power_scan(
     return None
 
 
-def is_normal_up_to(ideal: MonomialIdeal, bound: int) -> bool:
-    """Does I^n equal its integral closure for every n = 1..bound?"""
+def is_normal_up_to(ideal: MonomialIdeal, bound: int, **limits) -> bool:
+    """Does I^n equal its integral closure for every n = 1..bound?
+
+    `limits` go to :func:`integral_closure_power`.
+    """
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
     return all(
-        integral_closure_power(ideal, n) == ideal ** n for n in range(1, bound + 1)
+        integral_closure_power(ideal, n, **limits) == ideal ** n
+        for n in range(1, bound + 1)
     )
 
 
@@ -337,10 +341,12 @@ class PolyhedralConditionsReport:
     (c) the vertices of Q(I) are exactly the entrywise inverses of the
         component exponent vectors.
 
-    When the caller also supplies whether the power equality held up to
-    the bound, `consistent` records the implication equality => a, b, c
-    (None when the antecedent is unknown or the decomposition is not
-    minimal, since the implication then asserts nothing checkable).
+    When the caller also supplies whether I^n == I^(n) holds for every n,
+    `consistent` records the implication equality => a, b, c (None when
+    the antecedent is unknown or the decomposition is not minimal, since
+    the implication then asserts nothing checkable).  Equality known only
+    up to a bound is no such antecedent: a failing condition then means
+    the powers differ at some larger n.
     """
 
     bound: int
@@ -423,7 +429,7 @@ def dual_ntf_check(
     dual = alexander_dual(graph)
     ideal = dual.ideal
     powers_equal = powers_equal_up_to(ideal, bound)
-    normal = is_normal_up_to(ideal, bound)
+    normal = is_normal_up_to(ideal, bound, **limits)
     np_eq_ip = polyhedra_equal(
         newton_hrep(ideal, **limits),
         irreducible_polyhedron(dual.decomposition),

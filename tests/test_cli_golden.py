@@ -36,6 +36,7 @@ INPUTS = {
     "bad.ideal": "(t1*bad^^2)\n",
     "big.graph": "\n".join(["vertices 30"] + [f"edge {i} {i + 1}" for i in range(1, 30)]) + "\n",
     "wide.ideal": "t1, t2\n",
+    "c5.ideal": "t1*t2, t2*t3, t3*t4, t4*t5, t5*t1\n",
 }
 
 # (case id, argv); file names are resolved against the input directory.
@@ -72,6 +73,8 @@ CASES = [
     ("thm41-ex51", ["thm41", "ex51.ideal", "--max-n", "2"]),
     ("thm41-ex52", ["thm41", "ex52.ideal", "--max-n", "2"]),
     ("thm41-ex55", ["thm41", "ex55.ideal", "--max-n", "2"]),
+    # Equal up to n = 2 while (b) and (c) fail: the powers differ at n = 3.
+    ("thm41-c5", ["thm41", "c5.ideal", "--max-n", "2"]),
     ("examples-triangle-sink", ["examples", "triangle_sink"]),
     ("examples-list", ["examples", "--list"]),
     ("examples-show", ["examples", "seven_cycle", "--show"]),

@@ -12,7 +12,6 @@ from monideal.decomposition import (
     IrreducibleIdeal,
     MonomialPrime,
     _decomposition,
-    _raw_components,
     ass_witness_oracle,
     associated_primes,
     colon_prime_scan,
@@ -84,10 +83,48 @@ def test_decomposition_is_irredundant(I):
         assert intersect_all(rest, I.num_vars) != I
 
 
-@given(ideals())
-def test_decomposition_independent_of_splitting_order(I):
-    """Splitting the first or the last splittable generator must not matter."""
-    assert _decomposition(I, False) == _decomposition(I, True)
+def splitting_leaves(ideal, split_last=False):
+    """Leaves of the generator-splitting recursion (possibly redundant).
+
+    While some minimal generator t^g mixes two variables, the ideal is the
+    intersection of the two ideals that add t_i^{g_i} and t^g / t_i^{g_i};
+    leaves have only pure-power generators and are irreducible.  The default
+    schedule splits the canonically first mixed generator on its first
+    variable, `split_last` the last one on its last variable.  Sub-ideals
+    go through from_gens and nothing is cached: this is the slow, independent
+    route the fold in `irreducible_decomposition` is checked against.
+    """
+    mixed = [g for g in ideal.gens if sum(1 for e in g if e) >= 2]
+    if not mixed:
+        return {tuple(max(col) for col in zip(*ideal.gens))}
+    g = mixed[-1] if split_last else mixed[0]
+    indices = [i for i, e in enumerate(g) if e]
+    i = indices[-1] if split_last else indices[0]
+    power = tuple(g[i] if j == i else 0 for j in range(ideal.num_vars))
+    rest = tuple(0 if j == i else g[j] for j in range(ideal.num_vars))
+    left, right = (
+        MonomialIdeal.from_gens([*ideal.gens, extra], ideal.num_vars)
+        for extra in (power, rest)
+    )
+    return splitting_leaves(left, split_last) | splitting_leaves(right, split_last)
+
+
+@given(st.one_of(ideals(), ideals(max_vars=6, max_gens=8)))
+@settings(max_examples=80)
+def test_decomposition_matches_splitting_oracle(I):
+    """Both splitting schedules, filtered, give the decomposition."""
+    dec = irreducible_decomposition(I)
+    for split_last in (False, True):
+        leaves = [IrreducibleIdeal(I.num_vars, a) for a in splitting_leaves(I, split_last)]
+        assert irredundant_subset(leaves, I) == dec.components
+
+
+def test_star_ideal_decomposes_without_recursion():
+    """t1*tj for j = 2..500: one generator per fold step, two components."""
+    n = 500
+    gens = [tuple(1 if k in (0, j) else 0 for k in range(n)) for j in range(1, n)]
+    dec = irreducible_decomposition(MonomialIdeal.from_gens(gens, n))
+    assert dec.alphas() == ((1,) + (0,) * (n - 1), (0,) + (1,) * (n - 1))
 
 
 @given(ideals())
@@ -154,7 +191,7 @@ def greedy_irredundant_oracle(components, target):
 
 @given(ideals(), st.booleans())
 def test_inclusion_filter_matches_greedy_oracle(I, split_last):
-    leaves = [IrreducibleIdeal(I.num_vars, a) for a in _raw_components(I, split_last)]
+    leaves = [IrreducibleIdeal(I.num_vars, a) for a in splitting_leaves(I, split_last)]
     assert irredundant_subset(leaves, I) == greedy_irredundant_oracle(leaves, I)
 
 
@@ -173,13 +210,11 @@ def _validated(vectors, num_vars):
 @given(ideals())
 def test_decomposition_matches_validated_rebuild(I):
     """With every trusted construction sent through from_gens instead, the
-    splitting sees only valid vectors and ends in the same decomposition."""
+    decomposition sees only valid vectors and ends in the same result."""
     trusted = irreducible_decomposition(I)
     with patch.object(MonomialIdeal, "_from_trusted", staticmethod(_validated)):
-        _raw_components.cache_clear()
         _decomposition.cache_clear()
         validated = irreducible_decomposition(I)
         assert validated.intersection() == I
-    _raw_components.cache_clear()
     _decomposition.cache_clear()
     assert validated == trusted

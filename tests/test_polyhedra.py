@@ -22,7 +22,7 @@ from monideal.fixtures import (
     PATH_MIDDLE,
     TRIANGLE_CYCLE,
 )
-from monideal.graphs import alexander_dual, edge_ideal
+from monideal.graphs import WeightedOrientedGraph, alexander_dual, edge_ideal
 from monideal.ideals import MonomialIdeal, parse_ideal, power_contains
 from monideal.polyhedra import (
     _rank,
@@ -221,6 +221,18 @@ def test_dual_ntf_check_on_four_cycle():
     assert report.powers_equal and report.normal
     assert report.newton_equals_irreducible and report.rhs
     assert report.agree and report.caveat is None
+
+
+def test_dual_ntf_check_passes_its_limits_to_the_normality_half():
+    """Nine variables exceed the default limit of 8; max_dim=9 must reach
+    the closure scan behind `is_normal_up_to` as well."""
+    one_edge = WeightedOrientedGraph.build(9, [(1, 2)])
+    dual_ideal = alexander_dual(one_edge).ideal
+    with pytest.raises(ResourceLimitExceeded):
+        is_normal_up_to(dual_ideal, 1)
+    assert is_normal_up_to(dual_ideal, 2, max_dim=9)
+    report = dual_ntf_check(one_edge, 2, max_dim=9)
+    assert report.powers_equal and report.normal and report.agree
 
 
 # ------------------------------------------------------------- text format
