@@ -14,6 +14,19 @@ Newton polyhedron's inequality description has the covering polyhedron's
 vertices as columns; the irreducible polyhedron has the entrywise inverses
 of the irreducible components' exponent vectors.  Integral closures of
 powers fall out of the Newton description by a finite box scan.
+
+One enumeration, of the vertex set V of Q(I), decides the conditions of
+`polyhedral_conditions_check`; C are the irreducible polyhedron's columns.
+The Newton and irreducible polyhedra are the blockers of Q(I) = conv(V) +
+R^s_{>=0} and of conv(C) + R^s_{>=0} (Fulkerson, "Blocking and anti-blocking
+pairs of polyhedra", Math. Programming 1, 1971), so they are equal iff those
+are.  Each c in C lies in Q(I): a generator g in q_a has g_i >= a_i > 0 for
+some i, so g . c >= 1.  A vertex of Q(I) in conv(C) + R^s_{>=0}, being no
+proper combination of points of Q(I), is a c; so NP(I) = IP(I) iff V <= C.
+The closure of q_a^n is {t^x : sum x_i / a_i >= n}, so the component
+closures intersect to the box scan with rows C, in the box x_k <= n * max_g
+g_k of the closure of I^n: lowering a minimal x_k by one breaks a row with
+a_k > 0, so x_k <= n * a_k, and a_k is some generator's exponent.
 """
 
 from __future__ import annotations
@@ -38,7 +51,6 @@ from .graphs import WeightedOrientedGraph, alexander_dual
 from .ideals import (
     Exponent,
     MonomialIdeal,
-    intersect_all,
     power_contains,
 )
 from .symbolic import powers_equal_up_to
@@ -125,38 +137,22 @@ def contains_point(poly: CoveringFormPolyhedron, point) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class VertexCertificate:
-    """A vertex plus the s independent tight rows that pin it down.
-
-    Rows are ("axis", i) for x_i >= 0 (1-indexed) and ("col", j) for the
-    j-th column constraint (0-indexed).
-    """
-
-    point: FractionVector
-    tight_rows: tuple[tuple[str, int], ...]
-
-
+# perfbench/spans.py reads this cache by name.
 @lru_cache(maxsize=None)
-def _vertex_certificates(poly: CoveringFormPolyhedron) -> tuple[VertexCertificate, ...]:
+def _vertex_certificates(poly: CoveringFormPolyhedron) -> tuple[FractionVector, ...]:
     s = poly.num_vars
-    rows = [(("col", j), c, 1) for j, c in enumerate(poly.columns)]
-    rows += [
-        (("axis", i + 1), tuple(Fraction(int(k == i)) for k in range(s)), 0)
-        for i in range(s)
-    ]
-    found: dict[FractionVector, tuple] = {}
+    rows = [(c, 1) for c in poly.columns]
+    rows += [(tuple(Fraction(int(k == i)) for k in range(s)), 0) for i in range(s)]
+    found: set[FractionVector] = set()
     for subset in combinations(rows, s):
-        point = _solve_square([r[1] for r in subset], [r[2] for r in subset])
+        point = _solve_square([r[0] for r in subset], [r[1] for r in subset])
         if point is None or point in found:
             continue
         if all(x >= 0 for x in point) and all(
             _dot(point, c) >= 1 for c in poly.columns
         ):
-            found[point] = tuple(r[0] for r in subset)
-    return tuple(
-        VertexCertificate(p, found[p]) for p in sorted(found)
-    )
+            found.add(point)
+    return tuple(sorted(found))
 
 
 def enumerate_vertices(
@@ -181,7 +177,7 @@ def enumerate_vertices(
             f"{len(poly.columns)} columns exceed the limit {max_constraints}; "
             "pass a larger max_constraints (CLI: --max-constraints) to proceed"
         )
-    return tuple(c.point for c in _vertex_certificates(poly))
+    return _vertex_certificates(poly)
 
 
 def polyhedra_equal(
@@ -254,20 +250,10 @@ def irreducible_polyhedron(dec: IrreducibleDecomposition) -> CoveringFormPolyhed
 # -------------------------------------------------------- integral closure
 
 
-@lru_cache(maxsize=None)
-def integral_closure_power(ideal: MonomialIdeal, n: int, **limits) -> MonomialIdeal:
-    """The integral closure of I^n.
-
-    A monomial t^a lies in it iff a pairs to >= n with every vertex of
-    Q(I).  Minimal such a satisfy a_k <= n * (max generator exponent in
-    coordinate k), so a finite box scan plus divisibility filtering finds
-    the minimal generators.  `limits` go to :func:`enumerate_vertices`.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"integral closure of I^n requires an integer n >= 1, got {n!r}")
-    verts = enumerate_vertices(covering_polyhedron(ideal), **limits)
+def _closure_box_scan(ideal: MonomialIdeal, rows, n: int) -> MonomialIdeal:
+    """Minimal t^a in the box a_k <= n * max_g g_k with a . r >= n per row r."""
     scaled = []
-    for u in verts:
+    for u in rows:
         d = math.lcm(*(x.denominator for x in u))
         scaled.append((tuple(int(x * d) for x in u), n * d))
     bounds = [n * max(g[k] for g in ideal.gens) for k in range(ideal.num_vars)]
@@ -279,6 +265,21 @@ def integral_closure_power(ideal: MonomialIdeal, n: int, **limits) -> MonomialId
         )
     ]
     return MonomialIdeal._from_trusted(members, ideal.num_vars)
+
+
+def integral_closure_power(ideal: MonomialIdeal, n: int, **limits) -> MonomialIdeal:
+    """The integral closure of I^n.
+
+    A monomial t^a lies in it iff a pairs to >= n with every vertex of
+    Q(I).  Minimal such a satisfy a_k <= n * (max generator exponent in
+    coordinate k), so a finite box scan plus divisibility filtering finds
+    the minimal generators.  `limits` go to :func:`enumerate_vertices`.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"integral closure of I^n requires an integer n >= 1, got {n!r}")
+    return _closure_box_scan(
+        ideal, enumerate_vertices(covering_polyhedron(ideal), **limits), n
+    )
 
 
 def closure_witness_scale(ideal: MonomialIdeal) -> int:
@@ -341,6 +342,11 @@ class PolyhedralConditionsReport:
     (c) the vertices of Q(I) are exactly the entrywise inverses of the
         component exponent vectors.
 
+    With V the vertices of Q(I) and C the irreducible columns, (b) is
+    V <= C by blocking duality, (c) is V == C, and the right side of (a)
+    is the closure box scan with rows C, as the closure of q_a^n is
+    {t^x : sum x_i / a_i >= n}; the module docstring gives the proofs.
+
     When the caller also supplies whether I^n == I^(n) holds for every n,
     `consistent` records the implication equality => a, b, c (None when
     the antecedent is unknown or the decomposition is not minimal, since
@@ -369,23 +375,18 @@ def polyhedral_conditions_check(
         raise DomainError(f"bound must be >= 1, got {bound}")
     dec = irreducible_decomposition(ideal)
     minimal = decomposition_is_minimal(dec)
+    vertices = enumerate_vertices(covering_polyhedron(ideal), **limits)
+    columns = irreducible_polyhedron(dec).columns
     per_power = holds = None
     if minimal:
-        per_power = []
-        for n in range(1, bound + 1):
-            lhs = integral_closure_power(ideal, n, **limits)
-            rhs = intersect_all(
-                [integral_closure_power(c.as_ideal(), n, **limits) for c in dec.components],
-                ideal.num_vars,
-            )
-            per_power.append((n, lhs == rhs))
-        per_power = tuple(per_power)
+        per_power = tuple(
+            (n, _closure_box_scan(ideal, vertices, n)
+             == _closure_box_scan(ideal, columns, n))
+            for n in range(1, bound + 1)
+        )
         holds = all(ok for _, ok in per_power)
-    # The columns of the Newton inequality description are the vertices of Q(I).
-    hrep = newton_hrep(ideal, **limits)
-    irreducible = irreducible_polyhedron(dec)
-    b = polyhedra_equal(hrep, irreducible, **limits)
-    c = set(hrep.columns) == set(irreducible.columns)
+    b = set(vertices) <= set(columns)
+    c = set(vertices) == set(columns)
     if powers_equal is None or not minimal:
         consistent = None
     elif not powers_equal:
@@ -430,11 +431,9 @@ def dual_ntf_check(
     ideal = dual.ideal
     powers_equal = powers_equal_up_to(ideal, bound)
     normal = is_normal_up_to(ideal, bound, **limits)
-    np_eq_ip = polyhedra_equal(
-        newton_hrep(ideal, **limits),
-        irreducible_polyhedron(dual.decomposition),
-        **limits,
-    )
+    # NP(I) == IP(I) iff V <= C; see the module docstring.
+    vertices = enumerate_vertices(covering_polyhedron(ideal), **limits)
+    np_eq_ip = set(vertices) <= set(irreducible_polyhedron(dual.decomposition).columns)
     rhs = normal and np_eq_ip
     agree = powers_equal == rhs
     caveat = None

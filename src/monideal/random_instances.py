@@ -32,18 +32,17 @@ def random_ideal(
 def random_graph(
     rng: Random,
     num_vertices: int,
-    edge_prob: float = 0.45,
     max_weight: int = 3,
-    ensure_edge: bool = True,
 ) -> WeightedOrientedGraph:
     """A weighted oriented graph; each underlying pair appears with
-    probability edge_prob and gets a random orientation."""
+    probability 0.45 and gets a random orientation.  With two or more
+    vertices and no pair drawn, one random pair becomes the edge."""
     edges = []
     for i in range(1, num_vertices + 1):
         for j in range(i + 1, num_vertices + 1):
-            if rng.random() < edge_prob:
+            if rng.random() < 0.45:
                 edges.append((i, j) if rng.random() < 0.5 else (j, i))
-    if ensure_edge and not edges and num_vertices >= 2:
+    if not edges and num_vertices >= 2:
         i = rng.randint(1, num_vertices - 1)
         j = rng.randint(i + 1, num_vertices)
         edges.append((i, j) if rng.random() < 0.5 else (j, i))

@@ -37,6 +37,9 @@ INPUTS = {
     "big.graph": "\n".join(["vertices 30"] + [f"edge {i} {i + 1}" for i in range(1, 30)]) + "\n",
     "wide.ideal": "t1, t2\n",
     "c5.ideal": "t1*t2, t2*t3, t3*t4, t4*t5, t5*t1\n",
+    # The Alexander dual of a 5-vertex graph.  Q(I) has 26 vertices, so the
+    # Newton description has 26 columns, more than the default limit of 24.
+    "dual52.ideal": "t2*t3*t4*t5, t1^2*t2*t3*t5, t1^2*t3*t4*t5^2, t1^2*t2*t3*t4^3, t1^2*t2*t4^3*t5^2\n",
 }
 
 # (case id, argv); file names are resolved against the input directory.
@@ -75,6 +78,7 @@ CASES = [
     ("thm41-ex55", ["thm41", "ex55.ideal", "--max-n", "2"]),
     # Equal up to n = 2 while (b) and (c) fail: the powers differ at n = 3.
     ("thm41-c5", ["thm41", "c5.ideal", "--max-n", "2"]),
+    ("thm41-dual52", ["thm41", "dual52.ideal", "--max-n", "2"]),
     ("examples-triangle-sink", ["examples", "triangle_sink"]),
     ("examples-list", ["examples", "--list"]),
     ("examples-show", ["examples", "seven_cycle", "--show"]),

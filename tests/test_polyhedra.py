@@ -4,7 +4,7 @@ constraint-block exchange format."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 import hypothesis.strategies as st
 
 from monideal.errors import (
@@ -20,10 +20,11 @@ from monideal.fixtures import (
     FOUR_CYCLE_Q_VERTICES,
     FOUR_CYCLE_SINKS,
     PATH_MIDDLE,
+    SEVEN_CYCLE,
     TRIANGLE_CYCLE,
 )
 from monideal.graphs import WeightedOrientedGraph, alexander_dual, edge_ideal
-from monideal.ideals import MonomialIdeal, parse_ideal, power_contains
+from monideal.ideals import MonomialIdeal, intersect_all, parse_ideal, power_contains
 from monideal.polyhedra import (
     _rank,
     _vertex_certificates,
@@ -47,7 +48,7 @@ from monideal.polyhedra import (
     polyhedral_conditions_check,
 )
 
-from conftest import ideals
+from conftest import graphs, ideals
 
 
 def test_containment_in_a_half_plane_intersection():
@@ -94,18 +95,11 @@ def test_vertex_certificates_are_basic_and_feasible(I):
     poly = covering_polyhedron(I)
     s = poly.num_vars
     enumerate_vertices(poly)  # within the limits
-    for cert in _vertex_certificates(poly):
-        assert contains_point(poly, cert.point)
-        rows = []
-        for kind, index in cert.tight_rows:
-            if kind == "axis":
-                row = tuple(1 if i == index - 1 else 0 for i in range(s))
-                assert cert.point[index - 1] == 0
-            else:
-                row = poly.columns[index]
-                assert sum(x * c for x, c in zip(cert.point, row)) == 1
-            rows.append(row)
-        assert _rank(rows) == s
+    for point in _vertex_certificates(poly):
+        assert contains_point(poly, point)
+        tight = [c for c in poly.columns if sum(x * y for x, y in zip(point, c)) == 1]
+        tight += [tuple(int(k == i) for k in range(s)) for i in range(s) if point[i] == 0]
+        assert _rank(tight) == s
 
 
 @given(ideals(max_vars=4, max_gens=5))
@@ -198,6 +192,45 @@ def test_closure_intersection_check_reports():
     skipped = polyhedral_conditions_check(J, 2)
     assert not skipped.minimal
     assert skipped.closure_intersections is None
+
+
+@given(
+    st.one_of(
+        ideals(),
+        graphs().map(edge_ideal),
+        graphs().map(lambda g: alexander_dual(g).ideal),
+    ),
+    st.integers(min_value=1, max_value=2),
+)
+@settings(max_examples=40)
+def test_polyhedral_conditions_match_the_enumerating_oracle(I, bound):
+    """(b) from V <= C and (a) from the box scan with rows C agree with
+    enumerating both polyhedra and intersecting the component closures."""
+    dec = irreducible_decomposition(I)
+    try:
+        np_eq_ip = polyhedra_equal(newton_hrep(I), irreducible_polyhedron(dec))
+    except ResourceLimitExceeded:
+        reject()
+    report = polyhedral_conditions_check(I, bound)
+    assert report.newton_equals_irreducible == np_eq_ip
+    if report.minimal:
+        assert report.closure_per_power == tuple(
+            (n, integral_closure_power(I, n) == intersect_all(
+                [integral_closure_power(c.as_ideal(), n) for c in dec.components],
+                I.num_vars,
+            ))
+            for n in range(1, bound + 1)
+        )
+    else:
+        assert report.closure_per_power is None
+
+
+def test_polyhedral_conditions_enumerate_only_q():
+    """The check enumerates the vertices of Q(I) once and nothing else."""
+    I = edge_ideal(SEVEN_CYCLE.graph)
+    _vertex_certificates.cache_clear()
+    polyhedral_conditions_check(I, 2)
+    assert _vertex_certificates.cache_info().misses == 1
 
 
 def test_polyhedral_conditions_consistency_logic():

@@ -29,6 +29,7 @@ from monideal.symbolic import (
     is_ntf_up_to,
     localize,
     max_ass,
+    powers_equal_up_to,
     symbolic_power_ass,
     symbolic_power_min,
 )
@@ -159,6 +160,16 @@ def test_ntf_report_small_cases():
     assert is_ntf_up_to(J, 3).holds
     with pytest.raises(DomainError):
         is_ntf_up_to(J, 0)
+
+
+def test_powers_equal_up_to_on_the_five_cycle():
+    """The 5-cycle's powers agree with its symbolic powers up to n = 2 and
+    first differ at n = 3."""
+    I = parse_ideal("t1*t2, t2*t3, t3*t4, t4*t5, t5*t1")
+    assert powers_equal_up_to(I, 2)
+    assert not powers_equal_up_to(I, 3)
+    with pytest.raises(DomainError):
+        powers_equal_up_to(I, 0)
 
 
 @given(ideals(max_vars=3, max_gens=3))
