@@ -24,9 +24,9 @@ are.  Each c in C lies in Q(I): a generator g in q_a has g_i >= a_i > 0 for
 some i, so g . c >= 1.  A vertex of Q(I) in conv(C) + R^s_{>=0}, being no
 proper combination of points of Q(I), is a c; so NP(I) = IP(I) iff V <= C.
 The closure of q_a^n is {t^x : sum x_i / a_i >= n}, so the component
-closures intersect to the box scan with rows C, in the box x_k <= n * max_g
-g_k of the closure of I^n: lowering a minimal x_k by one breaks a row with
-a_k > 0, so x_k <= n * a_k, and a_k is some generator's exponent.
+closures intersect to the box scan with rows C, in the same box as the
+closure of I^n, x_k <= n * max_g g_k: lowering a minimal x_k by one breaks
+a row with a_k > 0, so x_k <= n * a_k, and a_k is a generator's exponent.
 """
 
 from __future__ import annotations
