@@ -2,7 +2,9 @@
 
 Every library capability is exposed as a subcommand working on ideal or
 graph files (``-`` reads stdin).  Output is deterministic plain text, or a
-machine-readable mirror with stable key order under ``--json``.
+machine-readable mirror with stable key order under ``--json``.  Each
+handler collects the items of its answer in one pass over the library's
+result and builds both mirrors from that list.
 
 Exit codes: 0 success, 1 failed check or internal consistency violation,
 2 parse/validation error, 3 refused resource limit.
@@ -16,6 +18,7 @@ import sys
 from dataclasses import asdict
 
 from .decomposition import (
+    MonomialPrime,
     associated_primes,
     irreducible_decomposition,
     minimal_primes,
@@ -43,6 +46,7 @@ from .ideals import format_ideal, format_monomial, parse_ideal
 from .polyhedra import (
     DEFAULT_CONSTRAINT_LIMIT,
     DEFAULT_DIMENSION_LIMIT,
+    closure_gaps,
     covering_polyhedron,
     emit_constraint_block,
     enumerate_vertices,
@@ -73,10 +77,14 @@ def _positive(text: str) -> int:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    """The input text; an input that cannot be opened or decoded is refused."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def _load_ideal(args):
@@ -97,8 +105,17 @@ def _flag(value) -> str:
     return str(value)
 
 
+def _flag_lines(verdicts, **notes) -> list[str]:
+    """One `key: flag` line per verdict, with an optional note per key."""
+    return [f"{k}: {_flag(v)}{notes.get(k, '')}" for k, v in verdicts.items()]
+
+
 def _set_text(vertices) -> str:
     return "{" + ",".join(str(v) for v in sorted(vertices)) + "}"
+
+
+def _primes(primes) -> list:
+    return sorted(primes, key=MonomialPrime.sort_key)
 
 
 def _ideal_result(ideal, **fields):
@@ -108,40 +125,35 @@ def _ideal_result(ideal, **fields):
     return payload, [text], 0
 
 
+def _components(dec) -> list[dict]:
+    """JSON entries of a decomposition's components; "text" is the text line."""
+    return [{"alpha": list(c.alpha), "text": str(c)} for c in dec.components]
+
+
 # ------------------------------------------------------------ subcommands
 
 
 def _cmd_decompose(args):
     dec = irreducible_decomposition(_load_ideal(args))
-    payload = {
-        "num_vars": dec.num_vars,
-        "components": [
-            {"alpha": list(c.alpha), "text": str(c)} for c in dec.components
-        ],
-    }
-    return payload, [str(c) for c in dec.components], 0
+    components = _components(dec)
+    payload = {"num_vars": dec.num_vars, "components": components}
+    return payload, [c["text"] for c in components], 0
 
 
 def _cmd_ass(args):
     ideal = _load_ideal(args)
-    ass = associated_primes(ideal)
     minimal = minimal_primes(ideal)
-    ordered = sorted(ass, key=lambda p: p.sort_key())
+    items = [
+        ("minimal" if p in minimal else "embedded", p)
+        for p in _primes(associated_primes(ideal))
+    ]
     payload = {
         "primes": [
-            {
-                "support": sorted(p.support),
-                "kind": "minimal" if p in minimal else "embedded",
-                "text": str(p),
-            }
-            for p in ordered
+            {"support": sorted(p.support), "kind": kind, "text": str(p)}
+            for kind, p in items
         ]
     }
-    lines = [
-        f"{'minimal' if p in minimal else 'embedded'} {p}"
-        for p in ordered
-    ]
-    return payload, lines, 0
+    return payload, [f"{kind} {p}" for kind, p in items], 0
 
 
 def _cmd_symbolic(args):
@@ -152,70 +164,60 @@ def _cmd_symbolic(args):
 
 def _cmd_compare(args):
     report = compare_powers(_load_ideal(args), args.n)
+    rows = (
+        ("ordinary", "I^n", report.ordinary),
+        ("symbolic_ass", "I<n>", report.symbolic_ass),
+        ("symbolic_min", "I^(n)", report.symbolic_min),
+    )
+    verdicts = {"equal_min": report.equal_min, "equal_ass": report.equal_ass}
     payload = {
         "n": report.n,
-        "ordinary": [list(g) for g in report.ordinary.gens],
-        "symbolic_ass": [list(g) for g in report.symbolic_ass.gens],
-        "symbolic_min": [list(g) for g in report.symbolic_min.gens],
-        "equal_min": report.equal_min,
-        "equal_ass": report.equal_ass,
+        **{key: [list(g) for g in ideal.gens] for key, _, ideal in rows},
+        **verdicts,
         "witnesses": [list(w) for w in report.witnesses],
     }
     lines = [
         f"n: {report.n}",
-        f"I^n: {format_ideal(report.ordinary)}",
-        f"I<n>: {format_ideal(report.symbolic_ass)}",
-        f"I^(n): {format_ideal(report.symbolic_min)}",
-        f"equal_min: {_flag(report.equal_min)}",
-        f"equal_ass: {_flag(report.equal_ass)}",
+        *(f"{label}: {format_ideal(ideal)}" for _, label, ideal in rows),
+        *_flag_lines(verdicts),
+        "witnesses:" if report.witnesses else "witnesses: none",
+        *(f"  {format_monomial(w)}" for w in report.witnesses),
     ]
-    if report.witnesses:
-        lines.append("witnesses:")
-        lines.extend(f"  {format_monomial(w)}" for w in report.witnesses)
-    else:
-        lines.append("witnesses: none")
     return payload, lines, 0
 
 
 def _cmd_ntf(args):
     report = is_ntf_up_to(_load_ideal(args), args.max_n)
     base = report.ass_by_power[0][1]
-    ordered_base = sorted(base, key=lambda p: p.sort_key())
-    lines = ["ass: " + "; ".join(str(p) for p in ordered_base)]
-    per_n = []
-    for n, ass_n in report.ass_by_power:
-        gained = sorted(ass_n - base, key=lambda p: p.sort_key())
-        lost = sorted(base - ass_n, key=lambda p: p.sort_key())
-        per_n.append(
-            {
-                "n": n,
-                "stable": not gained and not lost,
-                "gained": [sorted(p.support) for p in gained],
-                "lost": [sorted(p.support) for p in lost],
-            }
-        )
-        if not gained and not lost:
-            lines.append(f"n={n}: stable")
-        else:
-            parts = []
-            if gained:
-                parts.append("gained " + "; ".join(str(p) for p in gained))
-            if lost:
-                parts.append("lost " + "; ".join(str(p) for p in lost))
-            lines.append(f"n={n}: " + ", ".join(parts))
-    lines.append(f"holds: {_flag(report.holds)}")
+    ordered = _primes(base)
+    changes = [
+        (n, {"gained": _primes(ass_n - base), "lost": _primes(base - ass_n)})
+        for n, ass_n in report.ass_by_power
+    ]
+    lines = ["ass: " + "; ".join(map(str, ordered))]
+    for n, change in changes:
+        parts = [f"{k} " + "; ".join(map(str, ps)) for k, ps in change.items() if ps]
+        lines.append(f"n={n}: " + (", ".join(parts) or "stable"))
+    lines += _flag_lines({"holds": report.holds})
     payload = {
         "bound": report.bound,
         "holds": report.holds,
-        "ass": [sorted(p.support) for p in ordered_base],
-        "per_n": per_n,
+        "ass": [sorted(p.support) for p in ordered],
+        "per_n": [
+            {
+                "n": n,
+                "stable": not any(change.values()),
+                **{k: [sorted(p.support) for p in ps] for k, ps in change.items()},
+            }
+            for n, change in changes
+        ],
     }
     return payload, lines, 0
 
 
 def _cmd_wog_classify(args):
     payload = asdict(classify(_load_graph(args)))
-    return payload, [f"{k}: {_flag(v)}" for k, v in payload.items()], 0
+    return payload, _flag_lines(payload), 0
 
 
 def _cmd_wog_covers(args):
@@ -252,16 +254,14 @@ def _cmd_wog_ideal(args):
 
 def _cmd_wog_dual(args):
     dual = alexander_dual(_load_graph(args))
+    text = format_ideal(dual.ideal)
+    components = _components(dual.decomposition)
     payload = {
-        "ideal": format_ideal(dual.ideal),
+        "ideal": text,
         "gens": [list(g) for g in dual.ideal.gens],
-        "components": [
-            {"alpha": list(c.alpha), "text": str(c)}
-            for c in dual.decomposition.components
-        ],
+        "components": components,
     }
-    lines = [f"J: {format_ideal(dual.ideal)}", "components:"]
-    lines.extend(f"  {c}" for c in dual.decomposition.components)
+    lines = [f"J: {text}", "components:", *(f"  {c['text']}" for c in components)]
     return payload, lines, 0
 
 
@@ -313,27 +313,22 @@ def _cmd_closure(args):
 
 
 def _cmd_normal(args):
-    ideal = _load_ideal(args)
-    lines = []
-    per_n = []
-    normal = True
-    for n in range(1, args.max_n + 1):
-        closure = integral_closure_power(ideal, n)
-        power = ideal ** n
-        closed = closure == power
-        normal = normal and closed
-        joins = [g for g in closure.gens if not power.contains(g)]
-        per_n.append(
-            {"n": n, "closed": closed, "joins": [list(g) for g in joins]}
-        )
-        if closed:
-            lines.append(f"n={n}: closed")
-        else:
-            lines.append(
-                f"n={n}: not closed ({format_monomial(joins[0])} joins)"
-            )
-    lines.append(f"normal: {_flag(normal)}")
-    payload = {"bound": args.max_n, "normal": normal, "per_n": per_n}
+    gaps = list(enumerate(closure_gaps(_load_ideal(args), args.max_n), start=1))
+    normal = not any(joins for _, joins in gaps)
+    payload = {
+        "bound": args.max_n,
+        "normal": normal,
+        "per_n": [
+            {"n": n, "closed": not joins, "joins": [list(g) for g in joins]}
+            for n, joins in gaps
+        ],
+    }
+    lines = [
+        f"n={n}: "
+        + (f"not closed ({format_monomial(joins[0])} joins)" if joins else "closed")
+        for n, joins in gaps
+    ]
+    lines += _flag_lines({"normal": normal})
     return payload, lines, 0
 
 
@@ -359,10 +354,7 @@ def _cmd_thm41(args):
         "consistent": None if report.consistent is False else report.consistent,
     }
     details = ", ".join(f"n={n} {_flag(ok)}" for n, ok in per_power) or "skipped"
-    lines = [
-        f"{k}: {_flag(v)}" + (f" ({details})" if k == "closure_intersections" else "")
-        for k, v in verdicts.items()
-    ]
+    lines = _flag_lines(verdicts, closure_intersections=f" ({details})")
     payload = {
         **verdicts,
         "closure_per_power": [{"n": n, "holds": ok} for n, ok in per_power],
@@ -555,9 +547,6 @@ def main(argv=None) -> int:
     try:
         payload, lines, code = args.handler(args)
     except (FormatError, DomainError, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitExceeded as exc:

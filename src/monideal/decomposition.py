@@ -274,7 +274,3 @@ def colon_prime_scan(
         if support is not None:
             found.add(MonomialPrime(ideal.num_vars, support))
     return frozenset(found)
-
-
-def format_prime_set(primes) -> str:
-    return "{" + ", ".join(str(p) for p in sorted(primes, key=lambda p: p.sort_key())) + "}"

@@ -15,8 +15,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .decomposition import (
+    MonomialPrime,
+    embedded_primes,
+    irreducible_decomposition,
+    minimal_primes,
+)
 from .errors import UnknownFixture
-from .graphs import WeightedOrientedGraph
+from .graphs import (
+    WeightedOrientedGraph,
+    alexander_dual,
+    classify,
+    decomposition_via_covers,
+    edge_ideal,
+    irrelevant_in_ass,
+    non_sink_witness,
+    strong_covers,
+    vertex_roles,
+)
+from .polyhedra import (
+    covering_polyhedron,
+    enumerate_vertices,
+    integral_closure_power,
+    irreducible_polyhedron,
+    is_normal_up_to,
+    newton_hrep,
+    polyhedra_equal,
+    polyhedral_conditions_check,
+)
+from .symbolic import compare_powers, localize, max_ass, symbolic_power_min
 
 
 @dataclass(frozen=True)
@@ -183,26 +210,6 @@ def fixture(name: str) -> NamedGraph:
 
 
 def _four_cycle_checks():
-    from .decomposition import irreducible_decomposition
-    from .graphs import (
-        alexander_dual,
-        classify,
-        decomposition_via_covers,
-        edge_ideal,
-        strong_covers,
-    )
-    from .polyhedra import (
-        covering_polyhedron,
-        enumerate_vertices,
-        integral_closure_power,
-        irreducible_polyhedron,
-        is_normal_up_to,
-        newton_hrep,
-        polyhedra_equal,
-        polyhedral_conditions_check,
-    )
-    from .symbolic import compare_powers
-
     graph = FOUR_CYCLE_SINKS.graph
     ideal = edge_ideal(graph)
     dec = irreducible_decomposition(ideal)
@@ -272,21 +279,6 @@ def _four_cycle_checks():
 
 
 def _triangle_cycle_checks():
-    from .decomposition import (
-        embedded_primes,
-        irreducible_decomposition,
-        minimal_primes,
-    )
-    from .graphs import (
-        classify,
-        decomposition_via_covers,
-        edge_ideal,
-        irrelevant_in_ass,
-        non_sink_witness,
-        strong_covers,
-    )
-    from .symbolic import compare_powers, symbolic_power_min
-
     graph = TRIANGLE_CYCLE.graph
     ideal = edge_ideal(graph)
     dec = irreducible_decomposition(ideal)
@@ -341,15 +333,6 @@ def _triangle_cycle_checks():
 
 
 def _triangle_nonsink_checks():
-    from .decomposition import embedded_primes, irreducible_decomposition
-    from .graphs import (
-        classify,
-        decomposition_via_covers,
-        edge_ideal,
-        non_sink_witness,
-    )
-    from .symbolic import compare_powers
-
     graph = TRIANGLE_NONSINK.graph
     ideal = edge_ideal(graph)
     dec = irreducible_decomposition(ideal)
@@ -377,16 +360,6 @@ def _triangle_nonsink_checks():
 
 
 def _triangle_sink_checks():
-    from .decomposition import irreducible_decomposition
-    from .graphs import (
-        classify,
-        decomposition_via_covers,
-        edge_ideal,
-        non_sink_witness,
-        vertex_roles,
-    )
-    from .symbolic import compare_powers
-
     graph = TRIANGLE_SINK.graph
     ideal = edge_ideal(graph)
     dec = irreducible_decomposition(ideal)
@@ -417,15 +390,6 @@ def _triangle_sink_checks():
 
 
 def _path_middle_checks():
-    from .decomposition import (
-        MonomialPrime,
-        embedded_primes,
-        irreducible_decomposition,
-        minimal_primes,
-    )
-    from .graphs import classify, decomposition_via_covers, edge_ideal
-    from .symbolic import compare_powers, localize, max_ass
-
     graph = PATH_MIDDLE.graph
     ideal = edge_ideal(graph)
     dec = irreducible_decomposition(ideal)
@@ -477,10 +441,6 @@ def _path_middle_checks():
 
 
 def _seven_cycle_checks():
-    from .decomposition import irreducible_decomposition
-    from .graphs import classify, decomposition_via_covers, edge_ideal, strong_covers
-    from .symbolic import compare_powers
-
     graph = SEVEN_CYCLE.graph
     ideal = edge_ideal(graph)
     covers = strong_covers(graph)

@@ -445,7 +445,3 @@ def format_ideal(ideal: MonomialIdeal) -> str:
     if ideal.is_zero():
         return "(0)"
     return "(" + ", ".join(format_monomial(g) for g in ideal.gens) + ")"
-
-
-def format_vector(v) -> str:
-    return "(" + ",".join(str(x) for x in v) + ")"

@@ -69,7 +69,9 @@ class CoveringFormPolyhedron:
     columns: tuple[FractionVector, ...]
 
     def __post_init__(self):
-        for c in self.columns:
+        columns = tuple(tuple(Fraction(x) for x in c) for c in self.columns)
+        object.__setattr__(self, "columns", columns)
+        for c in columns:
             if len(c) != self.num_vars:
                 raise DimensionMismatch(
                     f"column {c} has length {len(c)}, expected {self.num_vars}"
@@ -79,11 +81,8 @@ class CoveringFormPolyhedron:
 
 
 def covering_form(num_vars: int, columns) -> CoveringFormPolyhedron:
-    """Build a covering-form polyhedron, coercing entries to Fraction."""
-    cols = tuple(
-        tuple(Fraction(x) for x in c) for c in columns
-    )
-    return CoveringFormPolyhedron(num_vars, cols)
+    """Build a covering-form polyhedron from any iterable of columns."""
+    return CoveringFormPolyhedron(num_vars, columns)
 
 
 def _dot(a, b):
@@ -91,9 +90,9 @@ def _dot(a, b):
 
 
 def _solve_square(rows, rhs):
-    """Solve an s x s rational system exactly; None when singular."""
+    """Solve an s x s system of Fraction rows exactly; None when singular."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
+    m = [list(row) + [Fraction(r)] for row, r in zip(rows, rhs)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
@@ -309,17 +308,27 @@ def closure_member_by_power_scan(
     return None
 
 
-def is_normal_up_to(ideal: MonomialIdeal, bound: int, **limits) -> bool:
-    """Does I^n equal its integral closure for every n = 1..bound?
+def closure_gaps(ideal: MonomialIdeal, bound: int, **limits):
+    """Yield, for n = 1..bound, the generators of the closure of I^n outside I^n.
 
+    I^n lies in its closure, so I^n is integrally closed iff the tuple for n
+    is empty.  Each power is computed only when the caller asks for it.
     `limits` go to :func:`integral_closure_power`.
     """
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
-    return all(
-        integral_closure_power(ideal, n, **limits) == ideal ** n
-        for n in range(1, bound + 1)
-    )
+    for n in range(1, bound + 1):
+        closure = integral_closure_power(ideal, n, **limits)
+        power = ideal ** n
+        yield tuple(g for g in closure.gens if not power.contains(g))
+
+
+def is_normal_up_to(ideal: MonomialIdeal, bound: int, **limits) -> bool:
+    """Does I^n equal its integral closure for every n = 1..bound?
+
+    Stops at the first power that is not closed.
+    """
+    return not any(closure_gaps(ideal, bound, **limits))
 
 
 # ------------------------------------------------------- combined checks

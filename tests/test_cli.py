@@ -198,6 +198,22 @@ def test_missing_file_is_a_usage_error(workdir, capsys):
     assert err.startswith("error:")
 
 
+def test_missing_file_message_is_the_open_error(workdir, capsys):
+    path = workdir / "nope.ideal"
+    with pytest.raises(OSError) as info:
+        open(path, encoding="utf-8")
+    code, out, err = run(capsys, "ass", str(path))
+    assert (code, out, err) == (2, "", f"error: {info.value}\n")
+
+
+def test_undecodable_file_is_a_usage_error(workdir, capsys):
+    bad = workdir / "latin1.ideal"
+    bad.write_bytes(b"t1*t2, \xff\n")
+    code, out, err = run(capsys, "decompose", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_parse_error_reporting(workdir, capsys):
     bad = workdir / "bad.ideal"
     bad.write_text("(t1*bad^^2)\n")
@@ -250,6 +266,19 @@ def test_internal_key_error_is_not_a_usage_error(workdir, monkeypatch):
 
     monkeypatch.setattr(cli, "irreducible_decomposition", broken)
     with pytest.raises(KeyError, match="internal"):
+        main(["decompose", str(workdir / "ex51.ideal")])
+
+
+def test_internal_os_error_is_not_a_usage_error(workdir, monkeypatch):
+    """Only opening or decoding the input maps to exit 2; an OSError raised
+    while computing (say a TimeoutError) propagates."""
+    import monideal.cli as cli
+
+    def broken(ideal):
+        raise TimeoutError("internal")
+
+    monkeypatch.setattr(cli, "irreducible_decomposition", broken)
+    with pytest.raises(TimeoutError, match="internal"):
         main(["decompose", str(workdir / "ex51.ideal")])
 
 

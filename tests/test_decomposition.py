@@ -17,7 +17,6 @@ from monideal.decomposition import (
     colon_prime_scan,
     embedded_primes,
     exponent_duality,
-    format_prime_set,
     irreducible_decomposition,
     irredundant_subset,
     minimal_primes,
@@ -39,7 +38,7 @@ def test_prime_display_and_sorting():
     q = MonomialPrime(3, frozenset({2}))
     assert str(p) == "(t1, t3)"
     assert p.as_ideal() == parse_ideal("(t1, t3)", num_vars=3)
-    assert format_prime_set({p, q}) == "{(t2), (t1, t3)}"
+    assert sorted({p, q}, key=MonomialPrime.sort_key) == [q, p]
 
 
 def test_decomposition_requires_proper_nonzero():

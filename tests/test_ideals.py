@@ -10,7 +10,6 @@ from monideal.ideals import (
     divides,
     format_ideal,
     format_monomial,
-    format_vector,
     graded_lex_key,
     minimal_generators,
     parse_ideal,
@@ -179,7 +178,6 @@ def test_parse_rejects_malformed_input():
 def test_format_monomial():
     assert format_monomial((0, 0)) == "1"
     assert format_monomial((1, 2, 0)) == "t1*t2^2"
-    assert format_vector((1, 2, 0)) == "(1,2,0)"
 
 
 def test_format_ideal_special_cases():

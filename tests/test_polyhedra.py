@@ -28,8 +28,10 @@ from monideal.ideals import MonomialIdeal, intersect_all, parse_ideal, power_con
 from monideal.polyhedra import (
     _rank,
     _vertex_certificates,
+    closure_gaps,
     closure_member_by_power_scan,
     closure_witness_scale,
+    CoveringFormPolyhedron,
     contains_point,
     covering_form,
     covering_polyhedron,
@@ -49,6 +51,17 @@ from monideal.polyhedra import (
 )
 
 from conftest import graphs, ideals
+
+
+def test_direct_construction_coerces_columns_to_fractions():
+    I = edge_ideal(FOUR_CYCLE_SINKS.graph)
+    direct = CoveringFormPolyhedron(I.num_vars, I.gens)
+    assert direct == covering_polyhedron(I)
+    assert all(type(x) is Fraction for c in direct.columns for x in c)
+    vertices = _vertex_certificates.__wrapped__(direct)  # bypass the cache
+    assert vertices == enumerate_vertices(covering_form(I.num_vars, I.gens))
+    assert vertices == FOUR_CYCLE_Q_VERTICES
+    assert all(type(x) is Fraction for v in vertices for x in v)
 
 
 def test_containment_in_a_half_plane_intersection():
@@ -145,6 +158,42 @@ def test_four_cycle_closure():
     assert closure.contains((1, 1, 0, 1)) and not I.contains((1, 1, 0, 1))
     assert closure_witness_scale(I) == 2
     assert not is_normal_up_to(I, 1)
+
+
+def test_closure_gaps_are_the_closure_generators_outside_the_power():
+    gaps = list(closure_gaps(edge_ideal(FOUR_CYCLE_SINKS.graph), 1))
+    assert gaps == [((0, 1, 1, 1), (1, 1, 0, 1))]
+
+
+@given(ideals(max_vars=3, max_gens=4, max_exp=2))
+@settings(max_examples=25)
+def test_closure_gaps_are_empty_iff_the_power_is_closed(I):
+    for n, gaps in enumerate(closure_gaps(I, 2), start=1):
+        assert (not gaps) == (integral_closure_power(I, n) == I ** n)
+
+
+def test_is_normal_up_to_stops_at_the_first_open_power(monkeypatch):
+    import monideal.polyhedra as polyhedra
+
+    calls = []
+    original = polyhedra.integral_closure_power
+
+    def counted(ideal, n, **limits):
+        calls.append(n)
+        return original(ideal, n, **limits)
+
+    monkeypatch.setattr(polyhedra, "integral_closure_power", counted)
+    ex51 = parse_ideal("t1*t2^2, t3*t2^2, t3*t4^2, t1*t4^2")
+    assert not is_normal_up_to(ex51, 3)
+    assert calls == [1]
+
+
+def test_closure_gaps_need_a_positive_bound():
+    I = parse_ideal("(t1*t2, t2*t3)")
+    with pytest.raises(DomainError):
+        list(closure_gaps(I, 0))
+    with pytest.raises(DomainError):
+        is_normal_up_to(I, 0)
 
 
 def test_principal_ideals_are_normal():
