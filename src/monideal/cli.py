@@ -370,7 +370,9 @@ def _cmd_examples(args):
             ]
         }
         return payload, [f"{f.name}: {f.summary}" for f in ALL_FIXTURES], 0
-    if args.name is not None and args.show:
+    if args.show:
+        if args.name is None:
+            raise DomainError("--show needs a fixture name")
         named = fixture(args.name)
         text = format_graph(named.graph)
         return (

@@ -5,9 +5,9 @@ Everything here works on polyhedra in covering form
     {x in R^s : x >= 0, x . c >= 1 for every column c},
 
 with nonnegative rational columns.  Such a polyhedron is pointed with
-recession cone R^s_{>=0}, so it is determined by its vertex set, which we
-enumerate exhaustively: every choice of s constraints that meets in a
-single point is solved exactly over the rationals and kept when feasible.
+recession cone R^s_{>=0}, so it is determined by its vertex set.  One
+enumerator finds it: double description of the homogenized cone, in
+integer arithmetic, adding one column at a time (`_vertex_certificates`).
 
 The covering polyhedron of an ideal has the generators as columns; the
 Newton polyhedron's inequality description has the covering polyhedron's
@@ -34,8 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from .decomposition import (
     IrreducibleDecomposition,
@@ -80,49 +79,8 @@ class CoveringFormPolyhedron:
                 raise ValueError(f"column {c} has a negative entry")
 
 
-def covering_form(num_vars: int, columns) -> CoveringFormPolyhedron:
-    """Build a covering-form polyhedron from any iterable of columns."""
-    return CoveringFormPolyhedron(num_vars, columns)
-
-
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _solve_square(rows, rhs):
-    """Solve an s x s system of Fraction rows exactly; None when singular."""
-    n = len(rows)
-    m = [list(row) + [Fraction(r)] for row, r in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col] / pv
-                for c2 in range(col, n + 1):
-                    m[r][c2] -= factor * m[col][c2]
-    return tuple(m[i][n] / m[i][i] for i in range(n))
-
-
-def _rank(rows) -> int:
-    m = [list(row) for row in rows]
-    rank, col_count = 0, len(m[0]) if m else 0
-    for col in range(col_count):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col] / pv
-                for c2 in range(col, col_count):
-                    m[r][c2] -= factor * m[rank][c2]
-        rank += 1
-    return rank
 
 
 def contains_point(poly: CoveringFormPolyhedron, point) -> bool:
@@ -136,22 +94,56 @@ def contains_point(poly: CoveringFormPolyhedron, point) -> bool:
     )
 
 
-# perfbench/spans.py reads this cache by name.
-@lru_cache(maxsize=None)
+# perfbench/spans.py reads this function by name.
 def _vertex_certificates(poly: CoveringFormPolyhedron) -> tuple[FractionVector, ...]:
-    s = poly.num_vars
-    rows = [(c, 1) for c in poly.columns]
-    rows += [(tuple(Fraction(int(k == i)) for k in range(s)), 0) for i in range(s)]
-    found: set[FractionVector] = set()
-    for subset in combinations(rows, s):
-        point = _solve_square([r[0] for r in subset], [r[1] for r in subset])
-        if point is None or point in found:
-            continue
-        if all(x >= 0 for x in point) and all(
-            _dot(point, c) >= 1 for c in poly.columns
-        ):
-            found.add(point)
-    return tuple(sorted(found))
+    """The vertices, by double description of the homogenized cone.
+
+    With d clearing the denominators of column c, the cone {(x0, x) :
+    x0 >= 0, x >= 0, d*c . x - d*x0 >= 0 per column c} has the extreme
+    rays (1, v) for the vertices v and (0, e_i) for the recession
+    directions.  Start from the orthant, whose rays are the unit vectors,
+    and add one column row at a time (Motzkin et al. 1953): rays on its
+    positive side stay, rays on its negative side go, and each adjacent
+    positive-negative pair gives one new ray on its hyperplane.  Two rays
+    are adjacent iff at least dim - 2 rows are tight at both and no third
+    ray is tight on all of those rows (Fukuda and Prodon, "Double
+    description method revisited", 1996).
+    """
+    dim = poly.num_vars + 1
+    # Integer rays, each with the bitmask of its tight rows; row j < dim is
+    # coordinate j >= 0, row dim + k is column k.
+    everything = (1 << dim) - 1
+    rays = [
+        (tuple(int(i == j) for i in range(dim)), everything ^ (1 << j))
+        for j in range(dim)
+    ]
+    for bit, c in enumerate(poly.columns, start=dim):
+        d = math.lcm(*(x.denominator for x in c))
+        row = (-d, *(int(x * d) for x in c))
+        dots = [_dot(row, r) for r, _ in rays]
+        kept = [
+            (r, tight | (1 << bit) if v == 0 else tight)
+            for v, (r, tight) in zip(dots, rays)
+            if v >= 0
+        ]
+        for i, (vp, (p, tight_p)) in enumerate(zip(dots, rays)):
+            if vp <= 0:
+                continue
+            for j, (vn, (n, tight_n)) in enumerate(zip(dots, rays)):
+                common = tight_p & tight_n
+                if vn >= 0 or common.bit_count() < dim - 2 or any(
+                    tight & common == common
+                    for k, (_, tight) in enumerate(rays)
+                    if k != i and k != j
+                ):
+                    continue
+                ray = tuple(vp * y - vn * x for x, y in zip(p, n))
+                g = math.gcd(*ray)
+                kept.append((tuple(x // g for x in ray), common | (1 << bit)))
+        rays = kept
+    return tuple(sorted(
+        tuple(Fraction(x, r[0]) for x in r[1:]) for r, _ in rays if r[0]
+    ))
 
 
 def enumerate_vertices(
@@ -161,8 +153,8 @@ def enumerate_vertices(
 ) -> tuple[FractionVector, ...]:
     """All vertices, sorted lexicographically.
 
-    The exhaustive basic-solution scan looks at C(s + k, s) subsets, so
-    both the dimension and the column count are limited by default.
+    The dimension and the column count are limited by default; pass larger
+    limits to enumerate bigger polyhedra.
     """
     if not poly.columns:
         raise DomainError("vertex enumeration needs at least one column")
@@ -201,7 +193,7 @@ def covering_polyhedron(ideal: MonomialIdeal) -> CoveringFormPolyhedron:
     """Q(I): columns are the minimal generators of I."""
     if ideal.is_zero() or ideal.is_unit():
         raise DomainError("the covering polyhedron needs a proper nonzero ideal")
-    return covering_form(ideal.num_vars, ideal.gens)
+    return CoveringFormPolyhedron(ideal.num_vars, ideal.gens)
 
 
 def newton_hrep(ideal: MonomialIdeal, **limits) -> CoveringFormPolyhedron:
@@ -211,7 +203,7 @@ def newton_hrep(ideal: MonomialIdeal, **limits) -> CoveringFormPolyhedron:
     polyhedron exactly when it is nonnegative and pairs to >= 1 with each
     of those vertices.
     """
-    return covering_form(
+    return CoveringFormPolyhedron(
         ideal.num_vars, enumerate_vertices(covering_polyhedron(ideal), **limits)
     )
 
@@ -219,22 +211,14 @@ def newton_hrep(ideal: MonomialIdeal, **limits) -> CoveringFormPolyhedron:
 def newton_vertices(ideal: MonomialIdeal, **limits) -> tuple[Exponent, ...]:
     """The generators of I that are vertices of its Newton polyhedron.
 
-    A generator is a vertex exactly when its tight constraints in the
-    inequality description span the whole space.
+    The description `newton_hrep` is the blocker of Q(I), and the blocker
+    of the blocker of NP(I) is NP(I) (Fulkerson 1971), so the vertices of
+    that description are the vertices of NP(I), all of them generators.
+    `limits` bound the enumeration of Q(I) only: the description has as
+    many columns as Q(I) has vertices, which they do not bound.
     """
-    hrep = newton_hrep(ideal, **limits)
-    s = ideal.num_vars
-    out = []
-    for v in ideal.gens:
-        tight = [c for c in hrep.columns if _dot(v, c) == 1]
-        tight += [
-            tuple(Fraction(int(k == i)) for k in range(s))
-            for i in range(s)
-            if v[i] == 0
-        ]
-        if tight and _rank(tight) == s:
-            out.append(v)
-    return tuple(out)
+    vertices = set(_vertex_certificates(newton_hrep(ideal, **limits)))
+    return tuple(g for g in ideal.gens if g in vertices)
 
 
 def irreducible_polyhedron(dec: IrreducibleDecomposition) -> CoveringFormPolyhedron:
@@ -243,7 +227,7 @@ def irreducible_polyhedron(dec: IrreducibleDecomposition) -> CoveringFormPolyhed
         tuple(Fraction(1, e) if e else Fraction(0) for e in c.alpha)
         for c in dec.components
     ]
-    return covering_form(dec.num_vars, columns)
+    return CoveringFormPolyhedron(dec.num_vars, columns)
 
 
 # -------------------------------------------------------- integral closure

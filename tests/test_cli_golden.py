@@ -69,6 +69,9 @@ CASES = [
     ("poly-vertices-block", ["poly-vertices", "block.in"]),
     ("poly-vertices-block-normaliz", ["poly-vertices", "block.in", "--normaliz-format"]),
     ("newton-ex51", ["newton", "ex51.ideal"]),
+    # 5 generators but 26 vertices of Q(I): the vertex test reads all 26
+    # columns of the Newton description, beyond the column limit.
+    ("newton-dual52", ["newton", "dual52.ideal"]),
     ("closure-ex51", ["closure", "ex51.ideal"]),
     ("closure-ex51-n2", ["closure", "ex51.ideal", "--n", "2"]),
     ("normal-ex51", ["normal", "ex51.ideal", "--power-bound", "2"]),
@@ -87,6 +90,7 @@ CASES = [
     ("error-covers-limit", ["wog-covers", "big.graph"]),
     ("error-unknown-example", ["examples", "mystery_graph"]),
     ("error-unknown-example-show", ["examples", "mystery_graph", "--show"]),
+    ("error-examples-show-unnamed", ["examples", "--show"]),
     ("error-dual-edgeless", ["wog-dual", "edgeless.graph"]),
     ("error-closure-wide", ["closure", "wide.ideal", "--vars", "9"]),
     ("error-thm41-constraints", ["thm41", "ex51.ideal", "--max-constraints", "3"]),

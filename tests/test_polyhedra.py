@@ -2,6 +2,7 @@
 constraint-block exchange format."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, reject, settings
@@ -26,14 +27,12 @@ from monideal.fixtures import (
 from monideal.graphs import WeightedOrientedGraph, alexander_dual, edge_ideal
 from monideal.ideals import MonomialIdeal, intersect_all, parse_ideal, power_contains
 from monideal.polyhedra import (
-    _rank,
     _vertex_certificates,
     closure_gaps,
     closure_member_by_power_scan,
     closure_witness_scale,
     CoveringFormPolyhedron,
     contains_point,
-    covering_form,
     covering_polyhedron,
     decomposition_is_minimal,
     dual_ntf_check,
@@ -53,19 +52,104 @@ from monideal.polyhedra import (
 from conftest import graphs, ideals
 
 
+# ------------------------------------------------- basic-solution oracle
+
+
+def _solve_square(rows, rhs):
+    """Solve an s x s system of Fraction rows exactly; None when singular."""
+    n = len(rows)
+    m = [list(row) + [Fraction(r)] for row, r in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        pv = m[col][col]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col] / pv
+                for c2 in range(col, n + 1):
+                    m[r][c2] -= factor * m[col][c2]
+    return tuple(m[i][n] / m[i][i] for i in range(n))
+
+
+def _rank(rows) -> int:
+    m = [list(row) for row in rows]
+    rank, col_count = 0, len(m[0]) if m else 0
+    for col in range(col_count):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col] / pv
+                for c2 in range(col, col_count):
+                    m[r][c2] -= factor * m[rank][c2]
+        rank += 1
+    return rank
+
+
+def scan_vertices(poly: CoveringFormPolyhedron):
+    """The vertices by the exhaustive basic-solution scan: every choice of
+    s of the s + k constraints that meets in one feasible point."""
+    s = poly.num_vars
+    rows = [(c, 1) for c in poly.columns]
+    rows += [(tuple(Fraction(int(k == i)) for k in range(s)), 0) for i in range(s)]
+    found = set()
+    for subset in combinations(rows, s):
+        point = _solve_square([r[0] for r in subset], [r[1] for r in subset])
+        if point is not None and contains_point(poly, point):
+            found.add(point)
+    return tuple(sorted(found))
+
+
+# Covering polyhedra of ideals, edge ideals and duals, and irreducible
+# polyhedra (fractional columns) of the same ideals.
+_polyhedron_ideals = st.one_of(
+    ideals(),
+    graphs().map(edge_ideal),
+    graphs().map(lambda g: alexander_dual(g).ideal),
+)
+covering_forms = st.one_of(
+    _polyhedron_ideals.map(covering_polyhedron),
+    _polyhedron_ideals.map(lambda I: irreducible_polyhedron(irreducible_decomposition(I))),
+)
+
+
+@given(covering_forms)
+@settings(max_examples=60)
+def test_vertices_match_the_basic_solution_scan(poly):
+    if len(poly.columns) > 12:
+        reject()  # the scan solves C(s + k, s) systems
+    assert enumerate_vertices(poly) == scan_vertices(poly)
+
+
+def test_a_zero_column_leaves_no_vertices():
+    poly = CoveringFormPolyhedron(2, [(1, 1), (0, 0)])
+    assert enumerate_vertices(poly) == () == scan_vertices(poly)
+
+
+def test_one_variable_polyhedron():
+    poly = CoveringFormPolyhedron(1, [(2,), (Fraction(1, 3),)])
+    assert enumerate_vertices(poly) == ((3,),)
+    assert scan_vertices(poly) == ((3,),)
+
+
 def test_direct_construction_coerces_columns_to_fractions():
     I = edge_ideal(FOUR_CYCLE_SINKS.graph)
     direct = CoveringFormPolyhedron(I.num_vars, I.gens)
     assert direct == covering_polyhedron(I)
     assert all(type(x) is Fraction for c in direct.columns for x in c)
-    vertices = _vertex_certificates.__wrapped__(direct)  # bypass the cache
-    assert vertices == enumerate_vertices(covering_form(I.num_vars, I.gens))
+    vertices = _vertex_certificates(direct)
+    assert vertices == enumerate_vertices(direct)
     assert vertices == FOUR_CYCLE_Q_VERTICES
     assert all(type(x) is Fraction for v in vertices for x in v)
 
 
 def test_containment_in_a_half_plane_intersection():
-    poly = covering_form(2, [(1, 0), (0, 2)])
+    poly = CoveringFormPolyhedron(2, [(1, 0), (0, 2)])
     assert contains_point(poly, (1, Fraction(1, 2)))
     assert contains_point(poly, (2, 3))
     assert not contains_point(poly, (1, 0))
@@ -73,7 +157,7 @@ def test_containment_in_a_half_plane_intersection():
 
 
 def test_single_vertex_polyhedron():
-    poly = covering_form(2, [(1, 0), (0, 2)])
+    poly = CoveringFormPolyhedron(2, [(1, 0), (0, 2)])
     assert enumerate_vertices(poly) == ((1, Fraction(1, 2)),)
 
 
@@ -92,10 +176,10 @@ def test_covering_polyhedron_rejects_degenerate_ideals():
 
 
 def test_enumeration_limits_are_enforced():
-    wide = covering_form(9, [tuple(1 for _ in range(9))])
+    wide = CoveringFormPolyhedron(9, [tuple(1 for _ in range(9))])
     with pytest.raises(ResourceLimitExceeded, match="--max-vars"):
         enumerate_vertices(wide)
-    many = covering_form(2, [(i, 1) for i in range(1, 26)])
+    many = CoveringFormPolyhedron(2, [(i, 1) for i in range(1, 26)])
     with pytest.raises(ResourceLimitExceeded, match="--max-constraints"):
         enumerate_vertices(many)
     assert enumerate_vertices(wide, max_dim=9)  # override works
@@ -119,7 +203,7 @@ def test_vertex_certificates_are_basic_and_feasible(I):
 @settings(max_examples=25)
 def test_vertices_are_permutation_equivariant(I):
     poly = covering_polyhedron(I)
-    flipped = covering_form(I.num_vars, [c[::-1] for c in poly.columns])
+    flipped = CoveringFormPolyhedron(I.num_vars, [c[::-1] for c in poly.columns])
     assert {v[::-1] for v in enumerate_vertices(flipped)} == set(
         enumerate_vertices(poly)
     )
@@ -129,6 +213,22 @@ def test_vertices_are_permutation_equivariant(I):
 @settings(max_examples=30)
 def test_newton_vertices_are_generators(I):
     assert set(newton_vertices(I)) <= set(I.gens)
+
+
+@given(_polyhedron_ideals)
+@settings(max_examples=40)
+def test_newton_vertices_match_the_rank_test(I):
+    """A generator is a vertex iff the rows of the Newton description that
+    are tight at it span the whole space."""
+    hrep = newton_hrep(I)
+    s = I.num_vars
+    unit = [tuple(int(k == i) for k in range(s)) for i in range(s)]
+    expected = tuple(
+        g for g in I.gens
+        if _rank([c for c in hrep.columns if sum(x * y for x, y in zip(g, c)) == 1]
+                 + [unit[i] for i in range(s) if g[i] == 0]) == s
+    )
+    assert newton_vertices(I) == expected
 
 
 def test_newton_polyhedron_of_four_cycle():
@@ -145,7 +245,9 @@ def test_newton_polyhedron_of_four_cycle():
 
 def test_polyhedra_equal_checks_dimensions():
     with pytest.raises(DimensionMismatch):
-        polyhedra_equal(covering_form(2, [(1, 0)]), covering_form(3, [(1, 0, 0)]))
+        polyhedra_equal(
+            CoveringFormPolyhedron(2, [(1, 0)]), CoveringFormPolyhedron(3, [(1, 0, 0)])
+        )
 
 
 # --------------------------------------------------------- integral closure
@@ -274,12 +376,21 @@ def test_polyhedral_conditions_match_the_enumerating_oracle(I, bound):
         assert report.closure_per_power is None
 
 
-def test_polyhedral_conditions_enumerate_only_q():
+def test_polyhedral_conditions_enumerate_only_q(monkeypatch):
     """The check enumerates the vertices of Q(I) once and nothing else."""
+    import monideal.polyhedra as polyhedra
+
     I = edge_ideal(SEVEN_CYCLE.graph)
-    _vertex_certificates.cache_clear()
+    calls = []
+    original = polyhedra._vertex_certificates
+
+    def counted(poly):
+        calls.append(poly)
+        return original(poly)
+
+    monkeypatch.setattr(polyhedra, "_vertex_certificates", counted)
     polyhedral_conditions_check(I, 2)
-    assert _vertex_certificates.cache_info().misses == 1
+    assert calls == [covering_polyhedron(I)]
 
 
 def test_polyhedral_conditions_consistency_logic():
