@@ -95,6 +95,11 @@ def _load_graph(args):
     return parse_graph(_read(args.path))
 
 
+def _limits(args) -> dict:
+    """The vertex enumeration limits given by the `poly_limits` options."""
+    return {"max_dim": args.max_vars, "max_constraints": args.max_constraints}
+
+
 def _flag(value) -> str:
     if value is None:
         return "none"
@@ -279,9 +284,7 @@ def _cmd_poly_vertices(args):
         poly = parse_constraint_block(text)
     else:
         poly = covering_polyhedron(parse_ideal(text, num_vars=args.vars))
-    vertices = enumerate_vertices(
-        poly, max_dim=args.max_vars, max_constraints=args.max_constraints
-    )
+    vertices = enumerate_vertices(poly, **_limits(args))
     payload = {
         "num_vars": poly.num_vars,
         "columns": [[str(x) for x in c] for c in poly.columns],
@@ -295,12 +298,8 @@ def _cmd_poly_vertices(args):
 
 def _cmd_newton(args):
     ideal = _load_ideal(args)
-    verts = newton_vertices(
-        ideal, max_dim=args.max_vars, max_constraints=args.max_constraints
-    )
-    hrep = newton_hrep(
-        ideal, max_dim=args.max_vars, max_constraints=args.max_constraints
-    )
+    verts = newton_vertices(ideal, **_limits(args))
+    hrep = newton_hrep(ideal, **_limits(args))
     payload = {
         "vertices": [list(v) for v in verts],
         "hrep_columns": [[str(x) for x in c] for c in hrep.columns],
@@ -309,11 +308,13 @@ def _cmd_newton(args):
 
 
 def _cmd_closure(args):
-    return _ideal_result(integral_closure_power(_load_ideal(args), args.n), n=args.n)
+    closure = integral_closure_power(_load_ideal(args), args.n, **_limits(args))
+    return _ideal_result(closure, n=args.n)
 
 
 def _cmd_normal(args):
-    gaps = list(enumerate(closure_gaps(_load_ideal(args), args.max_n), start=1))
+    ideal = _load_ideal(args)
+    gaps = list(enumerate(closure_gaps(ideal, args.max_n, **_limits(args)), start=1))
     normal = not any(joins for _, joins in gaps)
     payload = {
         "bound": args.max_n,
@@ -338,8 +339,7 @@ def _cmd_thm41(args):
         ideal,
         args.max_n,
         powers_equal=powers_equal_up_to(ideal, args.max_n),
-        max_dim=args.max_vars,
-        max_constraints=args.max_constraints,
+        **_limits(args),
     )
     per_power = report.closure_per_power or ()
     verdicts = {
@@ -363,6 +363,8 @@ def _cmd_thm41(args):
 
 
 def _cmd_examples(args):
+    if args.list and (args.show or args.name is not None):
+        raise DomainError("--list takes no fixture name and no --show")
     if args.list:
         payload = {
             "fixtures": [
@@ -519,12 +521,15 @@ def build_parser() -> argparse.ArgumentParser:
         "generators lying on vertices of the Newton polyhedron",
     )
     register(
-        "closure", _cmd_closure, [ideal_arg, n_arg], "integral closure of I^n"
+        "closure",
+        _cmd_closure,
+        [ideal_arg, n_arg, poly_limits],
+        "integral closure of I^n",
     )
     register(
         "normal",
         _cmd_normal,
-        [ideal_arg, bound_arg],
+        [ideal_arg, bound_arg, poly_limits],
         "compare each I^n with its integral closure",
     )
     register(

@@ -13,7 +13,12 @@ The covering polyhedron of an ideal has the generators as columns; the
 Newton polyhedron's inequality description has the covering polyhedron's
 vertices as columns; the irreducible polyhedron has the entrywise inverses
 of the irreducible components' exponent vectors.  Integral closures of
-powers fall out of the Newton description by a finite box scan.
+powers fall out of the Newton description by a pruned search of a finite
+box, which sets one coordinate at a time under two exact rules:
+- drop a prefix when some row cannot be met even with the coordinates still
+  unset at their bounds: no point of the box below that prefix is a member;
+- stop raising a coordinate once every row holds: each larger value gives
+  only multiples of the member just found.
 
 One enumeration, of the vertex set V of Q(I), decides the conditions of
 `polyhedral_conditions_check`; C are the irreducible polyhedron's columns.
@@ -24,7 +29,7 @@ are.  Each c in C lies in Q(I): a generator g in q_a has g_i >= a_i > 0 for
 some i, so g . c >= 1.  A vertex of Q(I) in conv(C) + R^s_{>=0}, being no
 proper combination of points of Q(I), is a c; so NP(I) = IP(I) iff V <= C.
 The closure of q_a^n is {t^x : sum x_i / a_i >= n}, so the component
-closures intersect to the box scan with rows C, in the same box as the
+closures intersect to the closure search with rows C, in the same box as the
 closure of I^n, x_k <= n * max_g g_k: lowering a minimal x_k by one breaks
 a row with a_k > 0, so x_k <= n * a_k, and a_k is a generator's exponent.
 """
@@ -34,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .decomposition import (
     IrreducibleDecomposition,
@@ -234,19 +238,51 @@ def irreducible_polyhedron(dec: IrreducibleDecomposition) -> CoveringFormPolyhed
 
 
 def _closure_box_scan(ideal: MonomialIdeal, rows, n: int) -> MonomialIdeal:
-    """Minimal t^a in the box a_k <= n * max_g g_k with a . r >= n per row r."""
+    """Minimal t^a in the box a_k <= n * max_g g_k with a . r >= n per row r.
+
+    A depth-first search sets a_0, a_1, ... in turn, keeping for each row
+    what it still needs, under the two rules of the module docstring.  At
+    coordinate k the values below `low` leave some row short even with
+    a_k+1.. at their bounds, and `stop` is the first value that meets every
+    row: that prefix, padded with zeros, is a member, and every larger a_k
+    gives its multiples.  So the search emits every minimal member and
+    only members, and its stack holds at most one prefix per value of each
+    coordinate, whatever the number of variables.
+    """
     scaled = []
     for u in rows:
         d = math.lcm(*(x.denominator for x in u))
         scaled.append((tuple(int(x * d) for x in u), n * d))
-    bounds = [n * max(g[k] for g in ideal.gens) for k in range(ideal.num_vars)]
-    members = [
-        a
-        for a in product(*(range(b + 1) for b in bounds))
-        if all(
-            sum(x * y for x, y in zip(a, row)) >= rhs for row, rhs in scaled
-        )
-    ]
+    s = ideal.num_vars
+    bounds = [n * max(g[k] for g in ideal.gens) for k in range(s)]
+    # reach[k][j]: the most that coordinates k.. can add to row j.
+    reach = [(0,) * len(scaled)]
+    for k in reversed(range(s)):
+        reach.append(tuple(
+            r + row[k] * bounds[k] for r, (row, _) in zip(reach[-1], scaled)
+        ))
+    reach.reverse()
+    members = []
+    stack = [((), tuple(rhs for _, rhs in scaled))]
+    while stack:
+        prefix, need = stack.pop()
+        k = len(prefix)
+        column = [row[k] for row, _ in scaled]
+        low, stop = 0, 0
+        for c, left, rest in zip(column, need, reach[k + 1]):
+            if c:
+                low = max(low, -((rest - left) // c))
+                stop = max(stop, -(-left // c))
+            elif left > 0:
+                stop = bounds[k] + 1
+                if left > rest:
+                    low = stop
+        if stop <= bounds[k]:
+            members.append((*prefix, stop, *(0,) * (s - k - 1)))
+        for v in range(low, min(stop, bounds[k] + 1)):
+            stack.append(((*prefix, v), tuple(
+                left - c * v for c, left in zip(column, need)
+            )))
     return MonomialIdeal._from_trusted(members, ideal.num_vars)
 
 
@@ -255,8 +291,9 @@ def integral_closure_power(ideal: MonomialIdeal, n: int, **limits) -> MonomialId
 
     A monomial t^a lies in it iff a pairs to >= n with every vertex of
     Q(I).  Minimal such a satisfy a_k <= n * (max generator exponent in
-    coordinate k), so a finite box scan plus divisibility filtering finds
-    the minimal generators.  `limits` go to :func:`enumerate_vertices`.
+    coordinate k), so a pruned search of that box (the rules are in the
+    module docstring) plus divisibility filtering finds the minimal
+    generators.  `limits` go to :func:`enumerate_vertices`.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"integral closure of I^n requires an integer n >= 1, got {n!r}")
@@ -337,7 +374,7 @@ class PolyhedralConditionsReport:
 
     With V the vertices of Q(I) and C the irreducible columns, (b) is
     V <= C by blocking duality, (c) is V == C, and the right side of (a)
-    is the closure box scan with rows C, as the closure of q_a^n is
+    is the closure search with rows C, as the closure of q_a^n is
     {t^x : sum x_i / a_i >= n}; the module docstring gives the proofs.
 
     When the caller also supplies whether I^n == I^(n) holds for every n,

@@ -37,6 +37,7 @@ INPUTS = {
     "big.graph": "\n".join(["vertices 30"] + [f"edge {i} {i + 1}" for i in range(1, 30)]) + "\n",
     "wide.ideal": "t1, t2\n",
     "c5.ideal": "t1*t2, t2*t3, t3*t4, t4*t5, t5*t1\n",
+    "c9.ideal": ", ".join(f"t{i}*t{i % 9 + 1}" for i in range(1, 10)) + "\n",
     # The Alexander dual of a 5-vertex graph.  Q(I) has 26 vertices, so the
     # Newton description has 26 columns, more than the default limit of 24.
     "dual52.ideal": "t2*t3*t4*t5, t1^2*t2*t3*t5, t1^2*t3*t4*t5^2, t1^2*t2*t3*t4^3, t1^2*t2*t4^3*t5^2\n",
@@ -74,6 +75,8 @@ CASES = [
     ("newton-dual52", ["newton", "dual52.ideal"]),
     ("closure-ex51", ["closure", "ex51.ideal"]),
     ("closure-ex51-n2", ["closure", "ex51.ideal", "--n", "2"]),
+    # A 19,683-point box, answered by the pruned search.
+    ("closure-c9-n2", ["closure", "c9.ideal", "--n", "2", "--max-vars", "9"]),
     ("normal-ex51", ["normal", "ex51.ideal", "--power-bound", "2"]),
     ("normal-ex55", ["normal", "ex55.ideal", "--max-n", "2"]),
     ("thm41-ex51", ["thm41", "ex51.ideal", "--max-n", "2"]),
@@ -91,6 +94,8 @@ CASES = [
     ("error-unknown-example", ["examples", "mystery_graph"]),
     ("error-unknown-example-show", ["examples", "mystery_graph", "--show"]),
     ("error-examples-show-unnamed", ["examples", "--show"]),
+    ("error-examples-list-show", ["examples", "--list", "--show"]),
+    ("error-examples-list-named", ["examples", "seven_cycle", "--list"]),
     ("error-dual-edgeless", ["wog-dual", "edgeless.graph"]),
     ("error-closure-wide", ["closure", "wide.ideal", "--vars", "9"]),
     ("error-thm41-constraints", ["thm41", "ex51.ideal", "--max-constraints", "3"]),

@@ -1,8 +1,9 @@
 """Covering polyhedra, Newton polyhedra, integral closures, and the
 constraint-block exchange format."""
 
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, reject, settings
@@ -27,6 +28,7 @@ from monideal.fixtures import (
 from monideal.graphs import WeightedOrientedGraph, alexander_dual, edge_ideal
 from monideal.ideals import MonomialIdeal, intersect_all, parse_ideal, power_contains
 from monideal.polyhedra import (
+    _closure_box_scan,
     _vertex_certificates,
     closure_gaps,
     closure_member_by_power_scan,
@@ -251,6 +253,54 @@ def test_polyhedra_equal_checks_dimensions():
 
 
 # --------------------------------------------------------- integral closure
+
+
+def _box_scan_oracle(ideal, rows, n):
+    """`_closure_box_scan` by visiting every point of the box."""
+    scaled = []
+    for u in rows:
+        d = math.lcm(*(x.denominator for x in u))
+        scaled.append((tuple(int(x * d) for x in u), n * d))
+    bounds = [n * max(g[k] for g in ideal.gens) for k in range(ideal.num_vars)]
+    members = [
+        a
+        for a in product(*(range(b + 1) for b in bounds))
+        if all(
+            sum(x * y for x, y in zip(a, row)) >= rhs for row, rhs in scaled
+        )
+    ]
+    return MonomialIdeal._from_trusted(members, ideal.num_vars)
+
+
+@given(_polyhedron_ideals, st.booleans(), st.integers(min_value=1, max_value=3))
+@settings(max_examples=60)
+def test_closure_search_matches_the_box_scan(I, component_rows, n):
+    """Rows V (vertices of Q(I)) and the fractional rows C alike."""
+    if math.prod(n * max(g[k] for g in I.gens) + 1 for k in range(I.num_vars)) > 20_000:
+        reject()
+    if component_rows:
+        rows = irreducible_polyhedron(irreducible_decomposition(I)).columns
+    else:
+        rows = _vertex_certificates(covering_polyhedron(I))
+    assert _closure_box_scan(I, rows, n) == _box_scan_oracle(I, rows, n)
+
+
+def test_closure_search_without_members_or_rows():
+    I = parse_ideal("(t1, t2)")
+    unmet = [(Fraction(0), Fraction(0))]
+    assert _closure_box_scan(I, unmet, 1).is_zero()
+    assert _closure_box_scan(I, [], 2).is_unit()
+
+
+def test_nine_cycle_closure_matches_both_oracles():
+    """A 19,683-point box at n = 2; each generator has a power witness."""
+    I = parse_ideal(", ".join(f"t{i}*t{i % 9 + 1}" for i in range(1, 10)))
+    vertices = enumerate_vertices(covering_polyhedron(I), max_dim=9)
+    closure = integral_closure_power(I, 2, max_dim=9)
+    assert closure == _box_scan_oracle(I, vertices, 2)
+    scale = math.lcm(*(x.denominator for v in vertices for x in v))
+    for g in closure.gens:
+        assert closure_member_by_power_scan(I, g, 2, scale_bound=scale) is not None
 
 
 def test_four_cycle_closure():
