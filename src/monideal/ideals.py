@@ -18,6 +18,13 @@ ideals it already holds (products, intersections, colons, radicals,
 localizations) go through the private :meth:`MonomialIdeal._from_trusted`,
 which minimalizes without checking again.  Only vectors built from valid
 operands may be passed to it.
+
+Divisibility is tested on one kernel, the guard-bit packed ints of
+:func:`_pack`: minimalization, membership of one ideal's generators in
+another, and so intersection.  An intersection J ^ K passes through the
+generators of either side that lie in the other side, and pairs only the
+rest: if u in J lies in K, then u lies in J ^ K, and every lcm(u, v) is a
+multiple of u, so those lcms add nothing.
 """
 
 from __future__ import annotations
@@ -69,32 +76,61 @@ def unit_vector(index: int, num_vars: int) -> Exponent:
     return tuple(1 if i == index - 1 else 0 for i in range(num_vars))
 
 
+def _pack(*groups):
+    """Guard mask and packed ints of the exponent vectors in each group.
+
+    Each vector becomes one int holding a field of `width` bits per
+    variable, variable 1 in the lowest field, where `width` is the bit
+    length of the largest exponent in any group plus one guard bit on top
+    of each field (Bachmann-Schoenemann, ISSAC 1998).  One width serves
+    all groups, so that ints from different groups can be compared: a
+    width taken from one group alone would let a larger exponent of
+    another group spill into the guard bit.  With G the returned mask,
+    whose guard bits are all set, ``((v | G) - k) & G == G`` holds exactly
+    when k <= v in every field: the guard bit of a field survives the
+    subtraction iff that field does not borrow, and a field never borrows
+    from its neighbour.
+    """
+    top = max((max(v) for vecs in groups for v in vecs), default=0)
+    num_vars = next((len(v) for vecs in groups for v in vecs), 0)
+    width = top.bit_length() + 1
+    shifts = range(0, width * num_vars, width)
+    guards = sum(1 << (s + width - 1) for s in shifts)
+    packed = [[sum(e << s for e, s in zip(v, shifts)) for v in vecs] for vecs in groups]
+    return guards, packed
+
+
+def _sift(vecs, packed, packed_gens, guards):
+    """Split `vecs` (packed as `packed`) into those divisible by one of
+    `packed_gens` and the rest, each list in the order of `vecs`."""
+    inside: list[Exponent] = []
+    outside: list[Exponent] = []
+    for v, p in zip(vecs, packed):
+        p |= guards
+        for g in packed_gens:
+            if (p - g) & guards == guards:
+                inside.append(v)
+                break
+        else:
+            outside.append(v)
+    return inside, outside
+
+
 def minimal_generators(vectors) -> tuple[Exponent, ...]:
     """Divisibility antichain of `vectors`, canonically sorted.
 
     Scanning in graded-lex order means every vector only needs to be tested
     against already kept vectors: a later vector has weakly larger degree
-    and can never divide an earlier one.
-
-    The test runs on packed ints (Bachmann-Schoenemann, ISSAC 1998).  Each
-    vector becomes one int holding a field of `width` bits per variable,
-    variable 1 in the lowest field, where `width` is the bit length of the
-    largest exponent plus one guard bit on top of each field.  With G
-    (`guards`) the int whose guard bits are all set, ``((v | G) - k) & G ==
-    G`` holds exactly when k <= v in every field: the guard bit of a field
-    survives the subtraction iff that field does not borrow, and a field
-    never borrows from its neighbour.
+    and can never divide an earlier one.  The test runs on the packed ints
+    of :func:`_pack`.
     """
     vecs = sorted(set(vectors), key=graded_lex_key)
     if len(vecs) < 2:
         return tuple(vecs)
-    width = max(map(max, vecs)).bit_length() + 1
-    shifts = range(0, width * len(vecs[0]), width)
-    guards = sum(1 << (s + width - 1) for s in shifts)
+    guards, (packed,) = _pack(vecs)
     kept: list[int] = []
     out: list[Exponent] = []
-    for v in vecs:
-        p = sum(e << s for e, s in zip(v, shifts))
+    for v, p in zip(vecs, packed):
         p_guarded = p | guards
         for k in kept:
             if (p_guarded - k) & guards == guards:
@@ -181,7 +217,14 @@ class MonomialIdeal:
     def __le__(self, other: "MonomialIdeal") -> bool:
         """Ideal inclusion: every generator of self lies in other."""
         self._check_compatible(other)
-        return all(other.contains(g) for g in self.gens)
+        return not self._split(other)[1]
+
+    def _split(self, other: "MonomialIdeal"):
+        """The generators of self that lie in `other`, and those that do
+        not, each list in generator order.  Both ideals must live in the
+        same ring."""
+        guards, (mine, theirs) = _pack(self.gens, other.gens)
+        return _sift(self.gens, mine, theirs, guards)
 
     def _check_compatible(self, other: "MonomialIdeal"):
         if not isinstance(other, MonomialIdeal):
@@ -208,10 +251,22 @@ class MonomialIdeal:
         return out
 
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """Intersection, via pairwise lcms of the generators."""
+        """Intersection J ^ K, through the generators the two sides share.
+
+        J ^ K is generated by the lcms of all pairs of generators.  A
+        generator u of J that lies in K passes through: u lies in J ^ K,
+        and every lcm(u, v) is a multiple of u, so those lcms add nothing.
+        The same holds for K.  So only the generators of each side outside
+        the other side are paired, and the members join the lcms as they
+        are before minimalization.
+        """
         self._check_compatible(other)
+        guards, (mine, theirs) = _pack(self.gens, other.gens)
+        in_j, out_j = _sift(self.gens, mine, theirs, guards)
+        in_k, out_k = _sift(other.gens, theirs, mine, guards)
         return MonomialIdeal._from_trusted(
-            [vec_max(v, w) for v in self.gens for w in other.gens], self.num_vars
+            in_j + in_k + [vec_max(u, v) for u in out_j for v in out_k],
+            self.num_vars,
         )
 
     def colon(self, f: Exponent) -> "MonomialIdeal":

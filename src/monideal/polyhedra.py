@@ -341,7 +341,7 @@ def closure_gaps(ideal: MonomialIdeal, bound: int, **limits):
     for n in range(1, bound + 1):
         closure = integral_closure_power(ideal, n, **limits)
         power = ideal ** n
-        yield tuple(g for g in closure.gens if not power.contains(g))
+        yield tuple(closure._split(power)[1])
 
 
 def is_normal_up_to(ideal: MonomialIdeal, bound: int, **limits) -> bool:

@@ -98,13 +98,15 @@ def compare_powers(ideal: MonomialIdeal, n: int) -> SymbolicPowerReport:
         sass = smin
     else:
         sass = symbolic_power_ass(ideal, n)
-    witnesses = tuple(g for g in smin.gens if not ordinary.contains(g))
+    equal_min = ordinary == smin
+    # I^n lies in I^(n), so equal powers leave no witness to look for.
+    witnesses = () if equal_min else tuple(smin._split(ordinary)[1])
     return SymbolicPowerReport(
         n=n,
         ordinary=ordinary,
         symbolic_min=smin,
         symbolic_ass=sass,
-        equal_min=ordinary == smin,
+        equal_min=equal_min,
         equal_ass=ordinary == sass,
         witnesses=witnesses,
     )

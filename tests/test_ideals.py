@@ -1,5 +1,7 @@
 """Core monomial ideal arithmetic, canonical form, and the text format."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -21,6 +23,7 @@ from monideal.ideals import (
     vec_sub_clamped,
     vec_support,
 )
+from monideal.random_instances import random_ideal
 
 from conftest import ideals
 
@@ -262,6 +265,62 @@ def test_trusted_arithmetic_matches_from_gens(I, J):
     assert I.radical() == MonomialIdeal.from_gens(
         [vec_support(g) for g in I.gens], s
     )
+
+
+def naive_intersection(J, K):
+    """Reference J ^ K: the lcms of all generator pairs, minimalized tuple
+    by tuple, with no pass-through and no packing."""
+    return MonomialIdeal(
+        J.num_vars,
+        naive_minimal_generators(vec_max(v, w) for v in J.gens for w in K.gens),
+    )
+
+
+def ideal_with_top(rng, num_vars, top):
+    """A random ideal whose largest generator exponent is exactly `top`."""
+    while True:
+        I = random_ideal(rng, num_vars, max_exp=top)
+        if max(map(max, I.gens)) == top:
+            return I
+
+
+@st.composite
+def ideal_pairs(draw):
+    """Two ideals in one ring: random, one inside the other, one of them
+    zero or unit, or with largest exponents straddling a power of two."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    num_vars = draw(st.integers(min_value=1, max_value=4))
+    kind = draw(st.sampled_from(["random", "nested", "trivial", "straddle"]))
+    if kind == "straddle":
+        low, high = draw(st.sampled_from([(3, 4), (7, 8)]))
+        J = ideal_with_top(rng, num_vars, low)
+        K = ideal_with_top(rng, num_vars, high)
+    else:
+        J = random_ideal(rng, num_vars)
+        if kind == "random":
+            K = random_ideal(rng, num_vars)
+        elif kind == "nested":
+            K = MonomialIdeal.from_gens(J.gens + random_ideal(rng, num_vars).gens, num_vars)
+        else:
+            K = draw(st.sampled_from([MonomialIdeal.zero, MonomialIdeal.unit]))(num_vars)
+    return (J, K) if draw(st.booleans()) else (K, J)
+
+
+@given(ideal_pairs())
+@settings(max_examples=120)
+def test_intersection_matches_all_pairs_lcms(pair):
+    J, K = pair
+    assert J & K == naive_intersection(J, K)
+    assert (J <= K) == all(any(divides(v, u) for v in K.gens) for u in J.gens)
+
+
+def test_membership_with_straddling_exponents():
+    """Packed with the field width of (t1^3, t2) alone, t1^4 would fill the
+    guard bit of its field and no longer read as a multiple of t1^3."""
+    J = parse_ideal("t1^3, t2", num_vars=2)
+    K = parse_ideal("t1^4", num_vars=2)
+    assert K <= J and not J <= K
+    assert J & K == K == naive_intersection(J, K)
 
 
 def test_from_gens_refuses_bad_vectors():

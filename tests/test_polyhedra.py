@@ -321,7 +321,9 @@ def test_closure_gaps_are_the_closure_generators_outside_the_power():
 @settings(max_examples=25)
 def test_closure_gaps_are_empty_iff_the_power_is_closed(I):
     for n, gaps in enumerate(closure_gaps(I, 2), start=1):
-        assert (not gaps) == (integral_closure_power(I, n) == I ** n)
+        closure, power = integral_closure_power(I, n), I ** n
+        assert (not gaps) == (closure == power)
+        assert gaps == tuple(g for g in closure.gens if not power.contains(g))
 
 
 def test_is_normal_up_to_stops_at_the_first_open_power(monkeypatch):

@@ -1,11 +1,18 @@
 """Symbolic powers, localizations, and the two power-comparison routes."""
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from monideal.errors import DomainError
-from monideal.decomposition import MonomialPrime, embedded_primes, minimal_primes
+from monideal.decomposition import (
+    MonomialPrime,
+    embedded_primes,
+    irreducible_decomposition,
+    minimal_primes,
+)
 from monideal.fixtures import (
     PATH_MIDDLE,
     PATH_MIDDLE_LOCALIZED_13,
@@ -34,7 +41,8 @@ from monideal.symbolic import (
     symbolic_power_min,
 )
 
-from conftest import ideals
+from conftest import graphs, ideals
+from test_ideals import naive_intersection
 
 
 def test_localize_drops_foreign_variables():
@@ -70,9 +78,28 @@ def test_compare_powers_reports_both_symbolic_powers(I, n):
     """The shortcut for ideals without embedded primes changes no result."""
     report = compare_powers(I, n)
     assert report.symbolic_min == symbolic_power_min(I, n)
+    assert report.witnesses == tuple(
+        g for g in report.symbolic_min.gens if not report.ordinary.contains(g)
+    )
     assert report.symbolic_ass == symbolic_power_ass(I, n)
     if not embedded_primes(I):
         assert report.symbolic_ass is report.symbolic_min
+
+
+@given(graphs(), st.integers(min_value=1, max_value=3))
+@settings(max_examples=60)
+def test_symbolic_power_from_the_components_of_the_power(G, n):
+    """I^(n) is the intersection of the irreducible components of I^n whose
+    support is a minimal prime of I: localizing at p keeps q_a when
+    supp(a) lies in p and sends it to the unit ideal otherwise."""
+    I = edge_ideal(G)
+    minimal = {p.support for p in minimal_primes(I)}
+    components = [
+        c.as_ideal()
+        for c in irreducible_decomposition(I ** n).components
+        if c.support() in minimal
+    ]
+    assert symbolic_power_min(I, n) == reduce(naive_intersection, components)
 
 
 def test_symbolic_square_of_weighted_triangle():
