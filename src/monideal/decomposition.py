@@ -14,8 +14,9 @@ witnesses outside q stays outside q), so a component is redundant exactly
 when it contains another one (Miller-Sturmfels, Combinatorial Commutative
 Algebra).  Only the new pieces need that test: the components that stay were
 pairwise incomparable before, and each piece contains the component it came
-from, so no kept component can contain a piece.  Results are memoized per
-canonical generating set.
+from, so no kept component can contain a piece.  The 256 most recent
+results are memoized per canonical generating set: a fixed bound keeps a
+long sweep over many ideals from growing the cache without limit.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def irredundant_subset(
     return tuple(kept)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _decomposition(ideal: MonomialIdeal) -> IrreducibleDecomposition:
     if ideal.is_zero() or ideal.is_unit():
         raise DomainError("only proper nonzero ideals have an irreducible decomposition")

@@ -19,17 +19,25 @@ localizations) go through the private :meth:`MonomialIdeal._from_trusted`,
 which minimalizes without checking again.  Only vectors built from valid
 operands may be passed to it.
 
-Divisibility is tested on one kernel, the guard-bit packed ints of
-:func:`_pack`: minimalization, membership of one ideal's generators in
-another, and so intersection.  An intersection J ^ K passes through the
-generators of either side that lie in the other side, and pairs only the
-rest: if u in J lies in K, then u lies in J ^ K, and every lcm(u, v) is a
-multiple of u, so those lcms add nothing.
+Divisibility is tested on one bitset kernel.  :func:`_at_least` indexes a
+list of vectors by the bits of Python ints: per coordinate, one mask for
+each value in that column, holding the vectors that reach it.
+:func:`_multiples` ANDs one mask per coordinate and so finds every multiple
+of t^g in the list at once; the big-int operations run in C.  The masks are
+chosen by comparing values, so exponents of any size need no special case.
+Minimalization drops the multiples of each minimal generator in one step,
+and the membership split behind intersection and inclusion ORs the
+multiples of the other ideal's generators.  An intersection J ^ K passes
+through the generators of either side that lie in the other side, and pairs
+only the rest: if u in J lies in K, then u lies in J ^ K, and every
+lcm(u, v) is a multiple of u, so those lcms add nothing.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import add
 
@@ -57,7 +65,8 @@ def vec_add(a: Exponent, b: Exponent) -> Exponent:
 
 def vec_max(a: Exponent, b: Exponent) -> Exponent:
     """Exponent vector of lcm(t^a, t^b)."""
-    return tuple(x if x >= y else y for x, y in zip(a, b))
+    # A list comprehension builds the tuple faster than a generator.
+    return tuple([x if x >= y else y for x, y in zip(a, b)])
 
 
 def vec_sub_clamped(a: Exponent, b: Exponent) -> Exponent:
@@ -76,68 +85,99 @@ def unit_vector(index: int, num_vars: int) -> Exponent:
     return tuple(1 if i == index - 1 else 0 for i in range(num_vars))
 
 
-def _pack(*groups):
-    """Guard mask and packed ints of the exponent vectors in each group.
+_ONE = ord("1")
 
-    Each vector becomes one int holding a field of `width` bits per
-    variable, variable 1 in the lowest field, where `width` is the bit
-    length of the largest exponent in any group plus one guard bit on top
-    of each field (Bachmann-Schoenemann, ISSAC 1998).  One width serves
-    all groups, so that ints from different groups can be compared: a
-    width taken from one group alone would let a larger exponent of
-    another group spill into the guard bit.  With G the returned mask,
-    whose guard bits are all set, ``((v | G) - k) & G == G`` holds exactly
-    when k <= v in every field: the guard bit of a field survives the
-    subtraction iff that field does not borrow, and a field never borrows
-    from its neighbour.
+
+def _at_least(vecs):
+    """Per-coordinate tables of which `vecs` reach each value.
+
+    For coordinate i the table is ``(values, masks)``: the distinct values
+    of column i in ascending order, and for each value x a bitmask whose
+    bit j is set when ``vecs[j][i] >= x``.  Bit j of every mask stands for
+    ``vecs[j]``, so ANDing masks of different coordinates tests all the
+    vectors at once, in C, on Python's big ints.  Each mask is read from a
+    string of binary digits, most significant (the last vector) first,
+    that gains the vectors of each value from the largest value down.
     """
-    top = max((max(v) for vecs in groups for v in vecs), default=0)
-    num_vars = next((len(v) for vecs in groups for v in vecs), 0)
-    width = top.bit_length() + 1
-    shifts = range(0, width * num_vars, width)
-    guards = sum(1 << (s + width - 1) for s in shifts)
-    packed = [[sum(e << s for e, s in zip(v, shifts)) for v in vecs] for vecs in groups]
-    return guards, packed
+    n = len(vecs)
+    tables = []
+    for column in zip(*vecs):
+        where = defaultdict(list)
+        for pos, x in enumerate(reversed(column)):
+            where[x].append(pos)
+        values = sorted(where)
+        digits = bytearray(b"0" * n)
+        masks = []
+        for x in values[:0:-1]:
+            for pos in where[x]:
+                digits[pos] = _ONE
+            masks.append(int(digits, 2))
+        masks.append((1 << n) - 1)  # every vector reaches the smallest value
+        masks.reverse()
+        tables.append((values, masks))
+    return tables
 
 
-def _sift(vecs, packed, packed_gens, guards):
-    """Split `vecs` (packed as `packed`) into those divisible by one of
-    `packed_gens` and the rest, each list in the order of `vecs`."""
+def _multiples(tables, g):
+    """Bitmask of the vectors indexed by `tables` that t^g divides.
+
+    Coordinate by coordinate, bisect to the first value >= g_i and AND in
+    its mask: a vector survives iff it reaches g_i in every coordinate.
+    The result is 0 when some g_i is above every value of its column, and
+    -1 (every bit) when g is the zero vector, which divides everything.
+    Exponents are only compared with each other, so any size is exact.
+    """
+    hit = -1
+    for (values, masks), x in zip(tables, g):
+        if x:
+            k = bisect_left(values, x)
+            if k == len(values):
+                return 0
+            hit &= masks[k]
+    return hit
+
+
+def _sift(vecs, gens):
+    """Split `vecs` into those divisible by one of `gens` and the rest,
+    each list in the order of `vecs`."""
+    tables = _at_least(vecs)
+    hit = 0
+    for g in gens:
+        hit |= _multiples(tables, g)
     inside: list[Exponent] = []
     outside: list[Exponent] = []
-    for v, p in zip(vecs, packed):
-        p |= guards
-        for g in packed_gens:
-            if (p - g) & guards == guards:
-                inside.append(v)
-                break
-        else:
-            outside.append(v)
+    bits = format(hit & ((1 << len(vecs)) - 1), f"0{len(vecs)}b")
+    for v, bit in zip(vecs, reversed(bits)):
+        (inside if bit == "1" else outside).append(v)
     return inside, outside
 
 
 def minimal_generators(vectors) -> tuple[Exponent, ...]:
     """Divisibility antichain of `vectors`, canonically sorted.
 
-    Scanning in graded-lex order means every vector only needs to be tested
-    against already kept vectors: a later vector has weakly larger degree
-    and can never divide an earlier one.  The test runs on the packed ints
-    of :func:`_pack`.
+    The distinct vectors are sorted in graded-lex order and indexed by the
+    bits of `alive`, which starts with every bit set.  The lowest alive
+    vector is minimal.  A proper divisor of it has smaller degree, so it
+    comes earlier, and every earlier vector was either emitted or cleared
+    as a multiple of an emitted one; either way an emitted vector divides
+    the divisor and so would have cleared this vector already.  It is
+    emitted, and all its multiples are cleared at once with the mask of
+    :func:`_multiples`.
     """
-    vecs = sorted(set(vectors), key=graded_lex_key)
+    vecs = sorted(set(vectors))
+    vecs.sort(key=sum)  # stable, so this is graded-lex order
     if len(vecs) < 2:
         return tuple(vecs)
-    guards, (packed,) = _pack(vecs)
-    kept: list[int] = []
+    tables = _at_least(vecs)
+    alive = (1 << len(vecs)) - 1
     out: list[Exponent] = []
-    for v, p in zip(vecs, packed):
-        p_guarded = p | guards
-        for k in kept:
-            if (p_guarded - k) & guards == guards:
-                break
-        else:
-            kept.append(p)
-            out.append(v)
+    while alive:
+        low = alive & -alive
+        v = vecs[low.bit_length() - 1]
+        out.append(v)
+        # v is among its own multiples; clearing `low` as well bounds the
+        # rounds by the vector count even if a table were wrong.
+        alive &= ~(low | _multiples(tables, v))
     return tuple(out)
 
 
@@ -223,8 +263,7 @@ class MonomialIdeal:
         """The generators of self that lie in `other`, and those that do
         not, each list in generator order.  Both ideals must live in the
         same ring."""
-        guards, (mine, theirs) = _pack(self.gens, other.gens)
-        return _sift(self.gens, mine, theirs, guards)
+        return _sift(self.gens, other.gens)
 
     def _check_compatible(self, other: "MonomialIdeal"):
         if not isinstance(other, MonomialIdeal):
@@ -261,9 +300,8 @@ class MonomialIdeal:
         are before minimalization.
         """
         self._check_compatible(other)
-        guards, (mine, theirs) = _pack(self.gens, other.gens)
-        in_j, out_j = _sift(self.gens, mine, theirs, guards)
-        in_k, out_k = _sift(other.gens, theirs, mine, guards)
+        in_j, out_j = _sift(self.gens, other.gens)
+        in_k, out_k = _sift(other.gens, self.gens)
         return MonomialIdeal._from_trusted(
             in_j + in_k + [vec_max(u, v) for u in out_j for v in out_k],
             self.num_vars,

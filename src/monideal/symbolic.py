@@ -116,7 +116,13 @@ def powers_equal_up_to(ideal: MonomialIdeal, bound: int) -> bool:
     """Does I^n equal I^(n) for every n = 1..bound?"""
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
-    return all(ideal ** n == symbolic_power_min(ideal, n) for n in range(1, bound + 1))
+    power = ideal
+    for n in range(1, bound + 1):
+        if n > 1:
+            power = power * ideal
+        if power != symbolic_power_min(ideal, n):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -141,8 +147,10 @@ def is_ntf_up_to(ideal: MonomialIdeal, bound: int) -> NtfReport:
     no_embedded = not embedded_primes(ideal)
     per_power = []
     holds = True
+    power = ideal
     for n in range(1, bound + 1):
-        power = ideal ** n
+        if n > 1:
+            power = power * ideal
         ass_n = associated_primes(power)
         same = ass_n == base
         if no_embedded and same != (power == symbolic_power_min(ideal, n)):

@@ -206,6 +206,17 @@ def _validated(vectors, num_vars):
     return MonomialIdeal.from_gens(list(vectors), num_vars)
 
 
+def test_decomposition_cache_is_bounded():
+    """A long run over distinct ideals keeps a bounded number of results."""
+    _decomposition.cache_clear()
+    try:
+        for k in range(1, 1001):
+            irreducible_decomposition(MonomialIdeal.from_gens([(k, 0), (0, 1)], 2))
+        assert _decomposition.cache_info().currsize < 1000
+    finally:
+        _decomposition.cache_clear()
+
+
 @given(ideals())
 def test_decomposition_matches_validated_rebuild(I):
     """With every trusted construction sent through from_gens instead, the

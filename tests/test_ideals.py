@@ -207,20 +207,41 @@ def test_canonical_form_is_permutation_equivariant(I):
     assert frozenset(g[::-1] for g in flipped.gens) == frozenset(I.gens)
 
 
-# ------------------------------------------------- packed kernel and trust
+# ------------------------------------------------- bitset kernel and trust
 
 
 def naive_minimal_generators(vectors):
-    """Reference antichain: tuple-by-tuple divisibility, no packing."""
+    """Reference antichain: tuple-by-tuple divisibility, no bitsets."""
     vecs = sorted(set(vectors), key=graded_lex_key)
     return tuple(
         v for v in vecs if not any(divides(k, v) for k in vecs if k != v)
     )
 
 
+def long_vectors(rng, num_vars, size):
+    """`size` vectors whose exponents are small, spread over many values,
+    or near 2^70, so that each column holds many distinct values."""
+    def exponent():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(0, 3)
+        if kind == 1:
+            return rng.randint(0, 60)
+        if kind == 2:
+            return 2**70 + rng.randint(-2, 2)
+        return rng.randint(0, 2**70)
+
+    return [tuple(exponent() for _ in range(num_vars)) for _ in range(size)]
+
+
 @st.composite
 def exponent_lists(draw):
-    """Vectors of one common length whose exponents are small or huge."""
+    """Vectors of one common length whose exponents are small or huge: short
+    drawn lists, or long seeded ones (up to 300 vectors in up to 7
+    variables), whose masks span several machine words."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        return long_vectors(rng, rng.randint(1, 7), rng.randint(65, 300))
     num_vars = draw(st.integers(min_value=1, max_value=4))
     exponent = st.one_of(
         st.integers(min_value=0, max_value=3),
@@ -231,18 +252,18 @@ def exponent_lists(draw):
 
 
 @given(exponent_lists())
-def test_packed_minimal_generators_matches_naive(vectors):
+def test_minimal_generators_matches_naive(vectors):
     assert minimal_generators(vectors) == naive_minimal_generators(vectors)
 
 
-def test_packed_minimal_generators_edge_cases():
+def test_minimal_generators_edge_cases():
     big = 2**64
     assert minimal_generators([(big, 0), (big + 1, 0), (0, big)]) == ((0, big), (big, 0))
     assert minimal_generators([(big, 1), (big - 1, 2)]) == ((big - 1, 2), (big, 1))
     assert minimal_generators([(127,), (128,), (3,), (200,)]) == ((3,),)
     assert minimal_generators([(5,), (0,)]) == ((0,),)
     assert minimal_generators([(0, 0, 0), (1, 2, 3)]) == ((0, 0, 0),)
-    # A field that would borrow from its neighbour must not fake divisibility.
+    # Incomparable neighbours: neither may read as dividing the other.
     assert minimal_generators([(1, 0), (0, 1)]) == ((0, 1), (1, 0))
     assert minimal_generators([]) == ()
 
@@ -269,7 +290,7 @@ def test_trusted_arithmetic_matches_from_gens(I, J):
 
 def naive_intersection(J, K):
     """Reference J ^ K: the lcms of all generator pairs, minimalized tuple
-    by tuple, with no pass-through and no packing."""
+    by tuple, with no pass-through and no bitsets."""
     return MonomialIdeal(
         J.num_vars,
         naive_minimal_generators(vec_max(v, w) for v in J.gens for w in K.gens),
@@ -306,6 +327,34 @@ def ideal_pairs(draw):
     return (J, K) if draw(st.booleans()) else (K, J)
 
 
+@st.composite
+def long_ideal_pairs(draw):
+    """Two ideals in one ring from long seeded vector lists, either of them
+    possibly the zero or the unit ideal."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    num_vars = rng.randint(1, 7)
+
+    def side():
+        kind = draw(st.sampled_from(["long", "long", "zero", "unit"]))
+        if kind == "zero":
+            return MonomialIdeal.zero(num_vars)
+        if kind == "unit":
+            return MonomialIdeal.unit(num_vars)
+        vecs = long_vectors(rng, num_vars, rng.randint(1, 300))
+        return MonomialIdeal.from_gens(vecs, num_vars)
+
+    return side(), side()
+
+
+@given(st.one_of(ideal_pairs(), long_ideal_pairs()))
+def test_split_matches_tuple_divisibility(pair):
+    J, K = pair
+    inside = [u for u in J.gens if any(divides(v, u) for v in K.gens)]
+    outside = [u for u in J.gens if u not in inside]
+    assert J._split(K) == (inside, outside)
+    assert (J <= K) == (not outside)
+
+
 @given(ideal_pairs())
 @settings(max_examples=120)
 def test_intersection_matches_all_pairs_lcms(pair):
@@ -315,8 +364,9 @@ def test_intersection_matches_all_pairs_lcms(pair):
 
 
 def test_membership_with_straddling_exponents():
-    """Packed with the field width of (t1^3, t2) alone, t1^4 would fill the
-    guard bit of its field and no longer read as a multiple of t1^3."""
+    """The largest exponents 3 and 4 straddle a power of two: a kernel that
+    sized its exponent fields from (t1^3, t2) alone would no longer read
+    t1^4 as a multiple of t1^3."""
     J = parse_ideal("t1^3, t2", num_vars=2)
     K = parse_ideal("t1^4", num_vars=2)
     assert K <= J and not J <= K

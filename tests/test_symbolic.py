@@ -30,7 +30,8 @@ from monideal.fixtures import (
     FOUR_CYCLE_SINKS,
 )
 from monideal.graphs import edge_ideal
-from monideal.ideals import parse_ideal
+from monideal import symbolic
+from monideal.ideals import MonomialIdeal, parse_ideal
 from monideal.symbolic import (
     compare_powers,
     is_ntf_up_to,
@@ -197,6 +198,24 @@ def test_powers_equal_up_to_on_the_five_cycle():
     assert not powers_equal_up_to(I, 3)
     with pytest.raises(DomainError):
         powers_equal_up_to(I, 0)
+
+
+def test_power_loops_extend_the_previous_power(monkeypatch):
+    """powers_equal_up_to and is_ntf_up_to form I^n as I^(n-1) * I: with
+    `**` disabled (and the symbolic powers, which use it, precomputed) both
+    still give the same verdicts."""
+    I = parse_ideal("t1*t2, t2*t3, t3*t4, t4*t5, t5*t1")
+    known = {n: symbolic_power_min(I, n) for n in (1, 2, 3)}
+    ntf = is_ntf_up_to(I, 3)
+
+    def no_power(self, n):
+        raise AssertionError(f"I^{n} formed from scratch")
+
+    monkeypatch.setattr(symbolic, "symbolic_power_min", lambda ideal, n: known[n])
+    monkeypatch.setattr(MonomialIdeal, "__pow__", no_power)
+    assert powers_equal_up_to(I, 2)
+    assert not powers_equal_up_to(I, 3)
+    assert is_ntf_up_to(I, 3) == ntf
 
 
 @given(ideals(max_vars=3, max_gens=3))
