@@ -9,7 +9,6 @@ from .decomposition import (
     MonomialPrime,
     associated_primes,
     embedded_primes,
-    exponent_duality,
     irreducible_decomposition,
     minimal_primes,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "edge_ideal",
     "embedded_primes",
     "enumerate_vertices",
-    "exponent_duality",
     "format_ideal",
     "format_monomial",
     "integral_closure_power",

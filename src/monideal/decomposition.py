@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .errors import ConsistencyError, DomainError
 from .ideals import (
@@ -32,7 +31,6 @@ from .ideals import (
     graded_lex_key,
     intersect_all,
     unit_vector,
-    vec_sub_clamped,
 )
 
 
@@ -186,23 +184,6 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> IrreducibleDecomposition:
     return _decomposition(ideal)
 
 
-def exponent_duality(ideal: MonomialIdeal) -> tuple[Exponent, ...]:
-    """Pure powers t_j^{v_j} over all generators t^v and variables with v_j >= 1.
-
-    This set equals the union of the minimal generators of the irreducible
-    components, which is the duality the decomposition tests lean on.
-    """
-    if ideal.is_zero() or ideal.is_unit():
-        raise DomainError("exponent duality needs a proper nonzero ideal")
-    powers = {
-        tuple(e if j == i else 0 for j in range(ideal.num_vars))
-        for v in ideal.gens
-        for i, e in enumerate(v)
-        if e
-    }
-    return tuple(sorted(powers, key=graded_lex_key))
-
-
 def associated_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
     """Radicals of the irredundant irreducible components."""
     dec = irreducible_decomposition(ideal)
@@ -220,58 +201,3 @@ def minimal_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
 
 def embedded_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
     return associated_primes(ideal) - minimal_primes(ideal)
-
-
-def _colon_gives_prime(ideal: MonomialIdeal, f: Exponent) -> frozenset[int] | None:
-    """Support of (ideal : t^f) when that colon is a monomial prime, else None.
-
-    Avoids building the colon ideal: with C = {max(v - f, 0)}, the colon is
-    the prime on U = {i : e_i in C} exactly when U is nonempty and every
-    member of C has a positive entry inside U.
-    """
-    if ideal.contains(f):
-        return None  # colon is the unit ideal
-    cgens = [vec_sub_clamped(v, f) for v in ideal.gens]
-    units = frozenset(
-        i + 1 for c in cgens if sum(c) == 1 for i, e in enumerate(c) if e == 1
-    )
-    if not units:
-        return None
-    for c in cgens:
-        if not any(c[i - 1] for i in units):
-            return None
-    return units
-
-
-def ass_witness_oracle(
-    ideal: MonomialIdeal, prime: MonomialPrime, degree_bound: int
-) -> Exponent | None:
-    """Brute-force search for f with (ideal : t^f) == prime.
-
-    Scans all exponent vectors with entries <= degree_bound in
-    lexicographic order and returns the first witness, or None.  Slow by
-    design; it exists to cross-check `associated_primes` from the colon
-    definition of an associated prime.
-    """
-    if prime.num_vars != ideal.num_vars:
-        raise DomainError("prime and ideal live in different rings")
-    for f in product(range(degree_bound + 1), repeat=ideal.num_vars):
-        if _colon_gives_prime(ideal, f) == prime.support:
-            return f
-    return None
-
-
-def colon_prime_scan(
-    ideal: MonomialIdeal, degree_bound: int
-) -> frozenset[MonomialPrime]:
-    """All primes of the form (ideal : t^f) with entries of f <= degree_bound.
-
-    Companion oracle to :func:`ass_witness_oracle` covering both directions
-    of the agreement check in a single box scan.
-    """
-    found = set()
-    for f in product(range(degree_bound + 1), repeat=ideal.num_vars):
-        support = _colon_gives_prime(ideal, f)
-        if support is not None:
-            found.add(MonomialPrime(ideal.num_vars, support))
-    return frozenset(found)

@@ -13,7 +13,8 @@ I^n <= I<n> <= I^(n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .decomposition import (
     MonomialPrime,
@@ -74,41 +75,54 @@ def _localized_power_intersection(ideal, n, primes):
 
 @dataclass(frozen=True)
 class SymbolicPowerReport:
-    """Ordinary vs symbolic powers of one ideal at one exponent."""
+    """Ordinary vs symbolic powers of one ideal at one exponent.
+
+    `ordinary`, `symbolic_min` and `equal_min` are computed up front.
+    `symbolic_ass`, `equal_ass` and `witnesses` are computed on first read
+    and stored, so a caller that reads only `equal_min` never builds I<n>.
+    """
 
     n: int
     ordinary: MonomialIdeal
     symbolic_min: MonomialIdeal
-    symbolic_ass: MonomialIdeal
     equal_min: bool
-    equal_ass: bool
-    witnesses: tuple[Exponent, ...]
+    ideal: MonomialIdeal = field(compare=False, repr=False)
+
+    @cached_property
+    def symbolic_ass(self) -> MonomialIdeal:
+        # Without embedded primes both symbolic powers intersect over the
+        # same primes, so I^(n) serves for I<n>.
+        if max_ass(self.ideal) == minimal_primes(self.ideal):
+            return self.symbolic_min
+        return symbolic_power_ass(self.ideal, self.n)
+
+    @cached_property
+    def equal_ass(self) -> bool:
+        return self.ordinary == self.symbolic_ass
+
+    @cached_property
+    def witnesses(self) -> tuple[Exponent, ...]:
+        # I^n lies in I^(n), so equal powers leave no witness to look for.
+        if self.equal_min:
+            return ()
+        return tuple(self.symbolic_min._split(self.ordinary)[1])
 
 
 def compare_powers(ideal: MonomialIdeal, n: int) -> SymbolicPowerReport:
     """Compare I^n with both symbolic powers; witnesses live in I^(n) \\ I^n.
 
-    When the minimal primes are also the maximal associated ones, Ass(I)
-    has no embedded primes, both symbolic powers intersect over the same
-    primes, and I^(n) is computed once.
+    Only I^n, I^(n) and `equal_min` are built here.  I<n>, `equal_ass` and
+    the witnesses are built when the report's attribute is first read.
+    When Ass(I) has no embedded primes, I<n> is the I^(n) already built.
     """
     ordinary = ideal ** n
     smin = symbolic_power_min(ideal, n)
-    if max_ass(ideal) == minimal_primes(ideal):
-        sass = smin
-    else:
-        sass = symbolic_power_ass(ideal, n)
-    equal_min = ordinary == smin
-    # I^n lies in I^(n), so equal powers leave no witness to look for.
-    witnesses = () if equal_min else tuple(smin._split(ordinary)[1])
     return SymbolicPowerReport(
         n=n,
         ordinary=ordinary,
         symbolic_min=smin,
-        symbolic_ass=sass,
-        equal_min=equal_min,
-        equal_ass=ordinary == sass,
-        witnesses=witnesses,
+        equal_min=ordinary == smin,
+        ideal=ideal,
     )
 
 

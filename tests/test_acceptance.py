@@ -12,9 +12,7 @@ import pytest
 from monideal.cli import main
 from monideal.decomposition import (
     MonomialPrime,
-    ass_witness_oracle,
     associated_primes,
-    colon_prime_scan,
     irreducible_decomposition,
     minimal_primes,
 )
@@ -66,6 +64,8 @@ from monideal.polyhedra import (
 )
 from monideal.random_instances import random_graph, random_ideal
 from monideal.symbolic import compare_powers, localize, symbolic_power_ass, symbolic_power_min
+
+from oracles import ass_witness_oracle, colon_prime_scan
 
 POPULATION_SEED = 20260823
 ORACLE_SEED = 414243

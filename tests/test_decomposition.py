@@ -12,11 +12,8 @@ from monideal.decomposition import (
     IrreducibleIdeal,
     MonomialPrime,
     _decomposition,
-    ass_witness_oracle,
     associated_primes,
-    colon_prime_scan,
     embedded_primes,
-    exponent_duality,
     irreducible_decomposition,
     irredundant_subset,
     minimal_primes,
@@ -24,6 +21,7 @@ from monideal.decomposition import (
 from monideal.fixtures import fixture
 
 from conftest import ideals
+from oracles import ass_witness_oracle, colon_prime_scan, exponent_duality
 
 
 def test_irreducible_ideal_expansion():

@@ -3,7 +3,7 @@
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from monideal.errors import DomainError
@@ -14,6 +14,7 @@ from monideal.decomposition import (
     minimal_primes,
 )
 from monideal.fixtures import (
+    ALL_FIXTURES,
     PATH_MIDDLE,
     PATH_MIDDLE_LOCALIZED_13,
     PATH_MIDDLE_LOCALIZED_23,
@@ -73,7 +74,41 @@ def test_symbolic_square_of_path():
     assert report.equal_ass
 
 
+def test_compare_powers_builds_only_what_is_read(monkeypatch):
+    """The embedded prime (t1, t2, t3) of the path makes I<2> differ from
+    I^(2).  Reading `equal_min` alone never builds I<2>; reading
+    `symbolic_ass` and then `equal_ass` twice builds it once."""
+    I = edge_ideal(PATH_MIDDLE.graph)
+    assert embedded_primes(I)
+    real = symbolic.symbolic_power_ass
+    calls = []
+
+    def counting(ideal, n):
+        calls.append(n)
+        return real(ideal, n)
+
+    monkeypatch.setattr(symbolic, "symbolic_power_ass", counting)
+    assert not compare_powers(I, 2).equal_min
+    assert calls == []
+
+    report = compare_powers(I, 2)
+    assert report.symbolic_ass != report.symbolic_min
+    assert report.equal_ass and report.equal_ass
+    assert calls == [2]
+
+
+def _with_fixture_examples(test):
+    """Pin each fixture graph's edge ideal at n = 2 and 3, so that ideals
+    with embedded primes (the path and the weighted 3-cycle) are always
+    drawn."""
+    for item in ALL_FIXTURES:
+        for n in (2, 3):
+            test = example(edge_ideal(item.graph), n)(test)
+    return test
+
+
 @given(ideals(max_vars=3, max_gens=4), st.integers(min_value=1, max_value=3))
+@_with_fixture_examples
 @settings(max_examples=30)
 def test_compare_powers_reports_both_symbolic_powers(I, n):
     """The shortcut for ideals without embedded primes changes no result."""
@@ -83,6 +118,7 @@ def test_compare_powers_reports_both_symbolic_powers(I, n):
         g for g in report.symbolic_min.gens if not report.ordinary.contains(g)
     )
     assert report.symbolic_ass == symbolic_power_ass(I, n)
+    assert report.equal_ass == (report.ordinary == symbolic_power_ass(I, n))
     if not embedded_primes(I):
         assert report.symbolic_ass is report.symbolic_min
 
