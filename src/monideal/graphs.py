@@ -6,9 +6,10 @@ weight per vertex.  Its edge ideal is
 
     I(D) = ( t_i * t_j^{w_j}  :  (i, j) an edge of D ),
 
-which only ever sees the weight of edge *targets*; accordingly
-:func:`normalize` forces weight 1 on every source and the graph-level
-predicates below always work on the normalized graph.
+which only ever sees the weight of edge *targets*.  A graph therefore
+stores weight 1 on every other vertex (every source, isolated vertices
+included) from construction on, and the predicates below read the stored
+weights as they are.
 
 The combinatorial side of the irreducible decomposition of I(D) is the
 notion of a strong vertex cover; see :func:`is_strong_cover`.
@@ -39,7 +40,12 @@ DEFAULT_COVER_VERTEX_LIMIT = 22
 
 @dataclass(frozen=True)
 class WeightedOrientedGraph:
-    """Directed edges over vertices 1..num_vertices with vertex weights."""
+    """Directed edges over vertices 1..num_vertices with vertex weights.
+
+    A vertex that is no edge's target is stored with weight 1, whatever
+    weight was passed: I(D) never reads it, so two graphs that differ only
+    there are equal.
+    """
 
     num_vertices: int
     edges: frozenset[tuple[int, int]]
@@ -65,6 +71,10 @@ class WeightedOrientedGraph:
                 raise ValueError(
                     f"edges ({i}, {j}) and ({j}, {i}) orient the same underlying edge twice"
                 )
+        targets = {j for _, j in self.edges}
+        object.__setattr__(self, "weights", tuple(
+            w if v in targets else 1 for v, w in enumerate(self.weights, start=1)
+        ))
 
     @staticmethod
     def build(num_vertices, edges, weights=None) -> "WeightedOrientedGraph":
@@ -96,36 +106,20 @@ class WeightedOrientedGraph:
         return self.out_neighbors(v) | self.in_neighbors(v)
 
 
-def normalize(graph: WeightedOrientedGraph) -> WeightedOrientedGraph:
-    """Force weight 1 on every source (vertex with no incoming edge).
-
-    I(D) never involves a source's weight, so this changes no ideal; it
-    does pin down the vertex-role predicates.  Isolated vertices count as
-    sources (and as sinks), hence also get weight 1.
-    """
-    targets = {j for _, j in graph.edges}
-    new_weights = tuple(
-        w if (v + 1) in targets else 1 for v, w in enumerate(graph.weights)
-    )
-    if new_weights == graph.weights:
-        return graph
-    return WeightedOrientedGraph(graph.num_vertices, graph.edges, new_weights)
-
-
 @dataclass(frozen=True)
 class VertexRoles:
     sources: frozenset[int]
     sinks: frozenset[int]
-    heavy: frozenset[int]  # vertices of weight >= 2 after normalization
+    heavy: frozenset[int]  # vertices of weight >= 2, all of them edge targets
     all_heavy_are_sinks: bool
 
 
 def vertex_roles(graph: WeightedOrientedGraph) -> VertexRoles:
-    """Sources, sinks and heavy (weight >= 2) vertices of the normalized graph.
+    """Sources, sinks and heavy (weight >= 2) vertices.
 
-    A vertex with no edges at all is both a source and a sink.
+    A vertex with no edges at all is both a source and a sink.  Sources
+    carry weight 1, so every heavy vertex is an edge target.
     """
-    graph = normalize(graph)
     sources = frozenset(
         v for v in range(1, graph.num_vertices + 1) if not graph.in_neighbors(v)
     )
@@ -214,28 +208,6 @@ def alexander_dual(graph: WeightedOrientedGraph) -> AlexanderDual:
 # ------------------------------------------------------------ vertex covers
 
 
-def is_vertex_cover(graph: WeightedOrientedGraph, cover) -> bool:
-    cover = set(cover)
-    return all(i in cover or j in cover for i, j in graph.edges)
-
-
-def is_minimal_cover(graph: WeightedOrientedGraph, cover) -> bool:
-    """A cover no proper subset of which still covers.
-
-    Equivalently every member has an underlying edge whose other endpoint
-    lies outside the cover.
-    """
-    cover = set(cover)
-    if not is_vertex_cover(graph, cover):
-        return False
-    # x is non-removable exactly when some underlying edge at x has its
-    # other endpoint outside; an isolated vertex is always removable.
-    return all(
-        any(u not in cover for u in graph.underlying_neighbors(x))
-        for x in cover
-    )
-
-
 @dataclass(frozen=True)
 class CoverPartition:
     """The L1/L2/L3 partition of a vertex cover C.
@@ -252,7 +224,6 @@ class CoverPartition:
 
 
 def cover_partition(graph: WeightedOrientedGraph, cover) -> CoverPartition:
-    graph = normalize(graph)
     cover = frozenset(cover)
     if not cover <= set(range(1, graph.num_vertices + 1)):
         raise DomainError(f"cover {sorted(cover)} uses vertices outside the graph")
@@ -269,18 +240,19 @@ def cover_partition(graph: WeightedOrientedGraph, cover) -> CoverPartition:
     return CoverPartition(cover, l1, l2, l3)
 
 
-def is_strong_cover(graph: WeightedOrientedGraph, cover) -> bool:
-    """Minimal covers are strong; otherwise every x in L3 needs a directed
-    in-edge (y, x) with y in L2 u L3 and weight(y) >= 2."""
-    graph = normalize(graph)
-    part = cover_partition(graph, cover)
-    if is_minimal_cover(graph, part.cover):
-        return True
+def _is_strong(graph: WeightedOrientedGraph, part: CoverPartition) -> bool:
     others = part.l2 | part.l3
     return all(
         any(y in others and graph.weight(y) >= 2 for y in graph.in_neighbors(x))
         for x in part.l3
     )
+
+
+def is_strong_cover(graph: WeightedOrientedGraph, cover) -> bool:
+    """Every x in L3 needs a directed in-edge (y, x) with y in L2 u L3 and
+    weight(y) >= 2.  A cover is minimal iff L3 is empty (x can leave C iff
+    all its neighbors lie in C), so minimal covers are strong."""
+    return _is_strong(graph, cover_partition(graph, cover))
 
 
 def strong_covers(
@@ -293,7 +265,6 @@ def strong_covers(
     a branch as soon as two endpoints of an edge are both excluded.  The
     subset scan is exponential, hence the vertex limit.
     """
-    graph = normalize(graph)
     s = graph.num_vertices
     if s > max_vertices:
         raise ResourceLimitExceeded(
@@ -326,10 +297,9 @@ def strong_covers(
 
 def cover_ideal(graph: WeightedOrientedGraph, cover) -> IrreducibleIdeal:
     """I_C for a strong cover C: exponent 1 on L1, the weight on L2 u L3."""
-    graph = normalize(graph)
-    if not is_strong_cover(graph, cover):
-        raise DomainError(f"{sorted(set(cover))} is not a strong vertex cover")
     part = cover_partition(graph, cover)
+    if not _is_strong(graph, part):
+        raise DomainError(f"{sorted(part.cover)} is not a strong vertex cover")
     alpha = [0] * graph.num_vertices
     for x in part.l1:
         alpha[x - 1] = 1
@@ -349,7 +319,6 @@ def decomposition_via_covers(
     has to match :func:`irreducible_decomposition`, which the test-suite
     checks graph by graph.
     """
-    graph = normalize(graph)
     if not graph.edges:
         raise DomainError("the edgeless graph has the zero edge ideal; no decomposition")
     ideal = edge_ideal(graph)
@@ -371,7 +340,6 @@ def irrelevant_in_ass(graph: WeightedOrientedGraph) -> bool:
     vertex set equals the out-neighborhood of the heavy vertices).  They
     must agree; disagreement raises.
     """
-    graph = normalize(graph)
     s = graph.num_vertices
     everything = frozenset(range(1, s + 1))
     if not graph.edges:
@@ -414,7 +382,6 @@ class ClassifyReport:
 
 
 def classify(graph: WeightedOrientedGraph) -> ClassifyReport:
-    graph = normalize(graph)
     roles = vertex_roles(graph)
     props = underlying_props(graph)
     heavy_non_sinks = tuple(sorted(roles.heavy - roles.sinks))
@@ -441,7 +408,6 @@ def non_sink_witness(graph: WeightedOrientedGraph) -> Exponent | None:
     pick edges (u, v) and (v, x) and return the exponent vector of
     t_u * t_v^{w_v} * t_x^{w_x}, choosing the least v, then least u and x.
     """
-    graph = normalize(graph)
     for v in range(1, graph.num_vertices + 1):
         if graph.weight(v) < 2:
             continue

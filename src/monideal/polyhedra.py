@@ -87,17 +87,6 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def contains_point(poly: CoveringFormPolyhedron, point) -> bool:
-    point = tuple(Fraction(x) for x in point)
-    if len(point) != poly.num_vars:
-        raise DimensionMismatch(
-            f"point {point} has length {len(point)}, expected {poly.num_vars}"
-        )
-    return all(x >= 0 for x in point) and all(
-        _dot(point, c) >= 1 for c in poly.columns
-    )
-
-
 # perfbench/spans.py reads this function by name.
 def _vertex_certificates(poly: CoveringFormPolyhedron) -> tuple[FractionVector, ...]:
     """The vertices, by double description of the homogenized cone.
@@ -333,15 +322,18 @@ def closure_gaps(ideal: MonomialIdeal, bound: int, **limits):
     """Yield, for n = 1..bound, the generators of the closure of I^n outside I^n.
 
     I^n lies in its closure, so I^n is integrally closed iff the tuple for n
-    is empty.  Each power is computed only when the caller asks for it.
-    `limits` go to :func:`integral_closure_power`.
+    is empty.  The vertices of Q(I) are enumerated once, at the first
+    request; each power is computed only when the caller asks for it, as
+    I^(n-1) * I.  `limits` go to :func:`enumerate_vertices`.
     """
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
+    vertices = enumerate_vertices(covering_polyhedron(ideal), **limits)
+    power = ideal
     for n in range(1, bound + 1):
-        closure = integral_closure_power(ideal, n, **limits)
-        power = ideal ** n
-        yield tuple(closure._split(power)[1])
+        if n > 1:
+            power = power * ideal
+        yield tuple(_closure_box_scan(ideal, vertices, n)._split(power)[1])
 
 
 def is_normal_up_to(ideal: MonomialIdeal, bound: int, **limits) -> bool:

@@ -1,17 +1,22 @@
-"""Slow oracles for the decomposition tests.
+"""Slow oracles for the tests, straight from the definitions.
 
 They recompute associated primes from the colon definition, (I : t^f) = p,
 by scanning a box of exponent vectors, and the pure powers that make up the
-generators of the irreducible components.  No product code calls them.
+generators of the irreducible components.  Vertex covers and their
+minimality are read off the edges, and membership in a covering-form
+polyhedron off its inequalities.  No product code calls them.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 from monideal.decomposition import MonomialPrime
-from monideal.errors import DomainError
+from monideal.errors import DimensionMismatch, DomainError
+from monideal.graphs import WeightedOrientedGraph
 from monideal.ideals import Exponent, MonomialIdeal, graded_lex_key, vec_sub_clamped
+from monideal.polyhedra import CoveringFormPolyhedron
 
 
 def exponent_duality(ideal: MonomialIdeal) -> tuple[Exponent, ...]:
@@ -84,3 +89,30 @@ def colon_prime_scan(
         if support is not None:
             found.add(MonomialPrime(ideal.num_vars, support))
     return frozenset(found)
+
+
+def is_vertex_cover(graph: WeightedOrientedGraph, cover) -> bool:
+    cover = set(cover)
+    return all(i in cover or j in cover for i, j in graph.edges)
+
+
+def is_minimal_cover(graph: WeightedOrientedGraph, cover) -> bool:
+    """A cover no proper subset of which still covers.
+
+    Checked by dropping each member in turn and testing what is left.
+    """
+    cover = set(cover)
+    return is_vertex_cover(graph, cover) and not any(
+        is_vertex_cover(graph, cover - {x}) for x in cover
+    )
+
+
+def contains_point(poly: CoveringFormPolyhedron, point) -> bool:
+    point = tuple(Fraction(x) for x in point)
+    if len(point) != poly.num_vars:
+        raise DimensionMismatch(
+            f"point {point} has length {len(point)}, expected {poly.num_vars}"
+        )
+    return all(x >= 0 for x in point) and all(
+        sum(x * y for x, y in zip(point, c)) >= 1 for c in poly.columns
+    )

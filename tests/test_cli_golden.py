@@ -33,6 +33,8 @@ INPUTS = {
     "block.in": VERTEX_BLOCK,
     "edgeless.graph": "vertices 3\nweights 1 2 1\n",
     "triangle.graph": "vertices 3\nweights 1 2 1\nedge 1 2\nedge 2 3\nedge 1 3\n",
+    # Vertex 1 is a source of weight 5, which I(D) never reads.
+    "heavy-source.graph": "vertices 4\nweights 5 3 2 1\nedge 1 2\nedge 2 3\nedge 1 4\n",
     "bad.ideal": "(t1*bad^^2)\n",
     "big.graph": "\n".join(["vertices 30"] + [f"edge {i} {i + 1}" for i in range(1, 30)]) + "\n",
     "wide.ideal": "t1, t2\n",
@@ -66,6 +68,10 @@ CASES = [
     ("wog-covers-ex55", ["wog-covers", "ex55.graph"]),
     ("wog-ideal-ex55", ["wog-ideal", "ex55.graph"]),
     ("wog-dual-ex55", ["wog-dual", "ex55.graph"]),
+    ("wog-classify-heavy-source", ["wog-classify", "heavy-source.graph"]),
+    ("wog-covers-heavy-source", ["wog-covers", "heavy-source.graph"]),
+    ("wog-ideal-heavy-source", ["wog-ideal", "heavy-source.graph"]),
+    ("wog-dual-heavy-source", ["wog-dual", "heavy-source.graph"]),
     ("poly-vertices-ex51", ["poly-vertices", "ex51.ideal"]),
     ("poly-vertices-block", ["poly-vertices", "block.in"]),
     ("poly-vertices-block-normaliz", ["poly-vertices", "block.in", "--normaliz-format"]),

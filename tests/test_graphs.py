@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monideal.errors import ConsistencyError, DomainError, FormatError, ResourceLimitExceeded
 from monideal.fixtures import (
@@ -31,11 +32,8 @@ from monideal.graphs import (
     edge_ideal,
     format_graph,
     irrelevant_in_ass,
-    is_minimal_cover,
     is_strong_cover,
-    is_vertex_cover,
     non_sink_witness,
-    normalize,
     parse_graph,
     strong_covers,
     underlying_props,
@@ -44,6 +42,7 @@ from monideal.graphs import (
 from monideal.decomposition import irreducible_decomposition
 
 from conftest import graphs
+from oracles import is_minimal_cover, is_vertex_cover
 
 
 def test_build_rejects_bad_graphs():
@@ -62,18 +61,23 @@ def test_build_accepts_weight_mapping():
     assert g.weights == (1, 4, 1)
 
 
-def test_normalize_clears_source_and_isolated_weights():
+def test_construction_clears_source_and_isolated_weights():
     g = WeightedOrientedGraph.build(3, [(1, 2)], weights=(3, 2, 5))
-    n = normalize(g)
-    assert n.weights == (1, 2, 1)  # vertex 1 is a source, vertex 3 isolated
-    assert normalize(n) == n
+    assert g.weights == (1, 2, 1)  # vertex 1 is a source, vertex 3 isolated
+    assert parse_graph("vertices 3\nweights 3 2 5\nedge 1 2\n") == g
+    assert vertex_roles(g).heavy == frozenset({2})
 
 
-@given(graphs())
-def test_normalize_is_idempotent_and_preserves_the_ideal(g):
-    n = normalize(g)
-    assert normalize(n) == n
-    assert edge_ideal(g) == edge_ideal(n)
+@given(graphs(), st.lists(st.integers(min_value=1, max_value=9), min_size=5, max_size=5))
+def test_graphs_differing_off_the_targets_are_equal(g, other):
+    """Weights on vertices that are no edge's target never reach I(D)."""
+    targets = {j for _, j in g.edges}
+    reweighted = WeightedOrientedGraph(g.num_vertices, g.edges, tuple(
+        g.weight(v) if v in targets else other[v - 1]
+        for v in range(1, g.num_vertices + 1)
+    ))
+    assert reweighted == g
+    assert edge_ideal(reweighted) == edge_ideal(g)
 
 
 def test_vertex_roles_on_triangles():
@@ -137,7 +141,7 @@ def test_minimal_covers_are_strong_with_empty_l3(g):
                 continue
             if is_minimal_cover(g, cover):
                 assert is_strong_cover(g, cover)
-                assert cover_partition(normalize(g), cover).l3 == frozenset()
+                assert cover_partition(g, cover).l3 == frozenset()
 
 
 @given(graphs())

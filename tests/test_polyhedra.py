@@ -34,7 +34,6 @@ from monideal.polyhedra import (
     closure_member_by_power_scan,
     closure_witness_scale,
     CoveringFormPolyhedron,
-    contains_point,
     covering_polyhedron,
     decomposition_is_minimal,
     dual_ntf_check,
@@ -52,6 +51,7 @@ from monideal.polyhedra import (
 )
 
 from conftest import graphs, ideals
+from oracles import contains_point
 
 
 # ------------------------------------------------- basic-solution oracle
@@ -330,13 +330,13 @@ def test_is_normal_up_to_stops_at_the_first_open_power(monkeypatch):
     import monideal.polyhedra as polyhedra
 
     calls = []
-    original = polyhedra.integral_closure_power
+    original = polyhedra._closure_box_scan
 
-    def counted(ideal, n, **limits):
+    def counted(ideal, rows, n):
         calls.append(n)
-        return original(ideal, n, **limits)
+        return original(ideal, rows, n)
 
-    monkeypatch.setattr(polyhedra, "integral_closure_power", counted)
+    monkeypatch.setattr(polyhedra, "_closure_box_scan", counted)
     ex51 = parse_ideal("t1*t2^2, t3*t2^2, t3*t4^2, t1*t4^2")
     assert not is_normal_up_to(ex51, 3)
     assert calls == [1]
