@@ -33,9 +33,9 @@ from .errors import (
 from .fixtures import ALL_FIXTURES, fixture, fixture_checks
 from .graphs import (
     DEFAULT_COVER_VERTEX_LIMIT,
+    _partition_ideal,
     alexander_dual,
     classify,
-    cover_ideal,
     cover_partition,
     edge_ideal,
     format_graph,
@@ -232,7 +232,7 @@ def _cmd_wog_covers(args):
     lines = []
     for cover in covers:
         part = cover_partition(graph, cover)
-        ideal = cover_ideal(graph, cover)
+        ideal = _partition_ideal(graph, part)  # strong_covers yields strong covers
         entries.append(
             {
                 "cover": sorted(cover),

@@ -300,6 +300,13 @@ def cover_ideal(graph: WeightedOrientedGraph, cover) -> IrreducibleIdeal:
     part = cover_partition(graph, cover)
     if not _is_strong(graph, part):
         raise DomainError(f"{sorted(part.cover)} is not a strong vertex cover")
+    return _partition_ideal(graph, part)
+
+
+def _partition_ideal(
+    graph: WeightedOrientedGraph, part: CoverPartition
+) -> IrreducibleIdeal:
+    """I_C read off the partition of a cover the caller knows is strong."""
     alpha = [0] * graph.num_vertices
     for x in part.l1:
         alpha[x - 1] = 1

@@ -19,12 +19,16 @@ localizations) go through the private :meth:`MonomialIdeal._from_trusted`,
 which minimalizes without checking again.  Only vectors built from valid
 operands may be passed to it.
 
-Divisibility is tested on one bitset kernel.  :func:`_at_least` indexes a
-list of vectors by the bits of Python ints: per coordinate, one mask for
-each value in that column, holding the vectors that reach it.
-:func:`_multiples` ANDs one mask per coordinate and so finds every multiple
-of t^g in the list at once; the big-int operations run in C.  The masks are
-chosen by comparing values, so exponents of any size need no special case.
+Divisibility is tested on one bitset kernel.  It indexes a list of vectors
+by the bits of Python ints: the mask of a coordinate and a threshold x
+holds the vectors whose entry there is at least x.  :func:`_multiples`
+ANDs one mask per coordinate and so finds every multiple of t^g in the
+list at once; the big-int operations run in C.  :func:`_at_least` only
+keeps each column as `bytes`, with entries above 255 clamped to 255, and a
+mask is built from those bytes the first time a query needs it.  For a
+threshold of 256 or more the clamped bytes cannot tell the entries apart,
+so its mask is read from the column of ints, and exponents of any size
+stay exact.
 Minimalization drops the multiples of each minimal generator in one step,
 and the membership split behind intersection and inclusion ORs the
 multiples of the other ideal's generators.  An intersection J ^ K passes
@@ -36,8 +40,6 @@ lcm(u, v) is a multiple of u, so those lcms add nothing.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
 from operator import add
 
@@ -85,55 +87,59 @@ def unit_vector(index: int, num_vars: int) -> Exponent:
     return tuple(1 if i == index - 1 else 0 for i in range(num_vars))
 
 
-_ONE = ord("1")
+# _REACH[x] is a bytes.translate table that maps a byte b to the digit "1"
+# if b >= x and to "0" otherwise.
+_REACH = [b"0" * x + b"1" * (256 - x) for x in range(256)]
 
 
 def _at_least(vecs):
-    """Per-coordinate tables of which `vecs` reach each value.
+    """Per-coordinate tables from which :func:`_multiples` reads masks.
 
-    For coordinate i the table is ``(values, masks)``: the distinct values
-    of column i in ascending order, and for each value x a bitmask whose
-    bit j is set when ``vecs[j][i] >= x``.  Bit j of every mask stands for
-    ``vecs[j]``, so ANDing masks of different coordinates tests all the
-    vectors at once, in C, on Python's big ints.  Each mask is read from a
-    string of binary digits, most significant (the last vector) first,
-    that gains the vectors of each value from the largest value down.
+    For coordinate i the table is ``(column, raw, memo)``: the column
+    itself, the column reversed as `bytes` with every value above 255
+    clamped to 255, and an empty dict that memoizes the masks built from
+    them.  Reversed, the last vector comes first, so a string of binary
+    digits read from `raw` by ``int(digits, 2)`` has bit j for
+    ``vecs[j]``.  No mask is built here: a list of a handful of vectors
+    pays for one `bytes` per column, and masks for values that no query
+    asks for are never made.
     """
-    n = len(vecs)
     tables = []
     for column in zip(*vecs):
-        where = defaultdict(list)
-        for pos, x in enumerate(reversed(column)):
-            where[x].append(pos)
-        values = sorted(where)
-        digits = bytearray(b"0" * n)
-        masks = []
-        for x in values[:0:-1]:
-            for pos in where[x]:
-                digits[pos] = _ONE
-            masks.append(int(digits, 2))
-        masks.append((1 << n) - 1)  # every vector reaches the smallest value
-        masks.reverse()
-        tables.append((values, masks))
+        try:
+            raw = bytes(column)[::-1]
+        except ValueError:
+            raw = bytes([x if x < 256 else 255 for x in column])[::-1]
+        tables.append((column, raw, {}))
     return tables
 
 
 def _multiples(tables, g):
     """Bitmask of the vectors indexed by `tables` that t^g divides.
 
-    Coordinate by coordinate, bisect to the first value >= g_i and AND in
-    its mask: a vector survives iff it reaches g_i in every coordinate.
-    The result is 0 when some g_i is above every value of its column, and
-    -1 (every bit) when g is the zero vector, which divides everything.
-    Exponents are only compared with each other, so any size is exact.
+    Coordinate by coordinate, AND in the mask of the vectors whose entry
+    is at least g_i: a vector survives iff it reaches g_i in every
+    coordinate.  A mask is built the first time a threshold x is asked
+    for and kept in the column's memo.  For x <= 255 it is `raw`
+    translated by ``_REACH[x]``; the clamp at 255 keeps this exact, since
+    a clamped entry is above 255 and so reaches x either way.  For
+    x >= 256 the clamped bytes cannot tell the entries apart, so the mask
+    is read from the column itself by comparing ints, and exponents of
+    any size stay exact.  The result is 0 when no vector reaches some
+    g_i, and -1 (every bit) when g is the zero vector, which divides
+    everything.
     """
     hit = -1
-    for (values, masks), x in zip(tables, g):
+    for (column, raw, memo), x in zip(tables, g):
         if x:
-            k = bisect_left(values, x)
-            if k == len(values):
-                return 0
-            hit &= masks[k]
+            mask = memo.get(x)
+            if mask is None:
+                if x < 256:
+                    digits = raw.translate(_REACH[x])
+                else:
+                    digits = bytes(map(x.__le__, reversed(column))).translate(_REACH[1])
+                mask = memo[x] = int(digits, 2)
+            hit &= mask
     return hit
 
 

@@ -373,6 +373,34 @@ def test_membership_with_straddling_exponents():
     assert J & K == K == naive_intersection(J, K)
 
 
+BYTE_EDGE = (254, 255, 256, 257, 2**70 - 2, 2**70 + 2)
+
+
+def test_kernel_at_the_byte_boundary():
+    """One column holds entries on both sides of 255 and near 2^70.  The
+    kernel's byte columns clamp all but 254 to 255, so the thresholds 255,
+    256 and 2^70 must still split them as tuple divisibility does."""
+    # An antichain: the first exponent rises as the second falls.
+    J = MonomialIdeal.from_gens([(e, 5 - i) for i, e in enumerate(BYTE_EDGE)], 2)
+    assert sorted(g[0] for g in J.gens) == list(BYTE_EDGE)
+    tops = [(x, c) for x in (255, 256, 2**70) for c in range(6)]
+    for K in [MonomialIdeal.from_gens([t], 2) for t in tops] + [
+        MonomialIdeal.from_gens([(255, 5), (256, 3), (2**70, 1)], 2)
+    ]:
+        for A, B in ((J, K), (K, J)):
+            inside = [u for u in A.gens if any(divides(v, u) for v in B.gens)]
+            outside = [u for u in A.gens if u not in inside]
+            assert A._split(B) == (inside, outside)
+            assert (A <= B) == (not outside)
+        assert J & K == naive_intersection(J, K)
+        vectors = list(J.gens + K.gens)
+        assert minimal_generators(vectors) == naive_minimal_generators(vectors)
+    vectors = [(e, c) for e in BYTE_EDGE + (2**70,) for c in range(3)]
+    assert minimal_generators(vectors) == naive_minimal_generators(vectors)
+    column = [(e,) for e in BYTE_EDGE + (2**70,)]
+    assert minimal_generators(column[1:]) == ((255,),)
+
+
 def test_from_gens_refuses_bad_vectors():
     with pytest.raises(DimensionMismatch):
         MonomialIdeal.from_gens([(1, 0), (1, 0, 0)], 2)
