@@ -34,13 +34,12 @@ from .fixtures import ALL_FIXTURES, fixture, fixture_checks
 from .graphs import (
     DEFAULT_COVER_VERTEX_LIMIT,
     _partition_ideal,
+    _strong_partitions,
     alexander_dual,
     classify,
-    cover_partition,
     edge_ideal,
     format_graph,
     parse_graph,
-    strong_covers,
 )
 from .ideals import format_ideal, format_monomial, parse_ideal
 from .polyhedra import (
@@ -227,15 +226,13 @@ def _cmd_wog_classify(args):
 
 def _cmd_wog_covers(args):
     graph = _load_graph(args)
-    covers = strong_covers(graph, max_vertices=args.max_covers)
     entries = []
     lines = []
-    for cover in covers:
-        part = cover_partition(graph, cover)
-        ideal = _partition_ideal(graph, part)  # strong_covers yields strong covers
+    for part in _strong_partitions(graph, args.max_covers):
+        ideal = _partition_ideal(graph, part)
         entries.append(
             {
-                "cover": sorted(cover),
+                "cover": sorted(part.cover),
                 "l1": sorted(part.l1),
                 "l2": sorted(part.l2),
                 "l3": sorted(part.l3),
@@ -244,7 +241,7 @@ def _cmd_wog_covers(args):
             }
         )
         lines.append(
-            f"{_set_text(cover)} L1={_set_text(part.l1)} L2={_set_text(part.l2)} "
+            f"{_set_text(part.cover)} L1={_set_text(part.l1)} L2={_set_text(part.l2)} "
             f"L3={_set_text(part.l3)} ideal={ideal}"
         )
     if not lines:

@@ -22,7 +22,7 @@ long sweep over many ideals from growing the cache without limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ConsistencyError, DomainError
 from .ideals import (
@@ -106,10 +106,29 @@ class MonomialPrime:
 
 @dataclass(frozen=True)
 class IrreducibleDecomposition:
-    """An irredundant intersection of irreducible ideals, canonically sorted."""
+    """An irredundant intersection of irreducible ideals, canonically sorted.
+
+    Its primes are read off the components and stored on first read: the
+    associated primes are the supports of the components, and the minimal
+    primes are those that contain no other one.  A decomposition held by
+    the cache of :func:`irreducible_decomposition` so builds each set once.
+    """
 
     num_vars: int
     components: tuple[IrreducibleIdeal, ...]
+
+    @cached_property
+    def associated_primes(self) -> frozenset[MonomialPrime]:
+        return frozenset(
+            MonomialPrime(self.num_vars, c.support()) for c in self.components
+        )
+
+    @cached_property
+    def minimal_primes(self) -> frozenset[MonomialPrime]:
+        ass = self.associated_primes
+        return frozenset(
+            p for p in ass if not any(q.support < p.support for q in ass)
+        )
 
     def intersection(self) -> MonomialIdeal:
         return intersect_all(
@@ -186,17 +205,12 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> IrreducibleDecomposition:
 
 def associated_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
     """Radicals of the irredundant irreducible components."""
-    dec = irreducible_decomposition(ideal)
-    return frozenset(
-        MonomialPrime(ideal.num_vars, c.support()) for c in dec.components
-    )
+    return irreducible_decomposition(ideal).associated_primes
 
 
 def minimal_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
-    ass = associated_primes(ideal)
-    return frozenset(
-        p for p in ass if not any(q.support < p.support for q in ass)
-    )
+    """The associated primes that contain no other associated prime."""
+    return irreducible_decomposition(ideal).minimal_primes
 
 
 def embedded_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:

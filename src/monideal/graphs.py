@@ -230,6 +230,11 @@ def cover_partition(graph: WeightedOrientedGraph, cover) -> CoverPartition:
     for i, j in graph.sorted_edges():
         if i not in cover and j not in cover:
             raise DomainError(f"cover {sorted(cover)} misses edge ({i}, {j})")
+    return _partition(graph, cover)
+
+
+def _partition(graph: WeightedOrientedGraph, cover: frozenset[int]) -> CoverPartition:
+    """The partition of a set the caller knows is a vertex cover."""
     l1 = frozenset(
         x for x in cover if any(y not in cover for y in graph.out_neighbors(x))
     )
@@ -265,6 +270,15 @@ def strong_covers(
     a branch as soon as two endpoints of an edge are both excluded.  The
     subset scan is exponential, hence the vertex limit.
     """
+    return tuple(part.cover for part in _strong_partitions(graph, max_vertices))
+
+
+def _strong_partitions(
+    graph: WeightedOrientedGraph, max_vertices: int
+) -> tuple[CoverPartition, ...]:
+    """The partitions of the strong covers, in the order of
+    :func:`strong_covers`.  The sweep yields only vertex covers, so each
+    is partitioned once, without checking its edges again."""
     s = graph.num_vertices
     if s > max_vertices:
         raise ResourceLimitExceeded(
@@ -291,8 +305,9 @@ def strong_covers(
             excluded.remove(v)
 
     sweep(1, [], set())
-    strong = [c for c in covers if is_strong_cover(graph, c)]
-    return tuple(sorted(strong, key=lambda c: (len(c), tuple(sorted(c)))))
+    strong = [p for p in (_partition(graph, c) for c in covers) if _is_strong(graph, p)]
+    strong.sort(key=lambda p: (len(p.cover), tuple(sorted(p.cover))))
+    return tuple(strong)
 
 
 def cover_ideal(graph: WeightedOrientedGraph, cover) -> IrreducibleIdeal:
@@ -330,7 +345,7 @@ def decomposition_via_covers(
         raise DomainError("the edgeless graph has the zero edge ideal; no decomposition")
     ideal = edge_ideal(graph)
     components = [
-        cover_ideal(graph, c) for c in strong_covers(graph, max_vertices)
+        _partition_ideal(graph, p) for p in _strong_partitions(graph, max_vertices)
     ]
     kept = irredundant_subset(components, ideal)
     return IrreducibleDecomposition(graph.num_vertices, kept)

@@ -29,19 +29,23 @@ mask is built from those bytes the first time a query needs it.  For a
 threshold of 256 or more the clamped bytes cannot tell the entries apart,
 so its mask is read from the column of ints, and exponents of any size
 stay exact.
-Minimalization drops the multiples of each minimal generator in one step,
-and the membership split behind intersection and inclusion ORs the
-multiples of the other ideal's generators.  An intersection J ^ K passes
-through the generators of either side that lie in the other side, and pairs
-only the rest: if u in J lies in K, then u lies in J ^ K, and every
-lcm(u, v) is a multiple of u, so those lcms add nothing.
+A query reads the tables of the nonzero coordinates of t^g only.
+Minimalization sorts its candidates by total degree alone, drops the
+multiples of each minimal generator in one step, and puts only the kept
+generators in graded-lex order at the end.  The membership split behind
+intersection and inclusion ORs the multiples of the other ideal's
+generators.  An intersection J ^ K passes through the generators of either
+side that lie in the other side, and pairs only the rest: if u in J lies in
+K, then u lies in J ^ K, and every lcm(u, v) is a multiple of u, so those
+lcms add nothing.  Products and intersections build their candidates column
+by column, one list of sums or maxima per coordinate over all pairs, and
+zip the columns into vectors, so no Python function is called per pair.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import add
 
 from .errors import DimensionMismatch, DomainError, FormatError
 
@@ -59,16 +63,6 @@ def divides(a: Exponent, b: Exponent) -> bool:
         if x > y:
             return False
     return True
-
-
-def vec_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(map(add, a, b))
-
-
-def vec_max(a: Exponent, b: Exponent) -> Exponent:
-    """Exponent vector of lcm(t^a, t^b)."""
-    # A list comprehension builds the tuple faster than a generator.
-    return tuple([x if x >= y else y for x, y in zip(a, b)])
 
 
 def vec_sub_clamped(a: Exponent, b: Exponent) -> Exponent:
@@ -125,13 +119,15 @@ def _multiples(tables, g):
     a clamped entry is above 255 and so reaches x either way.  For
     x >= 256 the clamped bytes cannot tell the entries apart, so the mask
     is read from the column itself by comparing ints, and exponents of
-    any size stay exact.  The result is 0 when no vector reaches some
-    g_i, and -1 (every bit) when g is the zero vector, which divides
-    everything.
+    any size stay exact.  Only the tables of the support of g are read:
+    a zero g_i holds every vector.  The result is 0 when no vector
+    reaches some g_i, and -1 (every bit) when g is the zero vector, which
+    divides everything.
     """
     hit = -1
-    for (column, raw, memo), x in zip(tables, g):
+    for i, x in enumerate(g):
         if x:
+            column, raw, memo = tables[i]
             mask = memo.get(x)
             if mask is None:
                 if x < 256:
@@ -146,6 +142,8 @@ def _multiples(tables, g):
 def _sift(vecs, gens):
     """Split `vecs` into those divisible by one of `gens` and the rest,
     each list in the order of `vecs`."""
+    if not vecs:
+        return [], []  # no tables to read a mask from
     tables = _at_least(vecs)
     hit = 0
     for g in gens:
@@ -161,17 +159,19 @@ def _sift(vecs, gens):
 def minimal_generators(vectors) -> tuple[Exponent, ...]:
     """Divisibility antichain of `vectors`, canonically sorted.
 
-    The distinct vectors are sorted in graded-lex order and indexed by the
-    bits of `alive`, which starts with every bit set.  The lowest alive
-    vector is minimal.  A proper divisor of it has smaller degree, so it
-    comes earlier, and every earlier vector was either emitted or cleared
-    as a multiple of an emitted one; either way an emitted vector divides
-    the divisor and so would have cleared this vector already.  It is
-    emitted, and all its multiples are cleared at once with the mask of
-    :func:`_multiples`.
+    The distinct vectors are sorted by total degree only, ties in no
+    particular order, and indexed by the bits of `alive`, which starts
+    with every bit set.  The lowest alive vector is minimal.  A proper
+    divisor of it has smaller degree, so it comes earlier, and every
+    earlier vector was either emitted or cleared as a multiple of an
+    emitted one; either way an emitted vector divides the divisor and so
+    would have cleared this vector already.  It is emitted, and all its
+    multiples are cleared at once with the mask of :func:`_multiples`.
+    Only the kept vectors are then put in graded-lex order, so the
+    candidates, usually many more, are never compared lexicographically.
     """
-    vecs = sorted(set(vectors))
-    vecs.sort(key=sum)  # stable, so this is graded-lex order
+    vecs = list(set(vectors))
+    vecs.sort(key=sum)
     if len(vecs) < 2:
         return tuple(vecs)
     tables = _at_least(vecs)
@@ -184,6 +184,8 @@ def minimal_generators(vectors) -> tuple[Exponent, ...]:
         # v is among its own multiples; clearing `low` as well bounds the
         # rounds by the vector count even if a table were wrong.
         alive &= ~(low | _multiples(tables, v))
+    out.sort()
+    out.sort(key=sum)  # stable, so this is graded-lex order
     return tuple(out)
 
 
@@ -282,10 +284,19 @@ class MonomialIdeal:
     # ------------------------------------------------------------ arithmetic
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """Product J * K, generated by the sums of all generator pairs.
+
+        The sums are formed a column at a time: column i of the candidates
+        lists x + y for every pair of entries of column i of J and of K,
+        in the same pair order in every column, so zipping the columns
+        back together gives the sum vectors with no Python call per pair.
+        """
         self._check_compatible(other)
-        return MonomialIdeal._from_trusted(
-            [vec_add(v, w) for v in self.gens for w in other.gens], self.num_vars
-        )
+        cols = [
+            [x + y for x in cu for y in cv]
+            for cu, cv in zip(zip(*self.gens), zip(*other.gens))
+        ]
+        return MonomialIdeal._from_trusted(list(zip(*cols)), self.num_vars)
 
     def __pow__(self, n: int) -> "MonomialIdeal":
         if not isinstance(n, int) or n < 1:
@@ -303,14 +314,18 @@ class MonomialIdeal:
         and every lcm(u, v) is a multiple of u, so those lcms add nothing.
         The same holds for K.  So only the generators of each side outside
         the other side are paired, and the members join the lcms as they
-        are before minimalization.
+        are before minimalization.  The lcms are formed column by column, as the sums of :meth:`__mul__`
+        are, with an entrywise max in place of the sum.
         """
         self._check_compatible(other)
         in_j, out_j = _sift(self.gens, other.gens)
         in_k, out_k = _sift(other.gens, self.gens)
+        cols = [
+            [x if x >= y else y for x in cu for y in cv]
+            for cu, cv in zip(zip(*out_j), zip(*out_k))
+        ]
         return MonomialIdeal._from_trusted(
-            in_j + in_k + [vec_max(u, v) for u in out_j for v in out_k],
-            self.num_vars,
+            in_j + in_k + list(zip(*cols)), self.num_vars
         )
 
     def colon(self, f: Exponent) -> "MonomialIdeal":

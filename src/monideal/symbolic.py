@@ -20,6 +20,7 @@ from .decomposition import (
     MonomialPrime,
     associated_primes,
     embedded_primes,
+    irreducible_decomposition,
     minimal_primes,
 )
 from .errors import ConsistencyError, DomainError
@@ -53,8 +54,18 @@ def max_ass(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
 
 
 def symbolic_power_min(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
-    """I^(n): localized powers intersected over the minimal primes."""
-    return _localized_power_intersection(ideal, n, minimal_primes(ideal))
+    """I^(n): localized powers intersected over the minimal primes.
+
+    Without embedded primes I^(1) is I itself, and no intersection is
+    formed: every component of the decomposition of I has a minimal prime
+    as support, and I_p is the intersection of the components with support
+    p, so the I_p together intersect to all components, which the
+    decomposition has already checked to intersect to I.
+    """
+    dec = irreducible_decomposition(ideal)
+    if n == 1 and isinstance(n, int) and dec.minimal_primes == dec.associated_primes:
+        return ideal
+    return _localized_power_intersection(ideal, n, dec.minimal_primes)
 
 
 def symbolic_power_ass(ideal: MonomialIdeal, n: int) -> MonomialIdeal:

@@ -1,8 +1,10 @@
 """Slow oracles for the tests, straight from the definitions.
 
-They recompute associated primes from the colon definition, (I : t^f) = p,
-by scanning a box of exponent vectors, and the pure powers that make up the
-generators of the irreducible components.  Vertex covers and their
+They form sums and lcms of exponent vectors one pair at a time, as the
+products and intersections of ideals did before they worked column by
+column.  They recompute associated primes from the colon definition,
+(I : t^f) = p, by scanning a box of exponent vectors, and the pure powers
+that make up the generators of the irreducible components.  Vertex covers and their
 minimality are read off the edges, and membership in a covering-form
 polyhedron off its inequalities.  No product code calls them.
 """
@@ -11,12 +13,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 from monideal.decomposition import MonomialPrime
 from monideal.errors import DimensionMismatch, DomainError
 from monideal.graphs import WeightedOrientedGraph
 from monideal.ideals import Exponent, MonomialIdeal, graded_lex_key, vec_sub_clamped
 from monideal.polyhedra import CoveringFormPolyhedron
+
+
+def vec_add(a: Exponent, b: Exponent) -> Exponent:
+    """Exponent vector of t^a * t^b."""
+    return tuple(map(add, a, b))
+
+
+def vec_max(a: Exponent, b: Exponent) -> Exponent:
+    """Exponent vector of lcm(t^a, t^b)."""
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def exponent_duality(ideal: MonomialIdeal) -> tuple[Exponent, ...]:

@@ -174,8 +174,10 @@ def test_cover_decomposition_refuses_missing_covers(monkeypatch):
     re-intersection in irredundant_subset."""
     import monideal.graphs as graphs_module
 
-    covers = graphs_module.strong_covers(PATH_MIDDLE.graph)
-    monkeypatch.setattr(graphs_module, "strong_covers", lambda g, limit: covers[:1])
+    parts = graphs_module._strong_partitions(
+        PATH_MIDDLE.graph, graphs_module.DEFAULT_COVER_VERTEX_LIMIT
+    )
+    monkeypatch.setattr(graphs_module, "_strong_partitions", lambda g, limit: parts[:1])
     with pytest.raises(ConsistencyError):
         decomposition_via_covers(PATH_MIDDLE.graph)
 

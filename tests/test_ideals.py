@@ -1,6 +1,7 @@
 """Core monomial ideal arithmetic, canonical form, and the text format."""
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -18,14 +19,13 @@ from monideal.ideals import (
     parse_monomial,
     power_contains,
     unit_vector,
-    vec_add,
-    vec_max,
     vec_sub_clamped,
     vec_support,
 )
 from monideal.random_instances import random_ideal
 
 from conftest import ideals
+from oracles import vec_add, vec_max
 
 
 def test_vector_helpers():
@@ -256,6 +256,23 @@ def test_minimal_generators_matches_naive(vectors):
     assert minimal_generators(vectors) == naive_minimal_generators(vectors)
 
 
+@given(exponent_lists(), st.randoms(use_true_random=False))
+def test_minimal_generators_ignores_input_order(vectors, rng):
+    """Candidates are presorted by degree alone, so vectors of one degree
+    meet in whatever order the input and the set give them.  The result
+    must still be the same graded-lex antichain for every order of the
+    input, duplicates included: every permutation of a short list, and
+    shuffles of a long one."""
+    expected = naive_minimal_generators(vectors)
+    doubled = vectors + vectors[: len(vectors) // 2 + 1]
+    if len(doubled) <= 5:
+        orders = permutations(doubled)
+    else:
+        orders = [rng.sample(doubled, len(doubled)) for _ in range(2)]
+    for order in orders:
+        assert minimal_generators(order) == expected
+
+
 def test_minimal_generators_edge_cases():
     big = 2**64
     assert minimal_generators([(big, 0), (big + 1, 0), (0, big)]) == ((0, big), (big, 0))
@@ -286,6 +303,41 @@ def test_trusted_arithmetic_matches_from_gens(I, J):
     assert I.radical() == MonomialIdeal.from_gens(
         [vec_support(g) for g in I.gens], s
     )
+
+
+def test_column_candidates_match_pairwise_forms():
+    """Products and intersections form their candidates column by column.
+    On seeded ideals they must agree with the pairwise sums and lcms,
+    minimalized tuple by tuple: with the zero ideal on either side, with
+    one side inside the other, and with 254-257 and 2^70 in one column."""
+    rng = random.Random(20261019)
+    cases = []
+    for _ in range(40):
+        num_vars = rng.randint(1, 5)
+        J, K = random_ideal(rng, num_vars), random_ideal(rng, num_vars)
+        cases += [(J, K), (J, MonomialIdeal.from_gens(J.gens + K.gens, num_vars))]
+    edge = (254, 255, 256, 257, 2**70)
+    for num_vars in (2, 4):
+        def tail():
+            return tuple(rng.randint(0, 3) for _ in range(num_vars - 2))
+
+        # Antichains: the first exponent rises as the second falls.
+        J = MonomialIdeal.from_gens(
+            [(e, len(edge) - i) + tail() for i, e in enumerate(edge)], num_vars
+        )
+        K = MonomialIdeal.from_gens(
+            [(e, i) + tail() for i, e in enumerate(reversed(edge))], num_vars
+        )
+        assert sorted(g[0] for g in J.gens) == sorted(g[0] for g in K.gens) == list(edge)
+        zero = MonomialIdeal.zero(num_vars)
+        cases += [(J, K), (J, zero), (zero, K), (zero, zero)]
+    for J, K in cases:
+        for A, B in ((J, K), (K, J)):
+            assert A * B == MonomialIdeal(
+                A.num_vars,
+                naive_minimal_generators(vec_add(v, w) for v in A.gens for w in B.gens),
+            )
+            assert A & B == naive_intersection(A, B)
 
 
 def naive_intersection(J, K):

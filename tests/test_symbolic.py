@@ -189,6 +189,19 @@ def test_first_symbolic_power_detects_embedded_primes(I):
     assert symbolic_power_ass(I, 1) == I
 
 
+@given(ideals(max_vars=4, max_gens=5))
+@example(edge_ideal(PATH_MIDDLE.graph))
+@example(edge_ideal(TRIANGLE_CYCLE.graph))
+@settings(max_examples=40)
+def test_first_symbolic_power_matches_the_localized_fold(I):
+    """symbolic_power_min(I, 1) returns I itself when Ass(I) = Min(I); on
+    every ideal it must equal the intersection of the localizations at the
+    minimal primes, formed pair by pair.  The path and the weighted
+    3-cycle have embedded primes, so they take the fold."""
+    localized = [localize(I, p) for p in minimal_primes(I)]
+    assert symbolic_power_min(I, 1) == reduce(naive_intersection, localized)
+
+
 @given(ideals(max_vars=3, max_gens=4), st.integers(min_value=1, max_value=2))
 @settings(max_examples=25)
 def test_max_ass_route_equals_full_ass_intersection(I, n):
