@@ -14,7 +14,7 @@ import sys
 
 from monideal.graphs import WeightedOrientedGraph, edge_ideal
 from monideal.ideals import format_monomial
-from monideal.symbolic import compare_powers
+from monideal.symbolic import compare_powers_up_to
 
 
 def oriented_cycle(length: int) -> WeightedOrientedGraph:
@@ -24,10 +24,9 @@ def oriented_cycle(length: int) -> WeightedOrientedGraph:
 
 def first_failure(length: int, max_n: int):
     I = edge_ideal(oriented_cycle(length))
-    for n in range(1, max_n + 1):
-        report = compare_powers(I, n)
+    for report in compare_powers_up_to(I, max_n):
         if not report.equal_min:
-            return n, report.witnesses
+            return report.n, report.witnesses
     return None, ()
 
 

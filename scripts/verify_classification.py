@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from monideal.graphs import classify, edge_ideal, format_graph
 from monideal.random_instances import random_graph
-from monideal.symbolic import compare_powers
+from monideal.symbolic import compare_powers_up_to
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def sweep(config: SweepConfig) -> int:
         )
         I = edge_ideal(g)
         cls = classify(g)
-        equal = [compare_powers(I, n).equal_min for n in range(1, config.max_n + 1)]
+        equal = [r.equal_min for r in compare_powers_up_to(I, config.max_n)]
 
         square_observed = equal[1] if config.max_n >= 2 else None
         all_observed = all(equal)

@@ -52,6 +52,7 @@ from .polyhedra import (
 )
 from .symbolic import (
     compare_powers,
+    compare_powers_up_to,
     is_ntf_up_to,
     localize,
     max_ass,
@@ -77,6 +78,7 @@ __all__ = [
     "associated_primes",
     "classify",
     "compare_powers",
+    "compare_powers_up_to",
     "cover_ideal",
     "covering_polyhedron",
     "decomposition_via_covers",

@@ -45,6 +45,7 @@ from .ideals import format_ideal, format_monomial, parse_ideal
 from .polyhedra import (
     DEFAULT_CONSTRAINT_LIMIT,
     DEFAULT_DIMENSION_LIMIT,
+    _generators_at_vertices,
     closure_gaps,
     covering_polyhedron,
     emit_constraint_block,
@@ -52,7 +53,6 @@ from .polyhedra import (
     format_fraction_vector,
     integral_closure_power,
     newton_hrep,
-    newton_vertices,
     parse_constraint_block,
     polyhedral_conditions_check,
 )
@@ -295,8 +295,8 @@ def _cmd_poly_vertices(args):
 
 def _cmd_newton(args):
     ideal = _load_ideal(args)
-    verts = newton_vertices(ideal, **_limits(args))
     hrep = newton_hrep(ideal, **_limits(args))
+    verts = _generators_at_vertices(ideal, hrep)
     payload = {
         "vertices": [list(v) for v in verts],
         "hrep_columns": [[str(x) for x in c] for c in hrep.columns],

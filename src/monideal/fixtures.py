@@ -39,11 +39,9 @@ from .polyhedra import (
     integral_closure_power,
     irreducible_polyhedron,
     is_normal_up_to,
-    newton_hrep,
-    polyhedra_equal,
     polyhedral_conditions_check,
 )
-from .symbolic import compare_powers, localize, max_ass, symbolic_power_min
+from .symbolic import compare_powers, compare_powers_up_to, localize, max_ass
 
 
 @dataclass(frozen=True)
@@ -214,6 +212,7 @@ def _four_cycle_checks():
     ideal = edge_ideal(graph)
     dec = irreducible_decomposition(ideal)
     dual = alexander_dual(graph)
+    dual_vertices = enumerate_vertices(covering_polyhedron(dual.ideal))
     closure = integral_closure_power(ideal, 1)
     report = classify(graph)
     checks = [
@@ -245,22 +244,21 @@ def _four_cycle_checks():
         ),
         (
             "dual covering polyhedron vertices",
-            enumerate_vertices(covering_polyhedron(dual.ideal))
-            == FOUR_CYCLE_DUAL_Q_VERTICES,
+            dual_vertices == FOUR_CYCLE_DUAL_Q_VERTICES,
         ),
         ("dual normal up to 3", is_normal_up_to(dual.ideal, 3)),
         (
+            # NP(I) == IP(I) iff V <= C; see the polyhedra module docstring.
             "dual Newton equals irreducible polyhedron",
-            polyhedra_equal(newton_hrep(dual.ideal), irreducible_polyhedron(dual.decomposition)),
+            set(dual_vertices) <= set(irreducible_polyhedron(dual.decomposition).columns),
         ),
         (
             "classified square/all-powers/ntf",
             report.square and report.all_powers and report.ntf is True,
         ),
     ]
-    for n in range(1, 5):
-        rep = compare_powers(ideal, n)
-        checks.append((f"powers agree at n={n}", rep.equal_min and rep.equal_ass))
+    for rep in compare_powers_up_to(ideal, 4):
+        checks.append((f"powers agree at n={rep.n}", rep.equal_min and rep.equal_ass))
     for label, target in (("I", ideal), ("J", dual.ideal)):
         cond = polyhedral_conditions_check(target, 2, powers_equal=True)
         checks.append(
@@ -282,7 +280,8 @@ def _triangle_cycle_checks():
     graph = TRIANGLE_CYCLE.graph
     ideal = edge_ideal(graph)
     dec = irreducible_decomposition(ideal)
-    rep2 = compare_powers(ideal, 2)
+    reps = list(compare_powers_up_to(ideal, 3))
+    rep2 = reps[1]
     report = classify(graph)
     witness = non_sink_witness(graph)
     checks = [
@@ -304,10 +303,10 @@ def _triangle_cycle_checks():
             == TRIANGLE_CYCLE_EMBEDDED_SUPPORTS,
         ),
         ("full prime associated via all three criteria", irrelevant_in_ass(graph)),
-        ("first symbolic power exceeds I", symbolic_power_min(ideal, 1) != ideal),
+        ("first symbolic power exceeds I", reps[0].symbolic_min != ideal),
         (
             "symbolic square generators",
-            symbolic_power_min(ideal, 2).gens == TRIANGLE_CYCLE_SYMBOLIC_SQUARE,
+            rep2.symbolic_min.gens == TRIANGLE_CYCLE_SYMBOLIC_SQUARE,
         ),
         (
             "square witnesses",
@@ -325,10 +324,8 @@ def _triangle_cycle_checks():
             and report.has_embedded_primes is True,
         ),
     ]
-    for n in range(1, 4):
-        checks.append(
-            (f"I<{n}> equals I^{n}", compare_powers(ideal, n).equal_ass)
-        )
+    for rep in reps:
+        checks.append((f"I<{rep.n}> equals I^{rep.n}", rep.equal_ass))
     return checks
 
 
@@ -348,7 +345,7 @@ def _triangle_nonsink_checks():
             "t1*t2^2*t3 separates the squares",
             not rep2.equal_min
             and wit in rep2.witnesses
-            and not (ideal ** 2).contains(wit),
+            and not rep2.ordinary.contains(wit),
         ),
         ("witness from the heavy non-sink", non_sink_witness(graph) == wit),
         (
@@ -375,7 +372,7 @@ def _triangle_sink_checks():
             "t1^2*t2*t3 separates the squares",
             not rep2.equal_min
             and wit in rep2.witnesses
-            and not (ideal ** 2).contains(wit),
+            and not rep2.ordinary.contains(wit),
         ),
         (
             "heavy vertex is a sink",
@@ -393,7 +390,8 @@ def _path_middle_checks():
     graph = PATH_MIDDLE.graph
     ideal = edge_ideal(graph)
     dec = irreducible_decomposition(ideal)
-    rep2 = compare_powers(ideal, 2)
+    reps = list(compare_powers_up_to(ideal, 3))
+    rep2 = reps[1]
     report = classify(graph)
     p23 = MonomialPrime(3, frozenset({2, 3}))
     p13 = MonomialPrime(3, frozenset({1, 3}))
@@ -435,8 +433,8 @@ def _path_middle_checks():
             not report.square and report.ntf is None and report.has_embedded_primes,
         ),
     ]
-    for n in range(1, 4):
-        checks.append((f"I<{n}> equals I^{n}", compare_powers(ideal, n).equal_ass))
+    for rep in reps:
+        checks.append((f"I<{rep.n}> equals I^{rep.n}", rep.equal_ass))
     return checks
 
 
@@ -444,7 +442,7 @@ def _seven_cycle_checks():
     graph = SEVEN_CYCLE.graph
     ideal = edge_ideal(graph)
     covers = strong_covers(graph)
-    rep4 = compare_powers(ideal, 4)
+    *agree, rep4 = compare_powers_up_to(ideal, SEVEN_CYCLE_FIRST_FAILURE)
     report = classify(graph)
     checks = [
         (
@@ -465,8 +463,8 @@ def _seven_cycle_checks():
             report.square and not report.all_powers and report.odd_girth == 7,
         ),
     ]
-    for n in range(1, SEVEN_CYCLE_FIRST_FAILURE):
-        checks.append((f"powers agree at n={n}", compare_powers(ideal, n).equal_min))
+    for rep in agree:
+        checks.append((f"powers agree at n={rep.n}", rep.equal_min))
     return checks
 
 

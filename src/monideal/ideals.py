@@ -40,12 +40,19 @@ K, then u lies in J ^ K, and every lcm(u, v) is a multiple of u, so those
 lcms add nothing.  Products and intersections build their candidates column
 by column, one list of sums or maxima per coordinate over all pairs, and
 zip the columns into vectors, so no Python function is called per pair.
+
+Every power comes from one chain, :func:`_powers`: I, I^2, ..., each the
+previous power times I.  `**` reads its last item, and the walks over n
+read it one power at a time.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
 from .errors import DimensionMismatch, DomainError, FormatError
 
@@ -301,10 +308,7 @@ class MonomialIdeal:
     def __pow__(self, n: int) -> "MonomialIdeal":
         if not isinstance(n, int) or n < 1:
             raise DomainError(f"ideal power requires an integer n >= 1, got {n!r}")
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
+        return _last(_powers(self, n))
 
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection J ^ K, through the generators the two sides share.
@@ -370,6 +374,25 @@ def intersect_all(ideals, num_vars: int | None = None) -> MonomialIdeal:
     for j in ideals[1:]:
         out = out & j
     return out
+
+
+def _check_bound(bound):
+    if not isinstance(bound, int):
+        raise DomainError(f"bound must be an integer, got {bound!r}")
+    if bound < 1:
+        raise DomainError(f"bound must be >= 1, got {bound}")
+
+
+def _powers(ideal: MonomialIdeal, bound: int):
+    """I^1..I^bound, each formed when asked for as the previous power times
+    I; the bound is checked at the call, before any power is formed."""
+    _check_bound(bound)
+    return accumulate(repeat(ideal, bound), mul)
+
+
+def _last(items):
+    """The last item of an iterator, keeping no earlier one alive."""
+    return deque(items, maxlen=1).pop()
 
 
 def power_contains(ideal: MonomialIdeal, a: Exponent, n: int) -> bool:

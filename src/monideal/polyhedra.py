@@ -40,10 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomposition import (
-    IrreducibleDecomposition,
-    irreducible_decomposition,
-)
+from .decomposition import IrreducibleDecomposition, irreducible_decomposition
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -51,11 +48,7 @@ from .errors import (
     ResourceLimitExceeded,
 )
 from .graphs import WeightedOrientedGraph, alexander_dual
-from .ideals import (
-    Exponent,
-    MonomialIdeal,
-    power_contains,
-)
+from .ideals import Exponent, MonomialIdeal, _check_bound, _powers, power_contains
 from .symbolic import powers_equal_up_to
 
 FractionVector = tuple[Fraction, ...]
@@ -164,21 +157,6 @@ def enumerate_vertices(
     return _vertex_certificates(poly)
 
 
-def polyhedra_equal(
-    a: CoveringFormPolyhedron, b: CoveringFormPolyhedron, **limits
-) -> bool:
-    """Equality of covering-form polyhedra via their vertex sets.
-
-    Valid because both share the recession cone R^s_{>=0} and are the
-    convex hulls of their vertices plus that cone.
-    """
-    if a.num_vars != b.num_vars:
-        raise DimensionMismatch(
-            f"polyhedra live in dimensions {a.num_vars} and {b.num_vars}"
-        )
-    return set(enumerate_vertices(a, **limits)) == set(enumerate_vertices(b, **limits))
-
-
 # ------------------------------------------------------- ideal polyhedra
 
 
@@ -210,7 +188,12 @@ def newton_vertices(ideal: MonomialIdeal, **limits) -> tuple[Exponent, ...]:
     `limits` bound the enumeration of Q(I) only: the description has as
     many columns as Q(I) has vertices, which they do not bound.
     """
-    vertices = set(_vertex_certificates(newton_hrep(ideal, **limits)))
+    return _generators_at_vertices(ideal, newton_hrep(ideal, **limits))
+
+
+def _generators_at_vertices(ideal: MonomialIdeal, hrep: CoveringFormPolyhedron):
+    """The generators of I that are vertices of the polyhedron `hrep`."""
+    vertices = set(_vertex_certificates(hrep))
     return tuple(g for g in ideal.gens if g in vertices)
 
 
@@ -323,16 +306,12 @@ def closure_gaps(ideal: MonomialIdeal, bound: int, **limits):
 
     I^n lies in its closure, so I^n is integrally closed iff the tuple for n
     is empty.  The vertices of Q(I) are enumerated once, at the first
-    request; each power is computed only when the caller asks for it, as
-    I^(n-1) * I.  `limits` go to :func:`enumerate_vertices`.
+    request; each power is read from the power chain only when the caller
+    asks for it.  `limits` go to :func:`enumerate_vertices`.
     """
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
+    powers = _powers(ideal, bound)
     vertices = enumerate_vertices(covering_polyhedron(ideal), **limits)
-    power = ideal
-    for n in range(1, bound + 1):
-        if n > 1:
-            power = power * ideal
+    for n, power in enumerate(powers, 1):
         yield tuple(_closure_box_scan(ideal, vertices, n)._split(power)[1])
 
 
@@ -393,8 +372,7 @@ def polyhedral_conditions_check(
     powers_equal: bool | None = None,
     **limits,
 ) -> PolyhedralConditionsReport:
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
+    _check_bound(bound)
     dec = irreducible_decomposition(ideal)
     minimal = decomposition_is_minimal(dec)
     vertices = enumerate_vertices(covering_polyhedron(ideal), **limits)

@@ -9,6 +9,10 @@ where I_p denotes the monomial localization: set every variable outside p
 to 1 in each generator and minimalize.  Both agree with the usual
 definitions through saturation, and the ordinary power always sits inside:
 I^n <= I<n> <= I^(n).
+
+Powers are read from the power chain of `ideals`.  :func:`compare_powers_up_to`
+zips the chain of I with one chain of I_p per minimal prime p, so its walk to
+a bound forms each power once: (bound - 1) * (1 + |Min(I)|) products.
 """
 
 from __future__ import annotations
@@ -24,21 +28,16 @@ from .decomposition import (
     minimal_primes,
 )
 from .errors import ConsistencyError, DomainError
-from .ideals import Exponent, MonomialIdeal, intersect_all
+from .ideals import Exponent, MonomialIdeal, _last, _powers, intersect_all
 
 
 def localize(ideal: MonomialIdeal, prime: MonomialPrime) -> MonomialIdeal:
     """Monomial localization I_p: kill exponents outside the prime's support."""
     if prime.num_vars != ideal.num_vars:
         raise DomainError("prime and ideal live in different rings")
-    keep = prime.support
-    return MonomialIdeal._from_trusted(
-        [
-            tuple(e if (i + 1) in keep else 0 for i, e in enumerate(g))
-            for g in ideal.gens
-        ],
-        ideal.num_vars,
-    )
+    keep = [i in prime.support for i in range(1, ideal.num_vars + 1)]
+    gens = [tuple(e if k else 0 for e, k in zip(g, keep)) for g in ideal.gens]
+    return MonomialIdeal._from_trusted(gens, ideal.num_vars)
 
 
 def _sorted_primes(primes):
@@ -74,12 +73,10 @@ def symbolic_power_ass(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
 
 
 def _localized_power_intersection(ideal, n, primes):
-    if ideal.is_zero() or ideal.is_unit():
-        raise DomainError("symbolic powers need a proper nonzero ideal")
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"symbolic power requires an integer n >= 1, got {n!r}")
     return intersect_all(
-        [localize(ideal, p) ** n for p in _sorted_primes(primes)],
+        [_last(_powers(localize(ideal, p), n)) for p in _sorted_primes(primes)],
         ideal.num_vars,
     )
 
@@ -126,28 +123,32 @@ def compare_powers(ideal: MonomialIdeal, n: int) -> SymbolicPowerReport:
     the witnesses are built when the report's attribute is first read.
     When Ass(I) has no embedded primes, I<n> is the I^(n) already built.
     """
-    ordinary = ideal ** n
-    smin = symbolic_power_min(ideal, n)
-    return SymbolicPowerReport(
-        n=n,
-        ordinary=ordinary,
-        symbolic_min=smin,
-        equal_min=ordinary == smin,
-        ideal=ideal,
-    )
+    return _report(ideal, n, ideal ** n, symbolic_power_min(ideal, n))
+
+
+def compare_powers_up_to(ideal: MonomialIdeal, bound: int):
+    """Yield the report of :func:`compare_powers` for n = 1..bound.
+
+    I^n is read from the chain of I and I^(n) from one chain of I_p per
+    minimal prime p (I^(1) is I without embedded primes, as in
+    :func:`symbolic_power_min`), so no power is formed twice.
+    """
+    chain = _powers(ideal, bound)
+    dec = irreducible_decomposition(ideal)
+    no_embedded = dec.minimal_primes == dec.associated_primes
+    local = [_powers(localize(ideal, p), bound) for p in _sorted_primes(dec.minimal_primes)]
+    for n, (power, *localized) in enumerate(zip(chain, *local), 1):
+        smin = ideal if n == 1 and no_embedded else intersect_all(localized, ideal.num_vars)
+        yield _report(ideal, n, power, smin)
+
+
+def _report(ideal, n, ordinary, smin):
+    return SymbolicPowerReport(n, ordinary, smin, ordinary == smin, ideal)
 
 
 def powers_equal_up_to(ideal: MonomialIdeal, bound: int) -> bool:
     """Does I^n equal I^(n) for every n = 1..bound?"""
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
-    power = ideal
-    for n in range(1, bound + 1):
-        if n > 1:
-            power = power * ideal
-        if power != symbolic_power_min(ideal, n):
-            return False
-    return True
+    return all(r.equal_min for r in compare_powers_up_to(ideal, bound))
 
 
 @dataclass(frozen=True)
@@ -164,24 +165,21 @@ def is_ntf_up_to(ideal: MonomialIdeal, bound: int) -> NtfReport:
 
     When I has no embedded primes the per-power verdict must coincide with
     I^n == I^(n); both routes are computed on the same I^n and compared,
-    and a mismatch raises, since it could only come from a bug.
+    and a mismatch raises, since it could only come from a bug.  With
+    embedded primes only the powers of I are formed.
     """
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
     base = associated_primes(ideal)
-    no_embedded = not embedded_primes(ideal)
+    if embedded_primes(ideal):
+        steps = ((power, None) for power in _powers(ideal, bound))
+    else:
+        steps = ((r.ordinary, r.equal_min) for r in compare_powers_up_to(ideal, bound))
     per_power = []
-    holds = True
-    power = ideal
-    for n in range(1, bound + 1):
-        if n > 1:
-            power = power * ideal
+    for n, (power, equal_min) in enumerate(steps, 1):
         ass_n = associated_primes(power)
-        same = ass_n == base
-        if no_embedded and same != (power == symbolic_power_min(ideal, n)):
+        if equal_min is not None and equal_min != (ass_n == base):
             raise ConsistencyError(
                 f"Ass(I^{n}) vs symbolic-power routes disagree at n={n}"
             )
         per_power.append((n, ass_n))
-        holds = holds and same
+    holds = all(ass == base for _, ass in per_power)
     return NtfReport(bound=bound, holds=holds, ass_by_power=tuple(per_power))

@@ -5,8 +5,9 @@ products and intersections of ideals did before they worked column by
 column.  They recompute associated primes from the colon definition,
 (I : t^f) = p, by scanning a box of exponent vectors, and the pure powers
 that make up the generators of the irreducible components.  Vertex covers and their
-minimality are read off the edges, and membership in a covering-form
-polyhedron off its inequalities.  No product code calls them.
+minimality are read off the edges, membership in a covering-form
+polyhedron off its inequalities, and the equality of two such polyhedra
+off both vertex sets.  No product code calls them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from monideal.decomposition import MonomialPrime
 from monideal.errors import DimensionMismatch, DomainError
 from monideal.graphs import WeightedOrientedGraph
 from monideal.ideals import Exponent, MonomialIdeal, graded_lex_key, vec_sub_clamped
-from monideal.polyhedra import CoveringFormPolyhedron
+from monideal.polyhedra import CoveringFormPolyhedron, enumerate_vertices
 
 
 def vec_add(a: Exponent, b: Exponent) -> Exponent:
@@ -129,3 +130,18 @@ def contains_point(poly: CoveringFormPolyhedron, point) -> bool:
     return all(x >= 0 for x in point) and all(
         sum(x * y for x, y in zip(point, c)) >= 1 for c in poly.columns
     )
+
+
+def polyhedra_equal(
+    a: CoveringFormPolyhedron, b: CoveringFormPolyhedron, **limits
+) -> bool:
+    """Equality of covering-form polyhedra via their vertex sets.
+
+    Valid because both share the recession cone R^s_{>=0} and are the
+    convex hulls of their vertices plus that cone.
+    """
+    if a.num_vars != b.num_vars:
+        raise DimensionMismatch(
+            f"polyhedra live in dimensions {a.num_vars} and {b.num_vars}"
+        )
+    return set(enumerate_vertices(a, **limits)) == set(enumerate_vertices(b, **limits))

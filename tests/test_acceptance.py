@@ -59,13 +59,12 @@ from monideal.polyhedra import (
     irreducible_polyhedron,
     is_normal_up_to,
     newton_hrep,
-    polyhedra_equal,
     polyhedral_conditions_check,
 )
 from monideal.random_instances import random_graph, random_ideal
 from monideal.symbolic import compare_powers, localize, symbolic_power_ass, symbolic_power_min
 
-from oracles import ass_witness_oracle, colon_prime_scan
+from oracles import ass_witness_oracle, colon_prime_scan, polyhedra_equal
 
 POPULATION_SEED = 20260823
 ORACLE_SEED = 414243

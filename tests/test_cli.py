@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from monideal import polyhedra
 from monideal.cli import main
 
 EX51_IDEAL = "t1*t2^2, t3*t2^2, t3*t4^2, t1*t4^2\n"
@@ -119,6 +120,23 @@ def test_wog_commands(workdir, capsys):
     code, out, _ = run(capsys, "wog-dual", path)
     assert code == 0
     assert out == "J: (t2^2, t1*t3, t1*t2)\ncomponents:\n  (t2, t3)\n  (t1, t2^2)\n"
+
+
+def test_newton_enumerates_q_once(tmp_path, capsys, monkeypatch):
+    """`newton` enumerates the vertices of Q(I) once, for the description,
+    and the vertices of that description once."""
+    real = polyhedra._vertex_certificates
+    calls = []
+
+    def counting(poly):
+        calls.append(poly)
+        return real(poly)
+
+    monkeypatch.setattr(polyhedra, "_vertex_certificates", counting)
+    path = tmp_path / "q.ideal"
+    path.write_text("t1*t2, t2*t3^2, t3*t4, t4*t1^3\n")
+    code, _, _ = run(capsys, "newton", str(path))
+    assert code == 0 and len(calls) == 2
 
 
 def test_polyhedron_commands(workdir, capsys):

@@ -46,12 +46,11 @@ from monideal.polyhedra import (
     newton_hrep,
     newton_vertices,
     parse_constraint_block,
-    polyhedra_equal,
     polyhedral_conditions_check,
 )
 
 from conftest import graphs, ideals
-from oracles import contains_point
+from oracles import contains_point, polyhedra_equal
 
 
 # ------------------------------------------------- basic-solution oracle

@@ -33,8 +33,10 @@ from monideal.fixtures import (
 from monideal.graphs import edge_ideal
 from monideal import symbolic
 from monideal.ideals import MonomialIdeal, parse_ideal
+from monideal.polyhedra import closure_gaps, polyhedral_conditions_check
 from monideal.symbolic import (
     compare_powers,
+    compare_powers_up_to,
     is_ntf_up_to,
     localize,
     max_ass,
@@ -265,6 +267,89 @@ def test_power_loops_extend_the_previous_power(monkeypatch):
     assert powers_equal_up_to(I, 2)
     assert not powers_equal_up_to(I, 3)
     assert is_ntf_up_to(I, 3) == ntf
+
+
+FIVE_CYCLE = "t1*t2, t2*t3, t3*t4, t4*t5, t5*t1"
+
+
+@given(ideals(max_vars=3, max_gens=4))
+@example(edge_ideal(PATH_MIDDLE.graph))
+@example(edge_ideal(TRIANGLE_CYCLE.graph))
+@settings(max_examples=30)
+def test_compare_powers_up_to_matches_compare_powers(I):
+    """Each report of the walk equals compare_powers at its n, in every
+    attribute, the lazy ones included.  The path and the weighted 3-cycle
+    have embedded primes, so their I^(1) is an intersection and their I<n>
+    differs from I^(n)."""
+    reports = list(compare_powers_up_to(I, 3))
+    assert [r.n for r in reports] == [1, 2, 3]
+    for r in reports:
+        expected = compare_powers(I, r.n)
+        assert r == expected and r.ideal == expected.ideal
+        assert r.symbolic_ass == expected.symbolic_ass
+        assert r.equal_ass == expected.equal_ass
+        assert r.witnesses == expected.witnesses
+    if not embedded_primes(I):
+        assert reports[0].symbolic_min is I
+        assert all(r.symbolic_ass is r.symbolic_min for r in reports)
+
+
+def _count_products(monkeypatch):
+    real = MonomialIdeal.__mul__
+    products = []
+
+    def counting(self, other):
+        products.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(MonomialIdeal, "__mul__", counting)
+    return products
+
+
+@pytest.mark.parametrize("walk", [powers_equal_up_to, is_ntf_up_to])
+def test_walks_form_each_power_once(monkeypatch, walk):
+    """Walking n = 1..3 on the 5-cycle forms I^2, I^3 and (I_p)^2, (I_p)^3
+    for its 5 minimal primes, each once: (3 - 1) * (1 + 5) = 12 products."""
+    I = parse_ideal(FIVE_CYCLE)
+    assert len(minimal_primes(I)) == 5
+    products = _count_products(monkeypatch)
+    walk(I, 3)
+    assert len(products) == 12
+
+
+def test_ntf_with_embedded_primes_builds_no_symbolic_power(monkeypatch):
+    """With embedded primes Ass(I^n) is the whole verdict: the walk to 3
+    forms I^2 and I^3 and localizes nothing."""
+    I = edge_ideal(PATH_MIDDLE.graph)
+    expected = is_ntf_up_to(I, 3)
+    products = _count_products(monkeypatch)
+
+    def no_symbolic_power(*args):
+        raise AssertionError("a symbolic power was built")
+
+    for name in ("localize", "symbolic_power_min", "symbolic_power_ass"):
+        monkeypatch.setattr(symbolic, name, no_symbolic_power)
+    assert is_ntf_up_to(I, 3) == expected
+    assert len(products) == 2
+
+
+@pytest.mark.parametrize(
+    "bound, message",
+    [(2.5, "bound must be an integer, got 2.5"), (0, "bound must be >= 1, got 0")],
+)
+@pytest.mark.parametrize(
+    "walk",
+    [
+        powers_equal_up_to,
+        is_ntf_up_to,
+        lambda I, bound: next(closure_gaps(I, bound)),
+        polyhedral_conditions_check,
+    ],
+    ids=["powers_equal_up_to", "is_ntf_up_to", "closure_gaps", "polyhedral_conditions_check"],
+)
+def test_bounds_are_checked_as_integers(walk, bound, message):
+    with pytest.raises(DomainError, match=message):
+        walk(parse_ideal(FIVE_CYCLE), bound)
 
 
 @given(ideals(max_vars=3, max_gens=3))
