@@ -12,6 +12,7 @@ first failing power next to that prediction.
 import argparse
 import sys
 
+from monideal.cli import _positive
 from monideal.graphs import WeightedOrientedGraph, edge_ideal
 from monideal.ideals import format_monomial
 from monideal.symbolic import compare_powers_up_to
@@ -32,8 +33,8 @@ def first_failure(length: int, max_n: int):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--lengths", type=int, nargs="+", default=[3, 5, 7])
-    parser.add_argument("--max-n", type=int, default=6)
+    parser.add_argument("--lengths", type=_positive, nargs="+", default=[3, 5, 7])
+    parser.add_argument("--max-n", type=_positive, default=6)
     args = parser.parse_args(argv)
 
     failures = 0

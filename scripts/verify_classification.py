@@ -15,6 +15,7 @@ import random
 import sys
 from dataclasses import dataclass
 
+from monideal.cli import _positive
 from monideal.graphs import classify, edge_ideal, format_graph
 from monideal.random_instances import random_graph
 from monideal.symbolic import compare_powers_up_to
@@ -66,10 +67,10 @@ def sweep(config: SweepConfig) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--count", type=int, default=200)
+    parser.add_argument("--count", type=_positive, default=200)
     parser.add_argument("--max-vertices", type=int, default=6)
     parser.add_argument("--max-weight", type=int, default=3)
-    parser.add_argument("--max-n", type=int, default=3)
+    parser.add_argument("--max-n", type=_positive, default=3)
     parser.add_argument("--seed", type=int, default=20260823)
     args = parser.parse_args(argv)
     config = SweepConfig(

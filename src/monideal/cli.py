@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 
 from .decomposition import (
     MonomialPrime,
@@ -546,8 +547,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and then reused:
+    parsing keeps no state in the parser, so every call starts afresh."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, lines, code = args.handler(args)
     except (FormatError, DomainError, DimensionMismatch) as exc:

@@ -43,16 +43,20 @@ zip the columns into vectors, so no Python function is called per pair.
 
 Every power comes from one chain, :func:`_powers`: I, I^2, ..., each the
 previous power times I.  `**` reads its last item, and the walks over n
-read it one power at a time.
+read it one power at a time.  The chain of each ideal is a list
+[I, I^2, ...] kept in a memo keyed by the ideal's value.  A caller extends
+it in place only past the powers that earlier callers have formed, so I^n
+is formed once however the callers ask for it, across n and across equal
+ideals.  Localizations are ideals too, so the powers of I_p are shared the
+same way.  The memo holds the chains of the 32 ideals used last, with every
+power formed on them; an evicted chain is formed again when asked for.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import mul
+from functools import lru_cache
 
 from .errors import DimensionMismatch, DomainError, FormatError
 
@@ -383,16 +387,31 @@ def _check_bound(bound):
         raise DomainError(f"bound must be >= 1, got {bound}")
 
 
+@lru_cache(maxsize=32)
+def _chain(ideal: MonomialIdeal) -> list[MonomialIdeal]:
+    """The memoized powers [I, I^2, ...] of `ideal` formed so far."""
+    return [ideal]
+
+
 def _powers(ideal: MonomialIdeal, bound: int):
-    """I^1..I^bound, each formed when asked for as the previous power times
-    I; the bound is checked at the call, before any power is formed."""
+    """I^1..I^bound, read from the chain of I; a power no caller has formed
+    yet is formed when asked for, as the previous power times I, and kept.
+    The bound is checked at the call, before any power is read."""
     _check_bound(bound)
-    return accumulate(repeat(ideal, bound), mul)
+    return _extend(_chain(ideal), bound)
+
+
+def _extend(chain, bound):
+    for n in range(bound):
+        if n == len(chain):
+            chain.append(chain[-1] * chain[0])
+        yield chain[n]
 
 
 def _last(items):
-    """The last item of an iterator, keeping no earlier one alive."""
-    return deque(items, maxlen=1).pop()
+    """The last item of an iterator."""
+    *_, last = items
+    return last
 
 
 def power_contains(ideal: MonomialIdeal, a: Exponent, n: int) -> bool:

@@ -10,15 +10,20 @@ to 1 in each generator and minimalize.  Both agree with the usual
 definitions through saturation, and the ordinary power always sits inside:
 I^n <= I<n> <= I^(n).
 
-Powers are read from the power chain of `ideals`.  :func:`compare_powers_up_to`
-zips the chain of I with one chain of I_p per minimal prime p, so its walk to
-a bound forms each power once: (bound - 1) * (1 + |Min(I)|) products.
+Powers are read from the memoized power chains of `ideals`: I^n from the
+chain of I and (I_p)^n from the chain of I_p, so every caller shares the
+powers that an earlier one formed, across n and across equal ideals.  The
+intersection of the localized powers is memoized too, per ideal, n and set
+of primes, for the 32 triples used last.  A walk to a bound on a cold memo
+forms (bound - 1) * (1 + |Min(I)|) products; while its chains stay in the
+memo, a second walk, or :func:`compare_powers` at any n it passed, forms
+none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .decomposition import (
     MonomialPrime,
@@ -73,8 +78,15 @@ def symbolic_power_ass(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
 
 
 def _localized_power_intersection(ideal, n, primes):
+    # n is checked before the memo sees it: a cache key would take 2.0 for
+    # 2, and an unhashable n would end in a TypeError.
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"symbolic power requires an integer n >= 1, got {n!r}")
+    return _memoized_intersection(ideal, n, frozenset(primes))
+
+
+@lru_cache(maxsize=32)
+def _memoized_intersection(ideal, n, primes):
     return intersect_all(
         [_last(_powers(localize(ideal, p), n)) for p in _sorted_primes(primes)],
         ideal.num_vars,
@@ -129,17 +141,12 @@ def compare_powers(ideal: MonomialIdeal, n: int) -> SymbolicPowerReport:
 def compare_powers_up_to(ideal: MonomialIdeal, bound: int):
     """Yield the report of :func:`compare_powers` for n = 1..bound.
 
-    I^n is read from the chain of I and I^(n) from one chain of I_p per
-    minimal prime p (I^(1) is I without embedded primes, as in
-    :func:`symbolic_power_min`), so no power is formed twice.
+    I^n is read one power at a time from the chain of I, and
+    :func:`symbolic_power_min` extends the chain of each I_p by one power
+    per n, so no power is formed twice.
     """
-    chain = _powers(ideal, bound)
-    dec = irreducible_decomposition(ideal)
-    no_embedded = dec.minimal_primes == dec.associated_primes
-    local = [_powers(localize(ideal, p), bound) for p in _sorted_primes(dec.minimal_primes)]
-    for n, (power, *localized) in enumerate(zip(chain, *local), 1):
-        smin = ideal if n == 1 and no_embedded else intersect_all(localized, ideal.num_vars)
-        yield _report(ideal, n, power, smin)
+    for n, power in enumerate(_powers(ideal, bound), 1):
+        yield _report(ideal, n, power, symbolic_power_min(ideal, n))
 
 
 def _report(ideal, n, ordinary, smin):

@@ -7,20 +7,24 @@ column.  They recompute associated primes from the colon definition,
 that make up the generators of the irreducible components.  Vertex covers and their
 minimality are read off the edges, membership in a covering-form
 polyhedron off its inequalities, and the equality of two such polyhedra
-off both vertex sets.  No product code calls them.
+off both vertex sets.  Powers and symbolic powers are formed afresh on each
+call, n - 1 products folded left, without the memoized power chains.  No
+product code calls them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import product, repeat
 from operator import add
 
-from monideal.decomposition import MonomialPrime
+from monideal.decomposition import MonomialPrime, minimal_primes
 from monideal.errors import DimensionMismatch, DomainError
 from monideal.graphs import WeightedOrientedGraph
 from monideal.ideals import Exponent, MonomialIdeal, graded_lex_key, vec_sub_clamped
 from monideal.polyhedra import CoveringFormPolyhedron, enumerate_vertices
+from monideal.symbolic import localize
 
 
 def vec_add(a: Exponent, b: Exponent) -> Exponent:
@@ -31,6 +35,21 @@ def vec_add(a: Exponent, b: Exponent) -> Exponent:
 def vec_max(a: Exponent, b: Exponent) -> Exponent:
     """Exponent vector of lcm(t^a, t^b)."""
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def naive_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
+    """I^n as I * I * ... * I, formed afresh."""
+    return reduce(MonomialIdeal.__mul__, repeat(ideal, n))
+
+
+def naive_symbolic_power(ideal: MonomialIdeal, n: int, primes) -> MonomialIdeal:
+    """The intersection of (I_p)^n over `primes`, formed afresh."""
+    return reduce(MonomialIdeal.__and__, (naive_power(localize(ideal, p), n) for p in primes))
+
+
+def naive_symbolic_power_min(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
+    """I^(n), intersected over the minimal primes."""
+    return naive_symbolic_power(ideal, n, minimal_primes(ideal))
 
 
 def exponent_duality(ideal: MonomialIdeal) -> tuple[Exponent, ...]:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from monideal import polyhedra
+from monideal import cli, polyhedra
 from monideal.cli import main
 
 EX51_IDEAL = "t1*t2^2, t3*t2^2, t3*t4^2, t1*t4^2\n"
@@ -304,3 +304,44 @@ def test_bad_flag_value_exits_two(workdir, capsys):
     with pytest.raises(SystemExit) as info:
         main(["compare", str(workdir / "ex52.ideal"), "--n", "0"])
     assert info.value.code == 2
+
+
+# Each call after the first would show a flag or a value left over from the
+# call before it: ex55 has an embedded prime, so its I<1> and I^(1) differ.
+PARSER_REUSE_CALLS = (
+    ("symbolic", "ex55.ideal", "--ass"),
+    ("symbolic", "ex55.ideal"),
+    ("compare", "ex52.ideal", "--n", "3"),
+    ("compare", "ex52.ideal"),
+    ("--help",),
+    ("compare", "--help"),
+)
+
+
+def _reuse_outputs(workdir, capsys, fresh):
+    outputs = []
+    for argv in PARSER_REUSE_CALLS:
+        if fresh:
+            cli._parser.cache_clear()
+        try:
+            code = main([str(workdir / a) if a.endswith(".ideal") else a for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out, captured.err))
+    return outputs
+
+
+def test_reused_parser_keeps_no_state(workdir, capsys, monkeypatch):
+    """main builds its parser once per process, and each call answers as a
+    call with a freshly built parser does, help texts included."""
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    expected = _reuse_outputs(workdir, capsys, fresh=True)
+    assert len(builds) == len(PARSER_REUSE_CALLS)
+    builds.clear()
+    cli._parser.cache_clear()
+    assert _reuse_outputs(workdir, capsys, fresh=False) == expected
+    assert len(builds) == 1
+    assert expected[0][1] != expected[1][1] and expected[2][1] != expected[3][1]
