@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from functools import lru_cache
 
 from .decomposition import (
     MonomialPrime,
@@ -400,6 +399,25 @@ def _cmd_examples(args):
 # ---------------------------------------------------------------- wiring
 
 
+class _Subcommand:
+    """The sub-parser of one command, built only when that command is parsed.
+
+    The top-level help needs only the commands' names and help texts, and
+    building all fifteen sub-parsers (about 0.1 ms each) was most of the
+    parser's cost.  argparse calls only `parse_known_args` on this class.
+    """
+
+    def __init__(self, **kwargs):
+        self.kwargs = kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self.kwargs)
+        for add in self.arguments:
+            add(parser)
+        parser.set_defaults(handler=self.handler)
+        return parser.parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monideal",
@@ -408,74 +426,96 @@ def build_parser() -> argparse.ArgumentParser:
             "oriented graphs, and their polyhedra"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="emit a JSON mirror of the report"
-    )
+    def common(p):
+        p.add_argument(
+            "--json", action="store_true", help="emit a JSON mirror of the report"
+        )
 
-    ideal_arg = argparse.ArgumentParser(add_help=False)
-    ideal_arg.add_argument("path", help="ideal file, or - for stdin")
-    ideal_arg.add_argument(
-        "--vars",
-        type=_positive,
-        default=None,
-        help="number of variables (default: inferred)",
-    )
+    def ideal_arg(p):
+        p.add_argument("path", help="ideal file, or - for stdin")
+        p.add_argument(
+            "--vars",
+            type=_positive,
+            default=None,
+            help="number of variables (default: inferred)",
+        )
 
-    graph_arg = argparse.ArgumentParser(add_help=False)
-    graph_arg.add_argument("path", help="graph file, or - for stdin")
+    def graph_arg(p):
+        p.add_argument("path", help="graph file, or - for stdin")
 
-    n_arg = argparse.ArgumentParser(add_help=False)
-    n_arg.add_argument("--n", type=_positive, default=1, help="power (default 1)")
+    def n_arg(p):
+        p.add_argument("--n", type=_positive, default=1, help="power (default 1)")
 
-    bound_arg = argparse.ArgumentParser(add_help=False)
-    bound_arg.add_argument(
-        "--max-n",
-        "--power-bound",
-        dest="max_n",
-        type=_positive,
-        default=4,
-        help="largest power checked (default 4)",
-    )
+    def bound_arg(p):
+        p.add_argument(
+            "--max-n",
+            "--power-bound",
+            dest="max_n",
+            type=_positive,
+            default=4,
+            help="largest power checked (default 4)",
+        )
 
-    poly_limits = argparse.ArgumentParser(add_help=False)
-    poly_limits.add_argument(
-        "--max-vars",
-        type=_positive,
-        default=DEFAULT_DIMENSION_LIMIT,
-        help=f"dimension limit for vertex enumeration (default {DEFAULT_DIMENSION_LIMIT})",
-    )
-    poly_limits.add_argument(
-        "--max-constraints",
-        type=_positive,
-        default=DEFAULT_CONSTRAINT_LIMIT,
-        help=f"constraint limit for vertex enumeration (default {DEFAULT_CONSTRAINT_LIMIT})",
-    )
+    def poly_limits(p):
+        p.add_argument(
+            "--max-vars",
+            type=_positive,
+            default=DEFAULT_DIMENSION_LIMIT,
+            help=f"dimension limit for vertex enumeration (default {DEFAULT_DIMENSION_LIMIT})",
+        )
+        p.add_argument(
+            "--max-constraints",
+            type=_positive,
+            default=DEFAULT_CONSTRAINT_LIMIT,
+            help=f"constraint limit for vertex enumeration (default {DEFAULT_CONSTRAINT_LIMIT})",
+        )
 
-    def register(name, handler, parents, help_text):
-        p = sub.add_parser(name, parents=[common] + parents, help=help_text)
-        p.set_defaults(handler=handler)
-        return p
+    def register(name, handler, arguments, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.handler, p.arguments = handler, [common, *arguments]
 
-    register(
-        "decompose", _cmd_decompose, [ideal_arg], "irreducible decomposition"
-    )
+    def symbolic_mode(p):
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument(
+            "--min", action="store_true", help="intersect over minimal primes (default)"
+        )
+        mode.add_argument(
+            "--ass", action="store_true", help="intersect over maximal associated primes"
+        )
+
+    def max_covers(p):
+        p.add_argument(
+            "--max-covers",
+            type=_positive,
+            default=DEFAULT_COVER_VERTEX_LIMIT,
+            help=f"vertex limit for cover enumeration (default {DEFAULT_COVER_VERTEX_LIMIT})",
+        )
+
+    def normaliz_format(p):
+        p.add_argument(
+            "--normaliz-format",
+            action="store_true",
+            help="emit the solver exchange block instead of bare vertices",
+        )
+
+    def examples_args(p):
+        p.add_argument("name", nargs="?", help="run a single fixture")
+        p.add_argument(
+            "--list", action="store_true", help="list fixture names and summaries"
+        )
+        p.add_argument(
+            "--show", action="store_true", help="print the named fixture's graph file"
+        )
+
+    register("decompose", _cmd_decompose, [ideal_arg], "irreducible decomposition")
     register("ass", _cmd_ass, [ideal_arg], "associated primes, minimal/embedded")
-    symbolic = register(
-        "symbolic", _cmd_symbolic, [ideal_arg, n_arg], "symbolic power I^(n) or I<n>"
-    )
-    mode = symbolic.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--min",
-        action="store_true",
-        help="intersect over minimal primes (default)",
-    )
-    mode.add_argument(
-        "--ass",
-        action="store_true",
-        help="intersect over maximal associated primes",
+    register(
+        "symbolic",
+        _cmd_symbolic,
+        [ideal_arg, n_arg, symbolic_mode],
+        "symbolic power I^(n) or I<n>",
     )
     register(
         "compare",
@@ -483,34 +523,21 @@ def build_parser() -> argparse.ArgumentParser:
         [ideal_arg, n_arg],
         "ordinary vs symbolic powers with witnesses",
     )
-    register(
-        "ntf",
-        _cmd_ntf,
-        [ideal_arg, bound_arg],
-        "stability of Ass(I^n) up to a bound",
-    )
+    register("ntf", _cmd_ntf, [ideal_arg, bound_arg], "stability of Ass(I^n) up to a bound")
     register("wog-classify", _cmd_wog_classify, [graph_arg], "power-equality classification")
-    covers = register(
-        "wog-covers", _cmd_wog_covers, [graph_arg], "strong vertex covers with partitions"
-    )
-    covers.add_argument(
-        "--max-covers",
-        type=_positive,
-        default=DEFAULT_COVER_VERTEX_LIMIT,
-        help=f"vertex limit for cover enumeration (default {DEFAULT_COVER_VERTEX_LIMIT})",
+    register(
+        "wog-covers",
+        _cmd_wog_covers,
+        [graph_arg, max_covers],
+        "strong vertex covers with partitions",
     )
     register("wog-ideal", _cmd_wog_ideal, [graph_arg], "edge ideal of a graph")
     register("wog-dual", _cmd_wog_dual, [graph_arg], "dual edge ideal and its components")
-    poly = register(
+    register(
         "poly-vertices",
         _cmd_poly_vertices,
-        [ideal_arg, poly_limits],
+        [ideal_arg, poly_limits, normaliz_format],
         "vertices of a covering-form polyhedron (ideal file or constraint block)",
-    )
-    poly.add_argument(
-        "--normaliz-format",
-        action="store_true",
-        help="emit the solver exchange block instead of bare vertices",
     )
     register(
         "newton",
@@ -518,12 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
         [ideal_arg, poly_limits],
         "generators lying on vertices of the Newton polyhedron",
     )
-    register(
-        "closure",
-        _cmd_closure,
-        [ideal_arg, n_arg, poly_limits],
-        "integral closure of I^n",
-    )
+    register("closure", _cmd_closure, [ideal_arg, n_arg, poly_limits], "integral closure of I^n")
     register(
         "normal",
         _cmd_normal,
@@ -536,26 +558,12 @@ def build_parser() -> argparse.ArgumentParser:
         [ideal_arg, bound_arg, poly_limits],
         "polyhedral conditions accompanying power equality",
     )
-    examples = register("examples", _cmd_examples, [], "run the built-in fixtures")
-    examples.add_argument("name", nargs="?", help="run a single fixture")
-    examples.add_argument(
-        "--list", action="store_true", help="list fixture names and summaries"
-    )
-    examples.add_argument(
-        "--show", action="store_true", help="print the named fixture's graph file"
-    )
+    register("examples", _cmd_examples, [examples_args], "run the built-in fixtures")
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built on its first call and then reused:
-    parsing keeps no state in the parser, so every call starts afresh."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload, lines, code = args.handler(args)
     except (FormatError, DomainError, DimensionMismatch) as exc:

@@ -43,20 +43,16 @@ zip the columns into vectors, so no Python function is called per pair.
 
 Every power comes from one chain, :func:`_powers`: I, I^2, ..., each the
 previous power times I.  `**` reads its last item, and the walks over n
-read it one power at a time.  The chain of each ideal is a list
-[I, I^2, ...] kept in a memo keyed by the ideal's value.  A caller extends
-it in place only past the powers that earlier callers have formed, so I^n
-is formed once however the callers ask for it, across n and across equal
-ideals.  Localizations are ideals too, so the powers of I_p are shared the
-same way.  The memo holds the chains of the 32 ideals used last, with every
-power formed on them; an evicted chain is formed again when asked for.
+read it one power at a time.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 
 from .errors import DimensionMismatch, DomainError, FormatError
 
@@ -303,11 +299,7 @@ class MonomialIdeal:
         back together gives the sum vectors with no Python call per pair.
         """
         self._check_compatible(other)
-        cols = [
-            [x + y for x in cu for y in cv]
-            for cu, cv in zip(zip(*self.gens), zip(*other.gens))
-        ]
-        return MonomialIdeal._from_trusted(list(zip(*cols)), self.num_vars)
+        return MonomialIdeal._from_trusted(_sums(self.gens, other.gens), self.num_vars)
 
     def __pow__(self, n: int) -> "MonomialIdeal":
         if not isinstance(n, int) or n < 1:
@@ -367,6 +359,13 @@ def _trusted_ideal(vectors, num_vars: int) -> MonomialIdeal:
     return ideal
 
 
+def _sums(us, vs) -> list[Exponent]:
+    """u + v for every pair of vectors of `us` and `vs`, formed a column at
+    a time as :meth:`MonomialIdeal.__mul__` describes."""
+    cols = [[x + y for x in cu for y in cv] for cu, cv in zip(zip(*us), zip(*vs))]
+    return list(zip(*cols))
+
+
 def intersect_all(ideals, num_vars: int | None = None) -> MonomialIdeal:
     """Left fold of pairwise intersection; empty input gives the unit ideal."""
     ideals = list(ideals)
@@ -387,31 +386,16 @@ def _check_bound(bound):
         raise DomainError(f"bound must be >= 1, got {bound}")
 
 
-@lru_cache(maxsize=32)
-def _chain(ideal: MonomialIdeal) -> list[MonomialIdeal]:
-    """The memoized powers [I, I^2, ...] of `ideal` formed so far."""
-    return [ideal]
-
-
 def _powers(ideal: MonomialIdeal, bound: int):
-    """I^1..I^bound, read from the chain of I; a power no caller has formed
-    yet is formed when asked for, as the previous power times I, and kept.
-    The bound is checked at the call, before any power is read."""
+    """I^1..I^bound, each formed when asked for as the previous power times
+    I; the bound is checked at the call, before any power is formed."""
     _check_bound(bound)
-    return _extend(_chain(ideal), bound)
-
-
-def _extend(chain, bound):
-    for n in range(bound):
-        if n == len(chain):
-            chain.append(chain[-1] * chain[0])
-        yield chain[n]
+    return accumulate(repeat(ideal, bound), mul)
 
 
 def _last(items):
-    """The last item of an iterator."""
-    *_, last = items
-    return last
+    """The last item of an iterator, keeping no earlier one alive."""
+    return deque(items, maxlen=1).pop()
 
 
 def power_contains(ideal: MonomialIdeal, a: Exponent, n: int) -> bool:

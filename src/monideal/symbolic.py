@@ -10,20 +10,24 @@ to 1 in each generator and minimalize.  Both agree with the usual
 definitions through saturation, and the ordinary power always sits inside:
 I^n <= I<n> <= I^(n).
 
-Powers are read from the memoized power chains of `ideals`: I^n from the
-chain of I and (I_p)^n from the chain of I_p, so every caller shares the
-powers that an earlier one formed, across n and across equal ideals.  The
-intersection of the localized powers is memoized too, per ideal, n and set
-of primes, for the 32 triples used last.  A walk to a bound on a cold memo
-forms (bound - 1) * (1 + |Min(I)|) products; while its chains stay in the
-memo, a second walk, or :func:`compare_powers` at any n it passed, forms
-none.
+When I_p is the prime p itself, generated by variables (every minimal
+prime of a squarefree ideal, such as the edge ideal of a cycle), p^n is not
+formed at all: t^a lies in p^n iff its degree in the variables of p is at
+least n, so J ^ p^n comes straight from the generators of J
+(:func:`_meet_prime_power`).  The other powers are read from the power
+chain of `ideals`.  :func:`compare_powers_up_to` zips the chain of I with
+one chain of I_p per other minimal prime p, so its walk to a bound forms
+each power once: (bound - 1) * (1 + |those primes|) products.  Its reports
+build I<n>, when read, on one chain per maximal associated prime whose
+I_p is not prime, extended only as far as the reports read.  Nothing is
+kept across calls; those powers live as long as the walk's reports do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, partial
+from itertools import combinations_with_replacement
 
 from .decomposition import (
     MonomialPrime,
@@ -33,7 +37,7 @@ from .decomposition import (
     minimal_primes,
 )
 from .errors import ConsistencyError, DomainError
-from .ideals import Exponent, MonomialIdeal, _last, _powers, intersect_all
+from .ideals import Exponent, MonomialIdeal, _last, _powers, _sums, intersect_all
 
 
 def localize(ideal: MonomialIdeal, prime: MonomialPrime) -> MonomialIdeal:
@@ -78,19 +82,60 @@ def symbolic_power_ass(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
 
 
 def _localized_power_intersection(ideal, n, primes):
-    # n is checked before the memo sees it: a cache key would take 2.0 for
-    # 2, and an unhashable n would end in a TypeError.
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"symbolic power requires an integer n >= 1, got {n!r}")
-    return _memoized_intersection(ideal, n, frozenset(primes))
+    linear, other = _split_linear(ideal, primes)
+    return _intersect(ideal.num_vars, [_last(_powers(q, n)) for q in other], linear, n)
 
 
-@lru_cache(maxsize=32)
-def _memoized_intersection(ideal, n, primes):
-    return intersect_all(
-        [_last(_powers(localize(ideal, p), n)) for p in _sorted_primes(primes)],
-        ideal.num_vars,
-    )
+def _split_linear(ideal, primes):
+    """The sorted primes p with I_p = p, and the I_p of the other primes.
+
+    I_p keeps p among its associated primes when p is associated to I, so
+    it is p itself exactly when its generators are variables.
+    """
+    linear, other = [], []
+    for p in _sorted_primes(primes):
+        local = localize(ideal, p)
+        if all(sum(g) == 1 for g in local.gens):
+            linear.append(p)
+        else:
+            other.append(local)
+    return linear, other
+
+
+def _intersect(num_vars, powers, linear, n):
+    """The intersection of the localized `powers` and of p^n for each p in
+    `linear`."""
+    out = intersect_all(powers, num_vars)
+    for p in linear:
+        out = _meet_prime_power(out, p, n)
+    return out
+
+
+def _meet_prime_power(ideal, prime, n):
+    """`ideal` ^ p^n for the prime p generated by the variables of `prime`.
+
+    t^a lies in p^n iff its degree d in those variables is at least n.  So
+    a generator u of the ideal with d >= n lies in p^n, and the least
+    multiples in p^n of one with d < n are the u * t^b for every monomial
+    t^b of degree n - d in those variables.  The generators are grouped by
+    n - d, each group summed with its monomials, and all minimalized once.
+    """
+    support = [i - 1 for i in sorted(prime.support)]
+    groups = {}
+    for u in ideal.gens:
+        groups.setdefault(max(0, n - sum(u[i] for i in support)), []).append(u)
+    vectors = groups.pop(0, [])
+    for gap, us in groups.items():
+        monomials = []
+        for combo in combinations_with_replacement(support, gap):
+            b = [0] * ideal.num_vars
+            for i in combo:
+                b[i] += 1
+            monomials.append(b)
+        vectors += _sums(us, monomials)
+    return MonomialIdeal._from_trusted(vectors, ideal.num_vars)
 
 
 @dataclass(frozen=True)
@@ -107,6 +152,8 @@ class SymbolicPowerReport:
     symbolic_min: MonomialIdeal
     equal_min: bool
     ideal: MonomialIdeal = field(compare=False, repr=False)
+    # Builds I<n> from the chains of the walk that made this report.
+    _ass_from_walk: object = field(default=None, compare=False, repr=False)
 
     @cached_property
     def symbolic_ass(self) -> MonomialIdeal:
@@ -114,6 +161,8 @@ class SymbolicPowerReport:
         # same primes, so I^(n) serves for I<n>.
         if max_ass(self.ideal) == minimal_primes(self.ideal):
             return self.symbolic_min
+        if self._ass_from_walk is not None:
+            return self._ass_from_walk()
         return symbolic_power_ass(self.ideal, self.n)
 
     @cached_property
@@ -141,16 +190,46 @@ def compare_powers(ideal: MonomialIdeal, n: int) -> SymbolicPowerReport:
 def compare_powers_up_to(ideal: MonomialIdeal, bound: int):
     """Yield the report of :func:`compare_powers` for n = 1..bound.
 
-    I^n is read one power at a time from the chain of I, and
-    :func:`symbolic_power_min` extends the chain of each I_p by one power
-    per n, so no power is formed twice.
+    I^n is read from the chain of I and I^(n) from one chain of I_p per
+    minimal prime p with I_p not prime (I^(1) is I without embedded primes,
+    as in :func:`symbolic_power_min`), so no power is formed twice.  With
+    embedded primes, a report's I<n> is built when first read, on one
+    chain per maximal associated prime with I_p not prime, which every
+    report of the walk shares and extends only as far as they read.
     """
-    for n, power in enumerate(_powers(ideal, bound), 1):
-        yield _report(ideal, n, power, symbolic_power_min(ideal, n))
+    chain = _powers(ideal, bound)
+    dec = irreducible_decomposition(ideal)
+    no_embedded = dec.minimal_primes == dec.associated_primes
+    linear, other = _split_linear(ideal, dec.minimal_primes)
+    local = [_powers(q, bound) for q in other]
+    ass_at = None
+    if not no_embedded:
+        ass_linear, ass_other = _split_linear(ideal, max_ass(ideal))
+        chains = [_Formed(q, bound) for q in ass_other]
+        ass_at = partial(_ass_from_chains, ideal.num_vars, chains, ass_linear)
+    for n, (power, *localized) in enumerate(zip(chain, *local), 1):
+        smin = ideal if n == 1 and no_embedded else _intersect(ideal.num_vars, localized, linear, n)
+        yield _report(ideal, n, power, smin, ass_at and partial(ass_at, n))
 
 
-def _report(ideal, n, ordinary, smin):
-    return SymbolicPowerReport(n, ordinary, smin, ordinary == smin, ideal)
+class _Formed:
+    """The powers of one ideal formed so far, formed further on demand."""
+
+    def __init__(self, ideal, bound):
+        self.chain, self.formed = _powers(ideal, bound), []
+
+    def power(self, n):
+        while len(self.formed) < n:
+            self.formed.append(next(self.chain))
+        return self.formed[n - 1]
+
+
+def _ass_from_chains(num_vars, chains, linear, n):
+    return _intersect(num_vars, [c.power(n) for c in chains], linear, n)
+
+
+def _report(ideal, n, ordinary, smin, ass_from_walk=None):
+    return SymbolicPowerReport(n, ordinary, smin, ordinary == smin, ideal, ass_from_walk)
 
 
 def powers_equal_up_to(ideal: MonomialIdeal, bound: int) -> bool:

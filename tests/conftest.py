@@ -1,41 +1,14 @@
 """Shared strategies and reporting hooks for the test suite."""
 
 import random
-import sys
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import settings
 
 from monideal.random_instances import random_graph, random_ideal
 
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.load_profile("suite")
-
-
-def clear_caches():
-    """Empty every functools cache reachable from a loaded monideal module:
-    its functions, and the functions and methods of the classes it defines."""
-    found = {}
-    for mod_name, module in list(sys.modules.items()):
-        if module is None or not mod_name.startswith("monideal"):
-            continue
-        for value in vars(module).values():
-            candidates = [value]
-            if isinstance(value, type) and value.__module__ == mod_name:
-                candidates += [getattr(v, "__func__", v) for v in vars(value).values()]
-            for obj in candidates:
-                if callable(getattr(obj, "cache_clear", None)):
-                    found[id(obj)] = obj
-    for cache in found.values():
-        cache.cache_clear()
-
-
-@pytest.fixture(autouse=True)
-def cold_caches():
-    """Each test starts with every monideal cache empty, as a fresh process
-    does, so counts of formed products do not depend on the test order."""
-    clear_caches()
 
 
 @st.composite

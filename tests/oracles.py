@@ -8,8 +8,8 @@ that make up the generators of the irreducible components.  Vertex covers and th
 minimality are read off the edges, membership in a covering-form
 polyhedron off its inequalities, and the equality of two such polyhedra
 off both vertex sets.  Powers and symbolic powers are formed afresh on each
-call, n - 1 products folded left, without the memoized power chains.  No
-product code calls them.
+call, n - 1 products folded left, without the power chains.  No product
+code calls them.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Command line surface: byte-exact outputs, exit codes, JSON mode."""
 
+import argparse
 import json
 
 import pytest
@@ -306,42 +307,62 @@ def test_bad_flag_value_exits_two(workdir, capsys):
     assert info.value.code == 2
 
 
-# Each call after the first would show a flag or a value left over from the
-# call before it: ex55 has an embedded prime, so its I<1> and I^(1) differ.
-PARSER_REUSE_CALLS = (
-    ("symbolic", "ex55.ideal", "--ass"),
-    ("symbolic", "ex55.ideal"),
-    ("compare", "ex52.ideal", "--n", "3"),
-    ("compare", "ex52.ideal"),
-    ("--help",),
-    ("compare", "--help"),
-)
+# The usage line of each command, as the parser built every sub-parser up
+# front printed it.
+USAGE_LINES = {
+    "decompose": "[-h] [--json] [--vars VARS] path",
+    "ass": "[-h] [--json] [--vars VARS] path",
+    "symbolic": "[-h] [--json] [--vars VARS] [--n N] [--min | --ass] path",
+    "compare": "[-h] [--json] [--vars VARS] [--n N] path",
+    "ntf": "[-h] [--json] [--vars VARS] [--max-n MAX_N] path",
+    "wog-classify": "[-h] [--json] path",
+    "wog-covers": "[-h] [--json] [--max-covers MAX_COVERS] path",
+    "wog-ideal": "[-h] [--json] path",
+    "wog-dual": "[-h] [--json] path",
+    "poly-vertices": "[-h] [--json] [--vars VARS] [--max-vars MAX_VARS] "
+    "[--max-constraints MAX_CONSTRAINTS] [--normaliz-format] path",
+    "newton": "[-h] [--json] [--vars VARS] [--max-vars MAX_VARS] "
+    "[--max-constraints MAX_CONSTRAINTS] path",
+    "closure": "[-h] [--json] [--vars VARS] [--n N] [--max-vars MAX_VARS] "
+    "[--max-constraints MAX_CONSTRAINTS] path",
+    "normal": "[-h] [--json] [--vars VARS] [--max-n MAX_N] [--max-vars MAX_VARS] "
+    "[--max-constraints MAX_CONSTRAINTS] path",
+    "thm41": "[-h] [--json] [--vars VARS] [--max-n MAX_N] [--max-vars MAX_VARS] "
+    "[--max-constraints MAX_CONSTRAINTS] path",
+    "examples": "[-h] [--json] [--list] [--show] [name]",
+}
 
 
-def _reuse_outputs(workdir, capsys, fresh):
-    outputs = []
-    for argv in PARSER_REUSE_CALLS:
-        if fresh:
-            cli._parser.cache_clear()
-        try:
-            code = main([str(workdir / a) if a.endswith(".ideal") else a for a in argv])
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        outputs.append((code, captured.out, captured.err))
-    return outputs
+@pytest.mark.parametrize("command", USAGE_LINES)
+def test_each_command_parses_its_own_arguments(command, capsys, monkeypatch):
+    """Each sub-parser is built when its command is parsed, with the
+    arguments and handler of that command."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"usage: monideal {command} {USAGE_LINES[command]}"
+    )
+    args = cli.build_parser().parse_args([command, "x"] if command != "examples" else [command])
+    assert args.command == command and args.json is False
+    assert args.handler is getattr(cli, "_cmd_" + command.replace("-", "_"))
 
 
-def test_reused_parser_keeps_no_state(workdir, capsys, monkeypatch):
-    """main builds its parser once per process, and each call answers as a
-    call with a freshly built parser does, help texts included."""
-    builds = []
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
-    expected = _reuse_outputs(workdir, capsys, fresh=True)
-    assert len(builds) == len(PARSER_REUSE_CALLS)
-    builds.clear()
-    cli._parser.cache_clear()
-    assert _reuse_outputs(workdir, capsys, fresh=False) == expected
-    assert len(builds) == 1
-    assert expected[0][1] != expected[1][1] and expected[2][1] != expected[3][1]
+def test_main_builds_only_the_named_sub_parser(workdir, capsys, monkeypatch):
+    """The top-level help lists every command from its name and help text,
+    so a call builds two parsers: the top level and its own command's."""
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "compare", str(workdir / "ex52.ideal"), "--n", "3")[0] == 0
+    assert built == ["monideal", "monideal compare"]
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert all(name in out for name in USAGE_LINES), out

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from monideal.errors import DomainError
 from monideal.decomposition import (
     MonomialPrime,
+    associated_primes,
     embedded_primes,
     irreducible_decomposition,
     minimal_primes,
@@ -32,10 +33,9 @@ from monideal.fixtures import (
 )
 from monideal.graphs import edge_ideal
 from monideal import symbolic
-from monideal.ideals import MonomialIdeal, _chain, parse_ideal
+from monideal.ideals import MonomialIdeal, parse_ideal, unit_vector
 from monideal.polyhedra import closure_gaps, polyhedral_conditions_check
 from monideal.symbolic import (
-    _memoized_intersection,
     compare_powers,
     compare_powers_up_to,
     is_ntf_up_to,
@@ -46,7 +46,7 @@ from monideal.symbolic import (
     symbolic_power_min,
 )
 
-from conftest import clear_caches, graphs, ideals
+from conftest import graphs, ideals
 from oracles import naive_power, naive_symbolic_power, naive_symbolic_power_min
 from test_ideals import naive_intersection
 
@@ -282,12 +282,10 @@ def test_compare_powers_up_to_matches_compare_powers(I):
     """Each report of the walk equals compare_powers at its n, in every
     attribute, the lazy ones included.  The path and the weighted 3-cycle
     have embedded primes, so their I^(1) is an intersection and their I<n>
-    differs from I^(n).  The memos are emptied before each compare_powers,
-    so it forms its powers itself rather than read those of the walk."""
+    differs from I^(n)."""
     reports = list(compare_powers_up_to(I, 3))
     assert [r.n for r in reports] == [1, 2, 3]
     for r in reports:
-        clear_caches()
         expected = compare_powers(I, r.n)
         assert r == expected and r.ideal == expected.ideal
         assert r.symbolic_ass == expected.symbolic_ass
@@ -312,16 +310,21 @@ def _count_products(monkeypatch):
 
 @pytest.mark.parametrize("walk", [powers_equal_up_to, is_ntf_up_to])
 def test_walks_form_each_power_once(monkeypatch, walk):
-    """Walking n = 1..3 on the 5-cycle forms I^2, I^3 and (I_p)^2, (I_p)^3
-    for its 5 minimal primes, each once: (3 - 1) * (1 + 5) = 12 products.
-    A second walk reads every power from the memo and forms none."""
+    """Walking n = 1..3 forms I^2 and I^3, and (I_p)^2 and (I_p)^3 for each
+    minimal prime p whose I_p is not p itself, each once; p^n is never
+    formed.  All 5 localizations of the 5-cycle are primes, so its walk
+    forms 2 products.  Two of the 4 of (t1^2*t2, t3*t4), (t1^2, t3) and
+    (t1^2, t4), are not, so its walk forms (3 - 1) * (1 + 2) = 6.  Its
+    powers agree with its symbolic powers, so both walks go on to n = 3."""
     I = parse_ideal(FIVE_CYCLE)
     assert len(minimal_primes(I)) == 5
     products = _count_products(monkeypatch)
     walk(I, 3)
-    assert len(products) == 12
-    walk(I, 3)
-    assert len(products) == 12
+    assert len(products) == 2
+    J = parse_ideal("t1^2*t2, t3*t4")
+    assert len(minimal_primes(J)) == 4 and not embedded_primes(J)
+    walk(J, 3)
+    assert len(products) == 2 + 6
 
 
 def test_ntf_with_embedded_primes_builds_no_symbolic_power(monkeypatch):
@@ -329,7 +332,6 @@ def test_ntf_with_embedded_primes_builds_no_symbolic_power(monkeypatch):
     forms I^2 and I^3 and localizes nothing."""
     I = edge_ideal(PATH_MIDDLE.graph)
     expected = is_ntf_up_to(I, 3)
-    clear_caches()
     products = _count_products(monkeypatch)
 
     def no_symbolic_power(*args):
@@ -341,45 +343,52 @@ def test_ntf_with_embedded_primes_builds_no_symbolic_power(monkeypatch):
     assert len(products) == 2
 
 
-def test_reading_equal_ass_along_a_walk_reuses_its_chains(monkeypatch):
-    """The path's walk to 4 forms 9 products: 3 on the chain of I and 3 on
-    each of its 2 minimal primes.  I<n> intersects over the maximal
-    associated primes (t1, t3), which is minimal, and (t2, t3), so reading
-    `equal_ass` on the four reports forms only the 3 powers of the one new
-    chain.  compare_powers at any n of the walk then forms nothing."""
+@pytest.mark.parametrize("read_while_walking", [False, True])
+def test_reading_equal_ass_along_a_walk_reuses_its_chains(monkeypatch, read_while_walking):
+    """The path's walk to 4 forms 3 products, all on the chain of I: its
+    minimal primes (t2) and (t1, t3) localize to themselves.  I<n>
+    intersects over the maximal associated primes (t1, t3) and (t2, t3),
+    whose localization (t2^2, t2*t3) is not prime, so reading `equal_ass`
+    on the four reports, during the walk or after it and from the last
+    report back, forms only the 3 powers of that one chain."""
     I = edge_ideal(PATH_MIDDLE.graph)
+    assert minimal_primes(I) < associated_primes(I) and len(max_ass(I)) == 2
     products = _count_products(monkeypatch)
-    reports = list(compare_powers_up_to(I, 4))
-    assert len(products) == 9
-    assert [r.equal_ass for r in reports] == [True, True, True, True]
-    assert len(products) == 12
-    for n in range(1, 5):
-        assert compare_powers(I, n).equal_ass
-    assert len(products) == 12
+    if read_while_walking:
+        verdicts = [r.equal_ass for r in compare_powers_up_to(I, 4)]
+    else:
+        reports = list(compare_powers_up_to(I, 4))
+        assert len(products) == 3
+        verdicts = [r.equal_ass for r in reversed(reports)]
+    assert verdicts == [True, True, True, True]
+    assert len(products) == 6
 
 
-def test_power_memos_are_bounded():
-    """A long run over distinct ideals keeps a bounded number of chains and
-    of symbolic powers."""
-    for k in range(1, 1001):
-        I = MonomialIdeal.from_gens([(k, 0), (0, 1)], 2)
-        assert symbolic_power_min(I, 2) == I ** 2
-    assert 0 < _chain.cache_info().currsize < 1000
-    assert 0 < _memoized_intersection.cache_info().currsize < 1000
+@given(ideals(max_vars=4), st.sets(st.integers(1, 4), min_size=1), st.integers(1, 4))
+@example(parse_ideal("t1*t2, t2*t3"), {1, 3}, 2)
+def test_meet_prime_power_matches_the_pairwise_intersection(J, support, n):
+    """J ^ p^n read from the degrees of J's generators equals the lcms of
+    all pairs with the generators of p^n, formed afresh."""
+    support = {i for i in support if i <= J.num_vars} or {1}
+    prime = MonomialPrime(J.num_vars, frozenset(support))
+    p = MonomialIdeal.from_gens([unit_vector(i, J.num_vars) for i in support], J.num_vars)
+    assert symbolic._meet_prime_power(J, prime, n) == naive_intersection(J, naive_power(p, n))
 
 
 @given(ideals(max_vars=3, max_gens=4), st.permutations([1, 2, 3]))
 @example(parse_ideal("t1^2, t1*t2, t2^3"), [3, 1, 2])
+@example(parse_ideal(FIVE_CYCLE), [2, 3, 1])
 @example(edge_ideal(PATH_MIDDLE.graph), [2, 3, 1])
 @example(edge_ideal(TRIANGLE_CYCLE.graph), [1, 3, 2])
 @settings(max_examples=30)
-def test_memoized_powers_match_the_memo_free_oracle(I, order):
-    """Powers read from the memos equal those formed afresh, whichever n
-    is asked for first and through whichever route.  The chains are
-    extended by `**` and the symbolic powers, and then read by two walks
-    zipped together.  The primary ideal (t1^2, t1*t2, t2^3) has I itself
-    as its only localization, so both zipped walks, and each symbolic
-    power inside them, read the one chain of I."""
+def test_powers_match_the_chain_free_oracle(I, order):
+    """Powers read from the chains equal those formed afresh by the oracle,
+    whichever n is asked for first and through whichever route.  The walk's
+    reports are read in a shuffled order, so its lazily extended chains of
+    the maximal associated primes (the path and the weighted 3-cycle have
+    embedded primes) are asked for a later power before an earlier one.
+    The 5-cycle's localizations are all primes, so its I^(n) is met from
+    degrees alone, and the oracle forms every (I_p)^n by products."""
     ordinary = {n: naive_power(I, n) for n in order}
     smin = {n: naive_symbolic_power_min(I, n) for n in order}
     sass = {n: naive_symbolic_power(I, n, max_ass(I)) for n in order}
@@ -388,10 +397,11 @@ def test_memoized_powers_match_the_memo_free_oracle(I, order):
         report = compare_powers(I, n)
         assert (report.ordinary, report.symbolic_min) == (ordinary[n], smin[n])
         assert symbolic_power_ass(I, n) == report.symbolic_ass == sass[n]
-        for left, right in zip(compare_powers_up_to(I, n), compare_powers_up_to(I, n)):
-            k = left.n
-            assert (left.ordinary, left.symbolic_min) == (ordinary[k], smin[k])
-            assert right == left and right.symbolic_ass == sass[k]
+    reports = list(compare_powers_up_to(I, len(order)))
+    for n in order:
+        report = reports[n - 1]
+        assert (report.ordinary, report.symbolic_min) == (ordinary[n], smin[n])
+        assert report.symbolic_ass == sass[n]
 
 
 @pytest.mark.parametrize(
