@@ -15,7 +15,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from monideal.cli import _positive
+from monideal.cli import _at_least, _positive
 from monideal.graphs import classify, edge_ideal, format_graph
 from monideal.random_instances import random_graph
 from monideal.symbolic import compare_powers_up_to
@@ -68,8 +68,8 @@ def sweep(config: SweepConfig) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=_positive, default=200)
-    parser.add_argument("--max-vertices", type=int, default=6)
-    parser.add_argument("--max-weight", type=int, default=3)
+    parser.add_argument("--max-vertices", type=_at_least(2), default=6)
+    parser.add_argument("--max-weight", type=_positive, default=3)
     parser.add_argument("--max-n", type=_positive, default=3)
     parser.add_argument("--seed", type=int, default=20260823)
     args = parser.parse_args(argv)

@@ -65,14 +65,22 @@ from .symbolic import (
 )
 
 
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a value >= 1, got {value}")
-    return value
+def _at_least(low: int):
+    """The argparse type of an integer option whose least value is `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a value >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive = _at_least(1)
 
 
 def _read(path: str) -> str:

@@ -109,8 +109,9 @@ class IrreducibleDecomposition:
     """An irredundant intersection of irreducible ideals, canonically sorted.
 
     Its primes are read off the components and stored on first read: the
-    associated primes are the supports of the components, and the minimal
-    primes are those that contain no other one.  A decomposition held by
+    associated primes are the supports of the components, the minimal
+    primes are those that contain no other one, and the maximal primes
+    those that lie in no other one.  A decomposition held by
     the cache of :func:`irreducible_decomposition` so builds each set once.
     """
 
@@ -128,6 +129,13 @@ class IrreducibleDecomposition:
         ass = self.associated_primes
         return frozenset(
             p for p in ass if not any(q.support < p.support for q in ass)
+        )
+
+    @cached_property
+    def maximal_primes(self) -> frozenset[MonomialPrime]:
+        ass = self.associated_primes
+        return frozenset(
+            p for p in ass if not any(p.support < q.support for q in ass)
         )
 
     def intersection(self) -> MonomialIdeal:

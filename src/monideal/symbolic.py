@@ -10,23 +10,27 @@ to 1 in each generator and minimalize.  Both agree with the usual
 definitions through saturation, and the ordinary power always sits inside:
 I^n <= I<n> <= I^(n).
 
-When I_p is the prime p itself, generated by variables (every minimal
-prime of a squarefree ideal, such as the edge ideal of a cycle), p^n is not
-formed at all: t^a lies in p^n iff its degree in the variables of p is at
-least n, so J ^ p^n comes straight from the generators of J
-(:func:`_meet_prime_power`).  The other powers are read from the power
-chain of `ideals`.  :func:`compare_powers_up_to` zips the chain of I with
-one chain of I_p per other minimal prime p, so its walk to a bound forms
-each power once: (bound - 1) * (1 + |those primes|) products.  Its reports
-build I<n>, when read, on one chain per maximal associated prime whose
-I_p is not prime, extended only as far as the reports read.  Nothing is
+Every I^(n) and I<n> comes from one engine, :class:`_LocalizedPowers`,
+built on I and a set of primes.  At n = 1 it returns I itself when every
+associated prime of I lies inside one of the primes, so I^(1) is I iff I
+has no embedded primes, and I<1> is always I.  Otherwise it localizes I at
+each prime, once.  When I_p is the prime p itself (every minimal prime of
+a squarefree ideal, such as the edge ideal of a cycle), p^n is not formed
+at all: t^a lies in p^n iff its degree in the variables of p is at least
+n, so J ^ p^n comes straight from the generators of J
+(:func:`_meet_prime_power`).  Every other I_p keeps the list of its powers
+formed so far on its power chain, extended as far as asked.  A one-shot
+call builds an engine for its one n; :func:`compare_powers_up_to` builds
+one for I^(n) and one for I<n>, so its walk to a bound forms each power
+once: (bound - 1) * (1 + |minimal primes with I_p not prime|) products,
+and its reports' I<n>, when read, only the powers they read.  Nothing is
 kept across calls; those powers live as long as the walk's reports do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .decomposition import (
@@ -37,7 +41,7 @@ from .decomposition import (
     minimal_primes,
 )
 from .errors import ConsistencyError, DomainError
-from .ideals import Exponent, MonomialIdeal, _last, _powers, _sums, intersect_all
+from .ideals import Exponent, MonomialIdeal, _powers, _sums, intersect_all
 
 
 def localize(ideal: MonomialIdeal, prime: MonomialPrime) -> MonomialIdeal:
@@ -49,68 +53,63 @@ def localize(ideal: MonomialIdeal, prime: MonomialPrime) -> MonomialIdeal:
     return MonomialIdeal._from_trusted(gens, ideal.num_vars)
 
 
-def _sorted_primes(primes):
-    return sorted(primes, key=lambda p: p.sort_key())
-
-
 def max_ass(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
     """Associated primes that are maximal under inclusion."""
-    ass = associated_primes(ideal)
-    return frozenset(
-        p for p in ass if not any(p.support < q.support for q in ass)
-    )
+    return irreducible_decomposition(ideal).maximal_primes
 
 
 def symbolic_power_min(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
-    """I^(n): localized powers intersected over the minimal primes.
-
-    Without embedded primes I^(1) is I itself, and no intersection is
-    formed: every component of the decomposition of I has a minimal prime
-    as support, and I_p is the intersection of the components with support
-    p, so the I_p together intersect to all components, which the
-    decomposition has already checked to intersect to I.
-    """
-    dec = irreducible_decomposition(ideal)
-    if n == 1 and isinstance(n, int) and dec.minimal_primes == dec.associated_primes:
-        return ideal
-    return _localized_power_intersection(ideal, n, dec.minimal_primes)
+    """I^(n): localized powers intersected over the minimal primes."""
+    return _LocalizedPowers(ideal, minimal_primes(ideal), n).at(n)
 
 
 def symbolic_power_ass(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """I<n>: localized powers intersected over the maximal associated primes."""
-    return _localized_power_intersection(ideal, n, max_ass(ideal))
+    return _LocalizedPowers(ideal, max_ass(ideal), n).at(n)
 
 
-def _localized_power_intersection(ideal, n, primes):
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"symbolic power requires an integer n >= 1, got {n!r}")
-    linear, other = _split_linear(ideal, primes)
-    return _intersect(ideal.num_vars, [_last(_powers(q, n)) for q in other], linear, n)
+class _LocalizedPowers:
+    """The intersection of (I_p)^n over `primes`, at each n up to `bound`.
 
-
-def _split_linear(ideal, primes):
-    """The sorted primes p with I_p = p, and the I_p of the other primes.
-
-    I_p keeps p among its associated primes when p is associated to I, so
-    it is p itself exactly when its generators are variables.
+    I_p is the intersection of the components of I whose support lies in
+    p, and the decomposition of I is irredundant.  So at n = 1 the
+    intersection is I itself iff every associated prime of I lies inside
+    one of the primes.  For any other n, I is localized at each prime on
+    the first call, and each I_p that is not p itself keeps its powers.
     """
-    linear, other = [], []
-    for p in _sorted_primes(primes):
-        local = localize(ideal, p)
-        if all(sum(g) == 1 for g in local.gens):
-            linear.append(p)
-        else:
-            other.append(local)
-    return linear, other
 
+    def __init__(self, ideal, primes, bound):
+        self.ideal, self.primes, self.bound = ideal, primes, bound
 
-def _intersect(num_vars, powers, linear, n):
-    """The intersection of the localized `powers` and of p^n for each p in
-    `linear`."""
-    out = intersect_all(powers, num_vars)
-    for p in linear:
-        out = _meet_prime_power(out, p, n)
-    return out
+    def at(self, n):
+        if not isinstance(n, int) or n < 1:
+            raise DomainError(f"symbolic power requires an integer n >= 1, got {n!r}")
+        if n == 1 and all(
+            any(a <= p for p in self.primes) for a in associated_primes(self.ideal) - self.primes
+        ):
+            return self.ideal
+        linear, chains = self._localized
+        for chain, formed in chains:
+            while len(formed) < n:
+                formed.append(next(chain))
+        out = intersect_all([formed[n - 1] for _, formed in chains], self.ideal.num_vars)
+        for p in linear:
+            out = _meet_prime_power(out, p, n)
+        return out
+
+    @cached_property
+    def _localized(self):
+        # The primes p with I_p = p, and each other I_p's power chain with
+        # the powers formed so far.  I_p keeps p among its associated
+        # primes, so it is p itself exactly when its generators are variables.
+        linear, chains = [], []
+        for p in sorted(self.primes, key=MonomialPrime.sort_key):
+            local = localize(self.ideal, p)
+            if all(sum(g) == 1 for g in local.gens):
+                linear.append(p)
+            else:
+                chains.append((_powers(local, self.bound), []))
+        return linear, chains
 
 
 def _meet_prime_power(ideal, prime, n):
@@ -152,18 +151,18 @@ class SymbolicPowerReport:
     symbolic_min: MonomialIdeal
     equal_min: bool
     ideal: MonomialIdeal = field(compare=False, repr=False)
-    # Builds I<n> from the chains of the walk that made this report.
-    _ass_from_walk: object = field(default=None, compare=False, repr=False)
+    # The I<n> engine of the walk that made this report, shared by its reports.
+    _ass_powers: _LocalizedPowers | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def symbolic_ass(self) -> MonomialIdeal:
         # Without embedded primes both symbolic powers intersect over the
         # same primes, so I^(n) serves for I<n>.
-        if max_ass(self.ideal) == minimal_primes(self.ideal):
+        if not embedded_primes(self.ideal):
             return self.symbolic_min
-        if self._ass_from_walk is not None:
-            return self._ass_from_walk()
-        return symbolic_power_ass(self.ideal, self.n)
+        if self._ass_powers is None:
+            return symbolic_power_ass(self.ideal, self.n)
+        return self._ass_powers.at(self.n)
 
     @cached_property
     def equal_ass(self) -> bool:
@@ -190,46 +189,21 @@ def compare_powers(ideal: MonomialIdeal, n: int) -> SymbolicPowerReport:
 def compare_powers_up_to(ideal: MonomialIdeal, bound: int):
     """Yield the report of :func:`compare_powers` for n = 1..bound.
 
-    I^n is read from the chain of I and I^(n) from one chain of I_p per
-    minimal prime p with I_p not prime (I^(1) is I without embedded primes,
-    as in :func:`symbolic_power_min`), so no power is formed twice.  With
-    embedded primes, a report's I<n> is built when first read, on one
-    chain per maximal associated prime with I_p not prime, which every
-    report of the walk shares and extends only as far as they read.
+    I^n is read from the chain of I, and I^(n) and I<n> from one engine
+    each, which every report of the walk shares, so no power is formed
+    twice.  A report's I<n> is built when first read, with powers formed
+    only as far as the reports read.
     """
     chain = _powers(ideal, bound)
     dec = irreducible_decomposition(ideal)
-    no_embedded = dec.minimal_primes == dec.associated_primes
-    linear, other = _split_linear(ideal, dec.minimal_primes)
-    local = [_powers(q, bound) for q in other]
-    ass_at = None
-    if not no_embedded:
-        ass_linear, ass_other = _split_linear(ideal, max_ass(ideal))
-        chains = [_Formed(q, bound) for q in ass_other]
-        ass_at = partial(_ass_from_chains, ideal.num_vars, chains, ass_linear)
-    for n, (power, *localized) in enumerate(zip(chain, *local), 1):
-        smin = ideal if n == 1 and no_embedded else _intersect(ideal.num_vars, localized, linear, n)
-        yield _report(ideal, n, power, smin, ass_at and partial(ass_at, n))
+    smin = _LocalizedPowers(ideal, dec.minimal_primes, bound)
+    sass = _LocalizedPowers(ideal, dec.maximal_primes, bound)
+    for n, power in enumerate(chain, 1):
+        yield _report(ideal, n, power, smin.at(n), sass)
 
 
-class _Formed:
-    """The powers of one ideal formed so far, formed further on demand."""
-
-    def __init__(self, ideal, bound):
-        self.chain, self.formed = _powers(ideal, bound), []
-
-    def power(self, n):
-        while len(self.formed) < n:
-            self.formed.append(next(self.chain))
-        return self.formed[n - 1]
-
-
-def _ass_from_chains(num_vars, chains, linear, n):
-    return _intersect(num_vars, [c.power(n) for c in chains], linear, n)
-
-
-def _report(ideal, n, ordinary, smin, ass_from_walk=None):
-    return SymbolicPowerReport(n, ordinary, smin, ordinary == smin, ideal, ass_from_walk)
+def _report(ideal, n, ordinary, smin, ass_powers=None):
+    return SymbolicPowerReport(n, ordinary, smin, ordinary == smin, ideal, ass_powers)
 
 
 def powers_equal_up_to(ideal: MonomialIdeal, bound: int) -> bool:

@@ -19,6 +19,7 @@ from monideal.decomposition import (
     minimal_primes,
 )
 from monideal.fixtures import fixture
+from monideal.symbolic import max_ass
 
 from conftest import ideals
 from oracles import ass_witness_oracle, colon_prime_scan, exponent_duality
@@ -141,6 +142,16 @@ def test_minimal_and_embedded_split():
     assert mins == {frozenset({2}), frozenset({1, 3})}
     assert embs == {frozenset({2, 3})}
     assert associated_primes(I) == minimal_primes(I) | embedded_primes(I)
+
+
+@given(ideals(max_vars=4, max_gens=5))
+@settings(max_examples=25)
+def test_maximal_primes_lie_in_no_other_associated_prime(I):
+    """Read once per decomposition: `max_ass` returns the stored set."""
+    dec = irreducible_decomposition(I)
+    ass = dec.associated_primes
+    assert dec.maximal_primes == {p for p in ass if not any(p <= q != p for q in ass)}
+    assert max_ass(I) is dec.maximal_primes is irreducible_decomposition(I).maximal_primes
 
 
 def test_witness_oracle_on_a_small_ideal():

@@ -274,6 +274,39 @@ def test_power_loops_extend_the_previous_power(monkeypatch):
 FIVE_CYCLE = "t1*t2, t2*t3, t3*t4, t4*t5, t5*t1"
 
 
+@given(ideals(max_vars=4, max_gens=5))
+@example(edge_ideal(PATH_MIDDLE.graph))
+@example(edge_ideal(TRIANGLE_CYCLE.graph))
+@example(parse_ideal(FIVE_CYCLE))
+@settings(max_examples=30)
+def test_first_symbolic_powers_are_the_ideal_itself(I):
+    """I<1> is I itself, and I^(1) is I itself iff I has no embedded
+    primes: the localizations at a set of primes intersect to I exactly
+    when every associated prime lies inside one of them."""
+    assert symbolic_power_ass(I, 1) is I
+    assert (symbolic_power_min(I, 1) is I) == (not embedded_primes(I))
+
+
+def test_first_powers_localize_nothing(monkeypatch):
+    """At n = 1, I<n> and, without embedded primes, I^(n) are answered
+    without localizing, one-shot and on the first report of a walk."""
+    path = edge_ideal(PATH_MIDDLE.graph)
+    five_cycle, J = parse_ideal(FIVE_CYCLE), parse_ideal("t1^2*t2, t3*t4")
+
+    def no_localization(*args):
+        raise AssertionError("localized at n = 1")
+
+    monkeypatch.setattr(symbolic, "localize", no_localization)
+    assert symbolic_power_ass(path, 1) is path
+    for I in (five_cycle, J):
+        assert not embedded_primes(I)
+        assert symbolic_power_ass(I, 1) is I
+        report = compare_powers(I, 1)
+        assert report.equal_min and report.equal_ass and report.symbolic_ass is I
+        first = next(compare_powers_up_to(I, 3))
+        assert first.equal_min and first.equal_ass and first.symbolic_min is I
+
+
 @given(ideals(max_vars=3, max_gens=4))
 @example(edge_ideal(PATH_MIDDLE.graph))
 @example(edge_ideal(TRIANGLE_CYCLE.graph))
