@@ -17,21 +17,22 @@ pairwise incomparable before, and each piece contains the component it came
 from, so no kept component can contain a piece.  The 256 most recent
 results are memoized per canonical generating set: a fixed bound keeps a
 long sweep over many ideals from growing the cache without limit.
+
+A meet J ^ q_a^n is read off the generators of J, since t^x lies in q_a^n
+iff the sum of floor(x_i / a_i) over supp(a) is at least n
+(:func:`_meet_irreducible_power`).  Decompositions are re-intersected, and
+checked against their ideals, as folds of such meets at n = 1, and the
+symbolic powers meet each localization that is one component this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, DomainError
-from .ideals import (
-    Exponent,
-    MonomialIdeal,
-    graded_lex_key,
-    intersect_all,
-    unit_vector,
-)
+from .ideals import Exponent, MonomialIdeal, graded_lex_key, unit_vector
 
 
 @dataclass(frozen=True)
@@ -139,9 +140,10 @@ class IrreducibleDecomposition:
         )
 
     def intersection(self) -> MonomialIdeal:
-        return intersect_all(
-            [c.as_ideal() for c in self.components], self.num_vars
-        )
+        out = MonomialIdeal.unit(self.num_vars)
+        for c in self.components:
+            out = _meet_irreducible_power(out, c.alpha, 1)
+        return out
 
     def alphas(self) -> tuple[Exponent, ...]:
         return tuple(c.alpha for c in self.components)
@@ -172,9 +174,40 @@ def irredundant_subset(
             d is not c and _contains_irreducible(c.alpha, d.alpha) for d in comps
         )
     ]
-    if intersect_all([c.as_ideal() for c in kept], target.num_vars) != target:
+    if IrreducibleDecomposition(target.num_vars, tuple(kept)).intersection() != target:
         raise ConsistencyError("components do not intersect to the expected ideal")
     return tuple(kept)
+
+
+def _meet_irreducible_power(ideal, alpha, n):
+    """`ideal` ^ q_a^n, for the irreducible q_a with exponent vector `alpha`.
+
+    t^x lies in q_a^n iff d(x), the sum of floor(x_i / a_i) over supp(a),
+    is at least n.  A generator u with d(u) >= n passes through.  The least
+    multiples in q_a^n of any other u take every multiset of n - d(u)
+    steps over supp(a), where s_i >= 1 steps lift u_i to a_i * (floor(u_i
+    / a_i) + s_i).  Each group of equal n - d(u) is lifted a column at a
+    time, as :meth:`MonomialIdeal.__mul__` sums, and all are minimalized once.
+    """
+    support = [i for i, a in enumerate(alpha) if a]
+    groups = {}
+    for u in ideal.gens:
+        groups.setdefault(max(0, n - sum(u[i] // alpha[i] for i in support)), []).append(u)
+    vectors = groups.pop(0, [])
+    for gap, us in groups.items():
+        lifts = []  # a_i times the steps on each coordinate, per multiset
+        for combo in combinations_with_replacement(support, gap):
+            b = [0] * ideal.num_vars
+            for i in combo:
+                b[i] += alpha[i]
+            lifts.append(b)
+        cols = [  # with a_i <= 1 there is no remainder to drop: a plain sum
+            [x + y for x in cu for y in cv] if a < 2
+            else [x - x % a + y if y else x for x in cu for y in cv]
+            for a, cu, cv in zip(alpha, zip(*us), zip(*lifts))
+        ]
+        vectors += zip(*cols)
+    return MonomialIdeal._from_trusted(vectors, ideal.num_vars)
 
 
 @lru_cache(maxsize=256)

@@ -299,7 +299,9 @@ class MonomialIdeal:
         back together gives the sum vectors with no Python call per pair.
         """
         self._check_compatible(other)
-        return MonomialIdeal._from_trusted(_sums(self.gens, other.gens), self.num_vars)
+        pairs = zip(zip(*self.gens), zip(*other.gens))
+        cols = [[x + y for x in cu for y in cv] for cu, cv in pairs]
+        return MonomialIdeal._from_trusted(list(zip(*cols)), self.num_vars)
 
     def __pow__(self, n: int) -> "MonomialIdeal":
         if not isinstance(n, int) or n < 1:
@@ -357,13 +359,6 @@ def _trusted_ideal(vectors, num_vars: int) -> MonomialIdeal:
     object.__setattr__(ideal, "num_vars", num_vars)
     object.__setattr__(ideal, "gens", minimal_generators(vectors))
     return ideal
-
-
-def _sums(us, vs) -> list[Exponent]:
-    """u + v for every pair of vectors of `us` and `vs`, formed a column at
-    a time as :meth:`MonomialIdeal.__mul__` describes."""
-    cols = [[x + y for x in cu for y in cv] for cu, cv in zip(zip(*us), zip(*vs))]
-    return list(zip(*cols))
 
 
 def intersect_all(ideals, num_vars: int | None = None) -> MonomialIdeal:

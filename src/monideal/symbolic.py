@@ -13,35 +13,34 @@ I^n <= I<n> <= I^(n).
 Every I^(n) and I<n> comes from one engine, :class:`_LocalizedPowers`,
 built on I and a set of primes.  At n = 1 it returns I itself when every
 associated prime of I lies inside one of the primes, so I^(1) is I iff I
-has no embedded primes, and I<1> is always I.  Otherwise it localizes I at
-each prime, once.  When I_p is the prime p itself (every minimal prime of
-a squarefree ideal, such as the edge ideal of a cycle), p^n is not formed
-at all: t^a lies in p^n iff its degree in the variables of p is at least
-n, so J ^ p^n comes straight from the generators of J
-(:func:`_meet_prime_power`).  Every other I_p keeps the list of its powers
-formed so far on its power chain, extended as far as asked.  A one-shot
-call builds an engine for its one n; :func:`compare_powers_up_to` builds
-one for I^(n) and one for I<n>, so its walk to a bound forms each power
-once: (bound - 1) * (1 + |minimal primes with I_p not prime|) products,
-and its reports' I<n>, when read, only the powers they read.  Nothing is
-kept across calls; those powers live as long as the walk's reports do.
+has no embedded primes, and I<1> is always I.  For other n, I_p is the
+intersection of the components of I with support in p, read once off the
+decomposition.  A lone component q_a (at every minimal prime of an edge
+ideal, whose components are indexed by its strong vertex covers) is met
+as q_a^n from degrees, by ``decomposition._meet_irreducible_power``, and
+no power of it is formed; every other I_p is localized and keeps the
+powers formed so far on its chain.  A one-shot call builds an engine for
+its one n; :func:`compare_powers_up_to` builds one for I^(n) and one for
+I<n>, so its walk to a bound forms each power once: (bound - 1) * (1 +
+|minimal primes p whose I_p is not one component|) products, and its
+reports' I<n> only the powers they read.  Nothing is kept across calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations_with_replacement
 
 from .decomposition import (
     MonomialPrime,
+    _meet_irreducible_power,
     associated_primes,
     embedded_primes,
     irreducible_decomposition,
     minimal_primes,
 )
 from .errors import ConsistencyError, DomainError
-from .ideals import Exponent, MonomialIdeal, _powers, _sums, intersect_all
+from .ideals import Exponent, MonomialIdeal, _powers, intersect_all
 
 
 def localize(ideal: MonomialIdeal, prime: MonomialPrime) -> MonomialIdeal:
@@ -72,10 +71,8 @@ class _LocalizedPowers:
     """The intersection of (I_p)^n over `primes`, at each n up to `bound`.
 
     I_p is the intersection of the components of I whose support lies in
-    p, and the decomposition of I is irredundant.  So at n = 1 the
-    intersection is I itself iff every associated prime of I lies inside
-    one of the primes.  For any other n, I is localized at each prime on
-    the first call, and each I_p that is not p itself keeps its powers.
+    p, and the decomposition is irredundant.  So at n = 1 this is I itself
+    iff every associated prime of I lies inside one of the primes.
     """
 
     def __init__(self, ideal, primes, bound):
@@ -88,53 +85,28 @@ class _LocalizedPowers:
             any(a <= p for p in self.primes) for a in associated_primes(self.ideal) - self.primes
         ):
             return self.ideal
-        linear, chains = self._localized
+        lone, chains = self._localized
         for chain, formed in chains:
             while len(formed) < n:
                 formed.append(next(chain))
         out = intersect_all([formed[n - 1] for _, formed in chains], self.ideal.num_vars)
-        for p in linear:
-            out = _meet_prime_power(out, p, n)
+        for alpha in lone:
+            out = _meet_irreducible_power(out, alpha, n)
         return out
 
     @cached_property
     def _localized(self):
-        # The primes p with I_p = p, and each other I_p's power chain with
-        # the powers formed so far.  I_p keeps p among its associated
-        # primes, so it is p itself exactly when its generators are variables.
-        linear, chains = [], []
+        # Each lone component's vector; each other I_p's chain and powers.
+        dec = irreducible_decomposition(self.ideal)
+        components = [(c.support(), c.alpha) for c in dec.components]
+        lone, chains = [], []
         for p in sorted(self.primes, key=MonomialPrime.sort_key):
-            local = localize(self.ideal, p)
-            if all(sum(g) == 1 for g in local.gens):
-                linear.append(p)
+            inside = [alpha for support, alpha in components if support <= p.support]
+            if len(inside) == 1:
+                lone.append(inside[0])
             else:
-                chains.append((_powers(local, self.bound), []))
-        return linear, chains
-
-
-def _meet_prime_power(ideal, prime, n):
-    """`ideal` ^ p^n for the prime p generated by the variables of `prime`.
-
-    t^a lies in p^n iff its degree d in those variables is at least n.  So
-    a generator u of the ideal with d >= n lies in p^n, and the least
-    multiples in p^n of one with d < n are the u * t^b for every monomial
-    t^b of degree n - d in those variables.  The generators are grouped by
-    n - d, each group summed with its monomials, and all minimalized once.
-    """
-    support = [i - 1 for i in sorted(prime.support)]
-    groups = {}
-    for u in ideal.gens:
-        groups.setdefault(max(0, n - sum(u[i] for i in support)), []).append(u)
-    vectors = groups.pop(0, [])
-    for gap, us in groups.items():
-        monomials = []
-        for combo in combinations_with_replacement(support, gap):
-            b = [0] * ideal.num_vars
-            for i in combo:
-                b[i] += 1
-            monomials.append(b)
-        vectors += _sums(us, monomials)
-    return MonomialIdeal._from_trusted(vectors, ideal.num_vars)
+                chains.append((_powers(localize(self.ideal, p), self.bound), []))
+        return lone, chains
 
 
 @dataclass(frozen=True)

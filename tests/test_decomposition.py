@@ -19,6 +19,7 @@ from monideal.decomposition import (
     minimal_primes,
 )
 from monideal.fixtures import fixture
+from monideal.graphs import edge_ideal
 from monideal.symbolic import max_ass
 
 from conftest import ideals
@@ -57,10 +58,32 @@ def test_path_middle_decomposition():
     assert dec.intersection() == I
 
 
-def test_irredundant_subset_rejects_wrong_target():
-    comps = [IrreducibleIdeal(2, (1, 0))]
+def _decompositions_short_of_one():
+    """The decomposition of the 5-cycle, the path and the weighted 3-cycle
+    with one component left out, each with its ideal: the intersection of
+    the rest is strictly larger, since the decomposition is irredundant."""
+    for name, I in (
+        ("c5", parse_ideal("t1*t2, t2*t3, t3*t4, t4*t5, t5*t1")),
+        ("path_middle", edge_ideal(fixture("path_middle").graph)),
+        ("triangle_cycle", edge_ideal(fixture("triangle_cycle").graph)),
+    ):
+        comps = irreducible_decomposition(I).components
+        for k in range(len(comps)):
+            yield pytest.param(comps[:k] + comps[k + 1:], I, id=f"{name}-without-{k}")
+
+
+@pytest.mark.parametrize(
+    "comps, target",
+    [
+        pytest.param(
+            [IrreducibleIdeal(2, (1, 0))], parse_ideal("(t2)", num_vars=2), id="other-prime"
+        ),
+        *_decompositions_short_of_one(),
+    ],
+)
+def test_irredundant_subset_rejects_wrong_target(comps, target):
     with pytest.raises(ConsistencyError):
-        irredundant_subset(comps, parse_ideal("(t2)", num_vars=2))
+        irredundant_subset(comps, target)
 
 
 @given(ideals())

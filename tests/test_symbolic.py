@@ -3,12 +3,14 @@
 from functools import reduce
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from monideal.errors import DomainError
 from monideal.decomposition import (
+    IrreducibleIdeal,
     MonomialPrime,
+    _meet_irreducible_power,
     associated_primes,
     embedded_primes,
     irreducible_decomposition,
@@ -33,7 +35,7 @@ from monideal.fixtures import (
 )
 from monideal.graphs import edge_ideal
 from monideal import symbolic
-from monideal.ideals import MonomialIdeal, parse_ideal, unit_vector
+from monideal.ideals import MonomialIdeal, parse_ideal
 from monideal.polyhedra import closure_gaps, polyhedral_conditions_check
 from monideal.symbolic import (
     compare_powers,
@@ -344,11 +346,14 @@ def _count_products(monkeypatch):
 @pytest.mark.parametrize("walk", [powers_equal_up_to, is_ntf_up_to])
 def test_walks_form_each_power_once(monkeypatch, walk):
     """Walking n = 1..3 forms I^2 and I^3, and (I_p)^2 and (I_p)^3 for each
-    minimal prime p whose I_p is not p itself, each once; p^n is never
-    formed.  All 5 localizations of the 5-cycle are primes, so its walk
-    forms 2 products.  Two of the 4 of (t1^2*t2, t3*t4), (t1^2, t3) and
-    (t1^2, t4), are not, so its walk forms (3 - 1) * (1 + 2) = 6.  Its
-    powers agree with its symbolic powers, so both walks go on to n = 3."""
+    minimal prime p whose I_p is not one component, each once; a lone
+    component's powers are never formed.  All 5 localizations of the
+    5-cycle are primes, and the 4 of (t1^2*t2, t3*t4) are single
+    components, two of them (t1^2, t3) and (t1^2, t4), so each walk forms
+    2 products.  (t1^2, t1*t2, t2^2) = (t1^2, t2) ^ (t1, t2^2) has two
+    components on its one prime, so its walk forms (3 - 1) * (1 + 1) = 4.
+    Their powers agree with their symbolic powers, so both walks go on to
+    n = 3."""
     I = parse_ideal(FIVE_CYCLE)
     assert len(minimal_primes(I)) == 5
     products = _count_products(monkeypatch)
@@ -357,7 +362,29 @@ def test_walks_form_each_power_once(monkeypatch, walk):
     J = parse_ideal("t1^2*t2, t3*t4")
     assert len(minimal_primes(J)) == 4 and not embedded_primes(J)
     walk(J, 3)
-    assert len(products) == 2 + 6
+    assert len(products) == 2 + 2
+    K = parse_ideal("t1^2, t1*t2, t2^2")
+    assert len(irreducible_decomposition(K).components) == 2 and len(minimal_primes(K)) == 1
+    walk(K, 3)
+    assert len(products) == 2 + 2 + 4
+
+
+@given(graphs())
+@settings(max_examples=25)
+def test_edge_ideal_walks_localize_nothing(g):
+    """The components of an edge ideal are indexed by the strong vertex
+    covers, one for each support, so every minimal prime's I_p is a single
+    component and its powers are met from degrees: the walk to 3 answers
+    with `localize` unusable, and answers the same as with it."""
+    I = edge_ideal(g)
+    expected = powers_equal_up_to(I, 3)
+
+    def no_localization(*args):
+        raise AssertionError("an ideal was localized")
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(symbolic, "localize", no_localization)
+        assert powers_equal_up_to(I, 3) == expected
 
 
 def test_ntf_with_embedded_primes_builds_no_symbolic_power(monkeypatch):
@@ -397,15 +424,28 @@ def test_reading_equal_ass_along_a_walk_reuses_its_chains(monkeypatch, read_whil
     assert len(products) == 6
 
 
-@given(ideals(max_vars=4), st.sets(st.integers(1, 4), min_size=1), st.integers(1, 4))
-@example(parse_ideal("t1*t2, t2*t3"), {1, 3}, 2)
-def test_meet_prime_power_matches_the_pairwise_intersection(J, support, n):
-    """J ^ p^n read from the degrees of J's generators equals the lcms of
-    all pairs with the generators of p^n, formed afresh."""
-    support = {i for i in support if i <= J.num_vars} or {1}
-    prime = MonomialPrime(J.num_vars, frozenset(support))
-    p = MonomialIdeal.from_gens([unit_vector(i, J.num_vars) for i in support], J.num_vars)
-    assert symbolic._meet_prime_power(J, prime, n) == naive_intersection(J, naive_power(p, n))
+BIG = 2**70
+
+
+@given(
+    ideals(max_vars=4),
+    st.lists(st.integers(0, 3), min_size=4, max_size=4),
+    st.integers(1, 4),
+)
+@example(parse_ideal("t1*t2, t2*t3"), [1, 0, 1], 2)
+@example(parse_ideal("t1^2*t2, t2*t3^3, t1*t3"), [1, 1, 1], 3)
+@example(parse_ideal("t1*t2, t2*t3, t3*t4, t4*t1"), [1, 1, 1, 1], 4)
+@example(parse_ideal("t1^300*t2, t1*t2^5, t2^2*t3"), [256, 3, 0], 3)
+@example(MonomialIdeal.from_gens([(3 * BIG - 1, 1), (BIG + 1, 4), (0, 7)], 2), [BIG, 2], 3)
+def test_meet_irreducible_power_matches_the_pairwise_intersection(J, alpha, n):
+    """J ^ q_a^n read from the depths of J's generators equals the lcms of
+    all pairs with the generators of q_a^n, formed afresh.  The all-ones
+    a give the primes p^n; entries of 256 and more and of 2^70 take the
+    kernel's exact-int path."""
+    alpha = tuple(alpha[: J.num_vars])
+    assume(any(alpha))
+    q = IrreducibleIdeal(J.num_vars, alpha).as_ideal()
+    assert _meet_irreducible_power(J, alpha, n) == naive_intersection(J, naive_power(q, n))
 
 
 @given(ideals(max_vars=3, max_gens=4), st.permutations([1, 2, 3]))
