@@ -14,11 +14,14 @@ Newton polyhedron's inequality description has the covering polyhedron's
 vertices as columns; the irreducible polyhedron has the entrywise inverses
 of the irreducible components' exponent vectors.  Integral closures of
 powers fall out of the Newton description by a pruned search of a finite
-box, which sets one coordinate at a time under two exact rules:
+box, which sets one coordinate at a time under three exact rules:
 - drop a prefix when some row cannot be met even with the coordinates still
   unset at their bounds: no point of the box below that prefix is a member;
-- stop raising a coordinate once every row holds: each larger value gives
-  only multiples of the member just found.
+- drop a row once a prefix meets it: coordinates only add, so a met row
+  never again changes a bound, a member or a child;
+- stop raising a coordinate at sat, the least value meeting every short row
+  it touches: one below a larger value still meets them, so it gives only
+  multiples; if those are all the short rows, sat completes a member.
 
 One enumeration, of the vertex set V of Q(I), decides the conditions of
 `polyhedral_conditions_check`; C are the irreducible polyhedron's columns.
@@ -212,14 +215,13 @@ def irreducible_polyhedron(dec: IrreducibleDecomposition) -> CoveringFormPolyhed
 def _closure_box_scan(ideal: MonomialIdeal, rows, n: int) -> MonomialIdeal:
     """Minimal t^a in the box a_k <= n * max_g g_k with a . r >= n per row r.
 
-    A depth-first search sets a_0, a_1, ... in turn, keeping for each row
-    what it still needs, under the two rules of the module docstring.  At
+    A depth-first search sets a_0, a_1, ... in turn, keeping each short row
+    with what it still needs, under the rules of the module docstring.  At
     coordinate k the values below `low` leave some row short even with
-    a_k+1.. at their bounds, and `stop` is the first value that meets every
-    row: that prefix, padded with zeros, is a member, and every larger a_k
-    gives its multiples.  So the search emits every minimal member and
-    only members, and its stack holds at most one prefix per value of each
-    coordinate, whatever the number of variables.
+    a_k+1.. at their bounds; `sat` meets every short row touching a_k, and
+    when those are all, `stop` is `sat` and that prefix, padded with zeros,
+    is a member.  So the search emits every minimal member and only members,
+    and its stack holds at most one prefix per value of each coordinate.
     """
     scaled = []
     for u in rows:
@@ -234,27 +236,31 @@ def _closure_box_scan(ideal: MonomialIdeal, rows, n: int) -> MonomialIdeal:
             r + row[k] * bounds[k] for r, (row, _) in zip(reach[-1], scaled)
         ))
     reach.reverse()
+    columns = [tuple(row[k] for row, _ in scaled) for k in range(s)]
     members = []
-    stack = [((), tuple(rhs for _, rhs in scaled))]
+    stack = [((), list(enumerate(rhs for _, rhs in scaled)))]
     while stack:
-        prefix, need = stack.pop()
+        prefix, short = stack.pop()
         k = len(prefix)
-        column = [row[k] for row, _ in scaled]
-        low, stop = 0, 0
-        for c, left, rest in zip(column, need, reach[k + 1]):
-            if c:
-                low = max(low, -((rest - left) // c))
-                stop = max(stop, -(-left // c))
-            elif left > 0:
+        column, rest = columns[k], reach[k + 1]
+        low = sat = stop = 0
+        for j, left in short:
+            if c := column[j]:
+                if (x := -((rest[j] - left) // c)) > low:
+                    low = x
+                if (x := -(-left // c)) > sat:
+                    sat = x
+            else:
                 stop = bounds[k] + 1
-                if left > rest:
+                if left > rest[j]:
                     low = stop
+        stop = max(stop, sat)
         if stop <= bounds[k]:
             members.append((*prefix, stop, *(0,) * (s - k - 1)))
-        for v in range(low, min(stop, bounds[k] + 1)):
-            stack.append(((*prefix, v), tuple(
-                left - c * v for c, left in zip(column, need)
-            )))
+        for v in range(low, min(stop, sat + 1, bounds[k] + 1)):
+            stack.append(((*prefix, v), [
+                (j, rem) for j, left in short if (rem := left - column[j] * v) > 0
+            ]))
     return MonomialIdeal._from_trusted(members, ideal.num_vars)
 
 

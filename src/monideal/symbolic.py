@@ -18,12 +18,13 @@ intersection of the components of I with support in p, read once off the
 decomposition.  A lone component q_a (at every minimal prime of an edge
 ideal, whose components are indexed by its strong vertex covers) is met
 as q_a^n from degrees, by ``decomposition._meet_irreducible_power``, and
-no power of it is formed; every other I_p is localized and keeps the
-powers formed so far on its chain.  A one-shot call builds an engine for
-its one n; :func:`compare_powers_up_to` builds one for I^(n) and one for
-I<n>, so its walk to a bound forms each power once: (bound - 1) * (1 +
-|minimal primes p whose I_p is not one component|) products, and its
-reports' I<n> only the powers they read.  Nothing is kept across calls.
+no power of it is formed; every other I_p is localized and forms its
+powers on a chain, which holds only its latest power unless the engine
+must `keep` them all.  A one-shot call builds an engine for its one n;
+:func:`compare_powers_up_to` builds one for I^(n) and one that keeps, for
+I<n>, so its walk forms each power once: (bound - 1) * (1 + |minimal
+primes p whose I_p is not one component|) products, and its reports' I<n>,
+read in any order, only the powers they read.  Nothing outlives a call.
 """
 
 from __future__ import annotations
@@ -72,11 +73,12 @@ class _LocalizedPowers:
 
     I_p is the intersection of the components of I whose support lies in
     p, and the decomposition is irredundant.  So at n = 1 this is I itself
-    iff every associated prime of I lies inside one of the primes.
+    iff every associated prime of I lies inside one of the primes.  Reads
+    of an engine that does not `keep` must never go down in n.
     """
 
-    def __init__(self, ideal, primes, bound):
-        self.ideal, self.primes, self.bound = ideal, primes, bound
+    def __init__(self, ideal, primes, bound, keep=False):
+        self.ideal, self.primes, self.bound, self.keep = ideal, primes, bound, keep
 
     def at(self, n):
         if not isinstance(n, int) or n < 1:
@@ -88,6 +90,8 @@ class _LocalizedPowers:
         lone, chains = self._localized
         for chain, formed in chains:
             while len(formed) < n:
+                if formed and not self.keep:
+                    formed[-1] = None
                 formed.append(next(chain))
         out = intersect_all([formed[n - 1] for _, formed in chains], self.ideal.num_vars)
         for alpha in lone:
@@ -169,7 +173,7 @@ def compare_powers_up_to(ideal: MonomialIdeal, bound: int):
     chain = _powers(ideal, bound)
     dec = irreducible_decomposition(ideal)
     smin = _LocalizedPowers(ideal, dec.minimal_primes, bound)
-    sass = _LocalizedPowers(ideal, dec.maximal_primes, bound)
+    sass = _LocalizedPowers(ideal, dec.maximal_primes, bound, keep=True)
     for n, power in enumerate(chain, 1):
         yield _report(ideal, n, power, smin.at(n), sass)
 

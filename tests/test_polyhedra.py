@@ -284,6 +284,36 @@ def test_closure_search_matches_the_box_scan(I, component_rows, n):
     assert _closure_box_scan(I, rows, n) == _box_scan_oracle(I, rows, n)
 
 
+WEIGHTED_HEXAGON = WeightedOrientedGraph.build(
+    6, [(i, i % 6 + 1) for i in range(1, 7)], {2: 2, 4: 2, 6: 2}
+)
+SKEWED_SQUARE = "t1*t2, t2*t3^2, t3*t4, t4*t1^3"
+
+
+@pytest.mark.parametrize(
+    "ideal, n, component_rows",
+    [
+        pytest.param(edge_ideal(WEIGHTED_HEXAGON), n, False, id=f"hexagon-n{n}-V")
+        for n in (1, 2, 3)
+    ] + [
+        pytest.param(parse_ideal(SKEWED_SQUARE), n, c, id=f"skewed-n{n}-{'C' if c else 'V'}")
+        for n in (1, 2)
+        for c in (False, True)
+    ],
+)
+def test_closure_search_drops_met_rows_and_caps_coordinates(ideal, n, component_rows):
+    """The search carries only the rows still short, and raises a coordinate
+    whose short rows include one it does not touch at most to sat, the
+    least value that meets every short row it touches.  Capping one below
+    sat loses members of the skewed 4-cycle's closures at n = 1 and 2,
+    though not of the weighted 6-cycle's."""
+    if component_rows:
+        rows = irreducible_polyhedron(irreducible_decomposition(ideal)).columns
+    else:
+        rows = _vertex_certificates(covering_polyhedron(ideal))
+    assert _closure_box_scan(ideal, rows, n) == _box_scan_oracle(ideal, rows, n)
+
+
 def test_closure_search_without_members_or_rows():
     I = parse_ideal("(t1, t2)")
     unmet = [(Fraction(0), Fraction(0))]

@@ -424,6 +424,24 @@ def test_reading_equal_ass_along_a_walk_reuses_its_chains(monkeypatch, read_whil
     assert len(products) == 6
 
 
+def test_engines_read_in_order_keep_only_their_latest_power():
+    """(t1^2*t3, t1*t2, t2^2*t3) localizes at (t1, t2) to (t1^2, t2) ^
+    (t1, t2^2), two components, so that prime gets a chain; its other two
+    minimal primes are lone components.  A one-shot engine read at 25
+    holds (I_p)^25 alone on that chain.  The walk's I<n> engine, which its
+    reports read in any order, keeps every power and can go back."""
+    I = parse_ideal("t1^2*t3, t1*t2, t2^2*t3")
+    one_shot = symbolic._LocalizedPowers(I, minimal_primes(I), 25)
+    assert one_shot.at(25) == naive_symbolic_power_min(I, 25)
+    lone, chains = one_shot._localized
+    assert len(lone) == 2
+    assert [sum(p is not None for p in formed) for _, formed in chains] == [1]
+    walk_ass = next(compare_powers_up_to(I, 25))._ass_powers
+    assert walk_ass.at(25) == naive_symbolic_power(I, 25, max_ass(I))
+    assert walk_ass.at(3) == naive_symbolic_power(I, 3, max_ass(I))
+    assert [sum(p is not None for p in formed) for _, formed in walk_ass._localized[1]] == [25]
+
+
 BIG = 2**70
 
 
