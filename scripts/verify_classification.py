@@ -5,7 +5,10 @@ For each sampled weighted oriented graph the combinatorial predictions
 (square: heavy vertices all sinks and no triangle; all powers: heavy
 vertices all sinks and bipartite) are compared with the symbolic-ordinary
 power comparisons computed from the decompositions.  Any disagreement is
-printed and the script exits nonzero.
+printed and the script exits nonzero.  A graph predicted to split whose
+observed powers all agree is undecided, not a mismatch, when its first
+split lies past --max-n: n = 2 unless the square is predicted equal, and
+otherwise (odd girth + 1) / 2.  The undecided count is printed when nonzero.
 
     python3 scripts/verify_classification.py --count 500 --max-vertices 6
 """
@@ -32,7 +35,7 @@ class SweepConfig:
 
 def sweep(config: SweepConfig) -> int:
     rng = random.Random(config.seed)
-    mismatches = 0
+    mismatches = undecided = 0
     square_true = all_true = 0
     for index in range(config.count):
         g = random_graph(
@@ -51,7 +54,11 @@ def sweep(config: SweepConfig) -> int:
 
         bad_square = square_observed is not None and square_observed != cls.square
         bad_all = all_observed != cls.all_powers
-        if bad_square or bad_all:
+        if bad_all and all_observed and (
+            (cls.odd_girth + 1) // 2 if cls.square else 2
+        ) > config.max_n:
+            undecided += 1
+        elif bad_square or bad_all:
             mismatches += 1
             print(f"--- mismatch at sample {index}")
             print(format_graph(g))
@@ -61,6 +68,7 @@ def sweep(config: SweepConfig) -> int:
         f"{config.count} graphs checked: {square_true} with equal squares, "
         f"{all_true} with all powers equal (to n={config.max_n}), "
         f"{mismatches} mismatches"
+        + (f", {undecided} undecided" if undecided else "")
     )
     return 1 if mismatches else 0
 

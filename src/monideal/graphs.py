@@ -106,69 +106,6 @@ class WeightedOrientedGraph:
         return self.out_neighbors(v) | self.in_neighbors(v)
 
 
-@dataclass(frozen=True)
-class VertexRoles:
-    sources: frozenset[int]
-    sinks: frozenset[int]
-    heavy: frozenset[int]  # vertices of weight >= 2, all of them edge targets
-    all_heavy_are_sinks: bool
-
-
-def vertex_roles(graph: WeightedOrientedGraph) -> VertexRoles:
-    """Sources, sinks and heavy (weight >= 2) vertices.
-
-    A vertex with no edges at all is both a source and a sink.  Sources
-    carry weight 1, so every heavy vertex is an edge target.
-    """
-    sources = frozenset(
-        v for v in range(1, graph.num_vertices + 1) if not graph.in_neighbors(v)
-    )
-    sinks = frozenset(
-        v for v in range(1, graph.num_vertices + 1) if not graph.out_neighbors(v)
-    )
-    heavy = frozenset(
-        v for v in range(1, graph.num_vertices + 1) if graph.weight(v) >= 2
-    )
-    return VertexRoles(sources, sinks, heavy, heavy <= sinks)
-
-
-@dataclass(frozen=True)
-class UnderlyingProps:
-    is_bipartite: bool
-    has_triangle: bool
-    odd_girth: int | None  # None when bipartite
-
-
-def underlying_props(graph: WeightedOrientedGraph) -> UnderlyingProps:
-    """Bipartiteness, triangles and odd girth of the underlying simple graph.
-
-    All three come from the odd girth: a breadth-first search per root,
-    where an edge between two vertices at distance d closes an odd walk of
-    length 2d + 1.  No odd cycle means bipartite; odd girth 3, a triangle.
-    """
-    adjacency = {
-        v: graph.underlying_neighbors(v) for v in range(1, graph.num_vertices + 1)
-    }
-    odd_girth = None
-    for root in adjacency:
-        dist = {root: 0}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in adjacency[v]:
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        for i, j in graph.edges:
-            if i in dist and j in dist and dist[i] == dist[j]:
-                length = 2 * dist[i] + 1
-                if odd_girth is None or length < odd_girth:
-                    odd_girth = length
-    return UnderlyingProps(odd_girth is None, odd_girth == 3, odd_girth)
-
-
 def edge_ideal(graph: WeightedOrientedGraph) -> MonomialIdeal:
     """I(D) = (t_i * t_j^{w_j} per edge (i, j)); zero ideal if edgeless."""
     s = graph.num_vertices
@@ -404,23 +341,56 @@ class ClassifyReport:
 
 
 def classify(graph: WeightedOrientedGraph) -> ClassifyReport:
-    roles = vertex_roles(graph)
-    props = underlying_props(graph)
-    heavy_non_sinks = tuple(sorted(roles.heavy - roles.sinks))
-    square = roles.all_heavy_are_sinks and not props.has_triangle
-    all_powers = roles.all_heavy_are_sinks and props.is_bipartite
+    # A vertex of weight >= 2 is a sink iff no edge leaves it.  The odd
+    # girth decides the rest: None means bipartite, 3 a triangle.
+    tails = {i for i, _ in graph.edges}
+    heavy_non_sinks = tuple(
+        v for v, w in enumerate(graph.weights, start=1) if w >= 2 and v in tails
+    )
+    odd_girth = _odd_girth(graph)
+    all_heavy_are_sinks = not heavy_non_sinks
+    all_powers = all_heavy_are_sinks and odd_girth is None
     embedded = bool(embedded_primes(edge_ideal(graph))) if graph.edges else None
     return ClassifyReport(
-        square=square,
+        square=all_heavy_are_sinks and odd_girth != 3,
         all_powers=all_powers,
         ntf=None if embedded else all_powers,
-        all_heavy_are_sinks=roles.all_heavy_are_sinks,
+        all_heavy_are_sinks=all_heavy_are_sinks,
         heavy_non_sinks=heavy_non_sinks,
-        has_triangle=props.has_triangle,
-        is_bipartite=props.is_bipartite,
-        odd_girth=props.odd_girth,
+        has_triangle=odd_girth == 3,
+        is_bipartite=odd_girth is None,
+        odd_girth=odd_girth,
         has_embedded_primes=embedded,
     )
+
+
+def _odd_girth(graph: WeightedOrientedGraph) -> int | None:
+    """Odd girth of the underlying simple graph, None when it is bipartite.
+
+    A breadth-first search per root, where an edge between two vertices at
+    distance d closes an odd walk of length 2d + 1.
+    """
+    adjacency = {
+        v: graph.underlying_neighbors(v) for v in range(1, graph.num_vertices + 1)
+    }
+    odd_girth = None
+    for root in adjacency:
+        dist = {root: 0}
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in adjacency[v]:
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        for i, j in graph.edges:
+            if i in dist and j in dist and dist[i] == dist[j]:
+                length = 2 * dist[i] + 1
+                if odd_girth is None or length < odd_girth:
+                    odd_girth = length
+    return odd_girth
 
 
 def non_sink_witness(graph: WeightedOrientedGraph) -> Exponent | None:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
 
-from .errors import DimensionMismatch, DomainError, FormatError
+from .errors import DimensionMismatch, DomainError, FormatError, ResourceLimitExceeded
 
 Exponent = tuple[int, ...]
 
@@ -439,6 +439,10 @@ def power_contains(ideal: MonomialIdeal, a: Exponent, n: int) -> bool:
 # comma separated lists, with "0" for the zero ideal and "1" for the unit
 # ideal, optionally wrapped in one pair of parentheses.
 
+# Parsing a term builds a dense vector of this many entries: one term at
+# the limit peaks near 19 MB of process memory, one at 10^6 near 40 MB.
+PARSE_VARIABLE_LIMIT = 100_000
+
 _FACTOR_RE = re.compile(r"^t(\d+)(?:\^(\d+))?$")
 
 
@@ -538,6 +542,10 @@ def parse_ideal(text: str, num_vars: int | None = None) -> MonomialIdeal:
         num_vars = vec_lengths.pop() if vec_lengths else max_index
         if num_vars == 0:
             num_vars = 1  # the ideal (1) in an unnamed ring: default to one variable
+    if num_vars > PARSE_VARIABLE_LIMIT:
+        raise ResourceLimitExceeded(
+            f"{num_vars} variables exceed the parser's limit {PARSE_VARIABLE_LIMIT}"
+        )
     if vec_lengths and next(iter(vec_lengths)) != num_vars:
         raise FormatError(
             f"exponent vectors have length {vec_lengths.pop()}, expected {num_vars}"

@@ -50,9 +50,7 @@ from .errors import (
     FormatError,
     ResourceLimitExceeded,
 )
-from .graphs import WeightedOrientedGraph, alexander_dual
 from .ideals import Exponent, MonomialIdeal, _check_bound, _powers, power_contains
-from .symbolic import powers_equal_up_to
 
 FractionVector = tuple[Fraction, ...]
 
@@ -332,11 +330,6 @@ def is_normal_up_to(ideal: MonomialIdeal, bound: int, **limits) -> bool:
 # ------------------------------------------------------- combined checks
 
 
-def decomposition_is_minimal(dec: IrreducibleDecomposition) -> bool:
-    supports = [c.support() for c in dec.components]
-    return len(supports) == len(set(supports))
-
-
 @dataclass(frozen=True)
 class PolyhedralConditionsReport:
     """The three polyhedral conditions that accompany I^n == I^(n) for all n.
@@ -380,7 +373,8 @@ def polyhedral_conditions_check(
 ) -> PolyhedralConditionsReport:
     _check_bound(bound)
     dec = irreducible_decomposition(ideal)
-    minimal = decomposition_is_minimal(dec)
+    supports = [c.support() for c in dec.components]
+    minimal = len(supports) == len(set(supports))
     vertices = enumerate_vertices(covering_polyhedron(ideal), **limits)
     columns = irreducible_polyhedron(dec).columns
     per_power = holds = None
@@ -408,54 +402,6 @@ def polyhedral_conditions_check(
         vertices_are_component_inverses=c,
         powers_equal=powers_equal,
         consistent=consistent,
-    )
-
-
-@dataclass(frozen=True)
-class DualNtfReport:
-    """Symbolic-ordinary power equality of the dual edge ideal vs its
-    polyhedral characterization (normality plus Newton == irreducible).
-
-    Both sides of the equivalence are bounded computations, so a
-    disagreement is only reported as a finite-bound caveat: whichever side
-    looks true might still fail at a power beyond the bound.
-    """
-
-    bound: int
-    powers_equal: bool
-    normal: bool
-    newton_equals_irreducible: bool
-    rhs: bool
-    agree: bool
-    caveat: str | None
-
-
-def dual_ntf_check(
-    graph: WeightedOrientedGraph, bound: int, **limits
-) -> DualNtfReport:
-    dual = alexander_dual(graph)
-    ideal = dual.ideal
-    powers_equal = powers_equal_up_to(ideal, bound)
-    normal = is_normal_up_to(ideal, bound, **limits)
-    # NP(I) == IP(I) iff V <= C; see the module docstring.
-    vertices = enumerate_vertices(covering_polyhedron(ideal), **limits)
-    np_eq_ip = set(vertices) <= set(irreducible_polyhedron(dual.decomposition).columns)
-    rhs = normal and np_eq_ip
-    agree = powers_equal == rhs
-    caveat = None
-    if not agree:
-        caveat = (
-            f"sides disagree at bound {bound}: the equivalence holds for all powers "
-            "jointly, so the side that looks true here must fail beyond the bound"
-        )
-    return DualNtfReport(
-        bound=bound,
-        powers_equal=powers_equal,
-        normal=normal,
-        newton_equals_irreducible=np_eq_ip,
-        rhs=rhs,
-        agree=agree,
-        caveat=caveat,
     )
 
 

@@ -1,7 +1,9 @@
 """Command line surface: byte-exact outputs, exit codes, JSON mode."""
 
 import argparse
+import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -248,6 +250,21 @@ def test_resource_limit_exit_code(workdir, capsys):
     code, _, err = run(capsys, "wog-covers", str(big))
     assert code == 3
     assert "--max-covers" in err
+
+
+def test_absurd_variable_count_is_a_resource_limit(monkeypatch, capsys):
+    """`echo t100000000 | monideal decompose -` is refused before parsing
+    builds a vector of 10^8 entries."""
+    monkeypatch.setattr("sys.stdin", io.StringIO("t100000000\n"))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "decompose", "-")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert (code, out) == (3, "")
+    assert err == "error: 100000000 variables exceed the parser's limit 100000\n"
 
 
 def test_thm41_passes_its_limits_to_the_closure(workdir, capsys):

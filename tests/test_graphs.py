@@ -36,8 +36,6 @@ from monideal.graphs import (
     non_sink_witness,
     parse_graph,
     strong_covers,
-    underlying_props,
-    vertex_roles,
 )
 from monideal.decomposition import irreducible_decomposition
 
@@ -65,7 +63,7 @@ def test_construction_clears_source_and_isolated_weights():
     g = WeightedOrientedGraph.build(3, [(1, 2)], weights=(3, 2, 5))
     assert g.weights == (1, 2, 1)  # vertex 1 is a source, vertex 3 isolated
     assert parse_graph("vertices 3\nweights 3 2 5\nedge 1 2\n") == g
-    assert vertex_roles(g).heavy == frozenset({2})
+    assert [v for v, w in enumerate(g.weights, start=1) if w >= 2] == [2]
 
 
 @given(graphs(), st.lists(st.integers(min_value=1, max_value=9), min_size=5, max_size=5))
@@ -81,11 +79,13 @@ def test_graphs_differing_off_the_targets_are_equal(g, other):
 
 
 def test_vertex_roles_on_triangles():
-    roles = vertex_roles(TRIANGLE_SINK.graph)
-    assert roles.heavy == frozenset({1})
-    assert roles.sinks == frozenset({1})
-    assert roles.all_heavy_are_sinks
-    assert not vertex_roles(TRIANGLE_NONSINK.graph).all_heavy_are_sinks
+    g = TRIANGLE_SINK.graph
+    assert g.weights == (2, 1, 1)
+    assert [v for v in range(1, 4) if not g.out_neighbors(v)] == [1]
+    report = classify(g)
+    assert report.all_heavy_are_sinks and report.heavy_non_sinks == ()
+    report = classify(TRIANGLE_NONSINK.graph)
+    assert not report.all_heavy_are_sinks and report.heavy_non_sinks == (2,)
 
 
 def test_edge_ideal_generators():
@@ -262,13 +262,13 @@ def test_classify_invariants_match_colouring_and_triangle_scan(g):
 @pytest.mark.parametrize("length", range(3, 10))
 def test_odd_girth_of_oriented_cycles(length):
     edges = [(i, i % length + 1) for i in range(1, length + 1)]
-    props = underlying_props(WeightedOrientedGraph.build(length, edges))
-    assert props.odd_girth == (length if length % 2 else None)
+    report = classify(WeightedOrientedGraph.build(length, edges))
+    assert report.odd_girth == (length if length % 2 else None)
 
 
 def test_odd_girth_of_an_edgeless_graph():
-    props = underlying_props(WeightedOrientedGraph.build(3, []))
-    assert (props.odd_girth, props.is_bipartite, props.has_triangle) == (None, True, False)
+    report = classify(WeightedOrientedGraph.build(3, []))
+    assert (report.odd_girth, report.is_bipartite, report.has_triangle) == (None, True, False)
 
 
 def test_non_sink_witness_selection():

@@ -1,14 +1,16 @@
 """Core monomial ideal arithmetic, canonical form, and the text format."""
 
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from monideal.errors import DimensionMismatch, DomainError, FormatError
+from monideal.errors import DimensionMismatch, DomainError, FormatError, ResourceLimitExceeded
 from monideal.ideals import (
+    PARSE_VARIABLE_LIMIT,
     MonomialIdeal,
     divides,
     format_ideal,
@@ -176,6 +178,26 @@ def test_parse_rejects_malformed_input():
         parse_ideal("")
     with pytest.raises(FormatError):
         parse_ideal("(t3)", num_vars=2)
+
+
+def test_parse_refuses_variable_counts_past_its_limit():
+    """The count is checked before any dense vector is built."""
+    limit = PARSE_VARIABLE_LIMIT
+    assert parse_ideal(f"t{limit}").gens == ((0,) * (limit - 1) + (1,),)
+    tracemalloc.start()
+    try:
+        for text, num_vars in [
+            (f"t{limit + 1}", None),
+            ("t100000000", None),
+            ("t1", limit + 1),
+            ("1", 10**8),
+        ]:
+            with pytest.raises(ResourceLimitExceeded, match=f"limit {limit}"):
+                parse_ideal(text, num_vars)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_format_monomial():

@@ -35,8 +35,6 @@ from monideal.polyhedra import (
     closure_witness_scale,
     CoveringFormPolyhedron,
     covering_polyhedron,
-    decomposition_is_minimal,
-    dual_ntf_check,
     emit_constraint_block,
     enumerate_vertices,
     format_fraction_vector,
@@ -48,6 +46,7 @@ from monideal.polyhedra import (
     parse_constraint_block,
     polyhedral_conditions_check,
 )
+from monideal.symbolic import powers_equal_up_to
 
 from conftest import graphs, ideals
 from oracles import contains_point, polyhedra_equal
@@ -409,9 +408,11 @@ def test_closure_membership_matches_the_power_scan(I):
 
 def test_decomposition_minimality_flag():
     I = edge_ideal(PATH_MIDDLE.graph)
-    assert decomposition_is_minimal(irreducible_decomposition(I))
+    assert polyhedral_conditions_check(I, 1).minimal
     J = parse_ideal("(t1^3, t1*t2, t2^2)")
-    assert not decomposition_is_minimal(irreducible_decomposition(J))
+    report = polyhedral_conditions_check(J, 1)
+    assert not report.minimal
+    assert report.closure_intersections is None and report.closure_per_power is None
 
 
 def test_closure_intersection_check_reports():
@@ -490,23 +491,20 @@ def test_polyhedral_conditions_consistency_logic():
     assert vacuous.consistent is True  # nothing to contradict
 
 
-def test_dual_ntf_check_on_four_cycle():
-    report = dual_ntf_check(FOUR_CYCLE_SINKS.graph, 3)
-    assert report.powers_equal and report.normal
-    assert report.newton_equals_irreducible and report.rhs
-    assert report.agree and report.caveat is None
+def test_four_cycle_dual_has_equal_and_normal_powers_to_three():
+    dual_ideal = alexander_dual(FOUR_CYCLE_SINKS.graph).ideal
+    assert powers_equal_up_to(dual_ideal, 3)
+    assert is_normal_up_to(dual_ideal, 3)
 
 
-def test_dual_ntf_check_passes_its_limits_to_the_normality_half():
+def test_is_normal_up_to_passes_its_limits_to_the_closure_scan():
     """Nine variables exceed the default limit of 8; max_dim=9 must reach
-    the closure scan behind `is_normal_up_to` as well."""
+    the closure scan behind `is_normal_up_to`."""
     one_edge = WeightedOrientedGraph.build(9, [(1, 2)])
     dual_ideal = alexander_dual(one_edge).ideal
     with pytest.raises(ResourceLimitExceeded):
         is_normal_up_to(dual_ideal, 1)
     assert is_normal_up_to(dual_ideal, 2, max_dim=9)
-    report = dual_ntf_check(one_edge, 2, max_dim=9)
-    assert report.powers_equal and report.normal and report.agree
 
 
 # ------------------------------------------------------------- text format

@@ -1,9 +1,12 @@
 """The command lines of the scripts in scripts/."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from monideal.graphs import WeightedOrientedGraph, classify
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -51,3 +54,39 @@ def test_small_runs_answer(capsys):
     assert load("verify_classification").main(["--count", "3"]) == 0
     assert load("odd_cycle_powers").main(["--lengths", "3", "--max-n", "2"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].split() == ["3", "2", "2", "t1*t2*t3"]
+
+
+NINE_CYCLE = WeightedOrientedGraph.build(9, [(i, i % 9 + 1) for i in range(1, 10)])
+# Vertex 2 is the 7-cycle's only sink and its only heavy vertex.
+HEAVY_SINK_SEVEN_CYCLE = WeightedOrientedGraph.build(
+    7, [(1, 2), (3, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 1)], {2: 2}
+)
+
+
+def sweep_over(monkeypatch, module, graphs):
+    feed = iter(graphs)
+    monkeypatch.setattr(module, "random_graph", lambda *args, **kwargs: next(feed))
+    return module.sweep(module.SweepConfig(count=len(graphs), max_n=3))
+
+
+def test_sweep_leaves_a_first_split_past_max_n_undecided(monkeypatch, capsys):
+    """The 9-cycle first splits at n = 5 and the 7-cycle at n = 4, both
+    past --max-n 3, so equal powers up to 3 contradict no prediction."""
+    module = load("verify_classification")
+    assert sweep_over(monkeypatch, module, [NINE_CYCLE, HEAVY_SINK_SEVEN_CYCLE]) == 0
+    assert capsys.readouterr().out == (
+        "2 graphs checked: 2 with equal squares, 0 with all powers equal "
+        "(to n=3), 0 mismatches, 2 undecided\n"
+    )
+
+
+def test_sweep_still_fails_a_first_split_within_max_n(monkeypatch, capsys):
+    """A square predicted to split at n = 2 <= 3 while it stays equal."""
+    module = load("verify_classification")
+    monkeypatch.setattr(
+        module, "classify", lambda g: replace(classify(g), square=False)
+    )
+    assert sweep_over(monkeypatch, module, [NINE_CYCLE]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("--- mismatch at sample 0\n")
+    assert out.endswith(", 1 mismatches\n")
