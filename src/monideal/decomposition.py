@@ -2,27 +2,29 @@
 
 Every proper nonzero monomial ideal is a finite irredundant intersection of
 irreducible ideals q_a = ({t_i^{a_i} : a_i >= 1}), and that irredundant
-decomposition is unique.  We compute it by folding in one minimal generator
-at a time, starting from q_0, the zero ideal.  Monomial ideals form a
-distributive lattice, so (J ^ K) + L = (J + L) ^ (K + L): adding t^g to an
-intersection adds it to each component.  A component that already contains
-t^g stays; any other q_a becomes the intersection of the pieces
-q_a + (t_i^{g_i}), i in supp(g), which is q_a with a_i set to g_i.
-Redundant components are dropped by inclusion: irreducible monomial ideals
-are meet-prime (if q contains J ^ K it contains J or K, since the lcm of two
-witnesses outside q stays outside q), so a component is redundant exactly
-when it contains another one (Miller-Sturmfels, Combinatorial Commutative
-Algebra).  Only the new pieces need that test: the components that stay were
-pairwise incomparable before, and each piece contains the component it came
-from, so no kept component can contain a piece.  The 256 most recent
-results are memoized per canonical generating set: a fixed bound keeps a
-long sweep over many ideals from growing the cache without limit.
+decomposition is unique.  We compute it by Alexander duality
+(Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 5).  For `top` at
+or above every exponent in play, flip(v) maps each v_i > 0 to
+top_i + 1 - v_i and keeps zeros (:func:`_flip`), an involution below `top`.
 
-A meet J ^ q_a^n is read off the generators of J, since t^x lies in q_a^n
-iff the sum of floor(x_i / a_i) over supp(a) is at least n
-(:func:`_meet_irreducible_power`).  Decompositions are re-intersected, and
-checked against their ideals, as folds of such meets at n = 1, and the
-symbolic powers meet each localization that is one component this way.
+- Decomposition by duality.  With top the lcm of I's generators t^g,
+  I = ^ {q_flip(u) : t^u a minimal generator of ^_g q_flip(g)}.
+- Containment becomes divisibility.  q_c contains q_d iff t^flip(d) divides
+  t^flip(c): on supp(d), "0 < c_i <= d_i" is flip(c)_i >= flip(d)_i, and
+  off supp(d), flip(d)_i = 0.
+
+Irreducible monomial ideals are meet-prime (if q contains J ^ K it contains
+J or K, since the lcm of two witnesses outside q stays outside q), so a
+component is redundant exactly when it contains another one: the kept
+components are those whose flips are minimal generators
+(:func:`irredundant_subset`).  The 256 most recent decompositions are
+memoized per canonical generating set, a fixed bound that keeps a long
+sweep over many ideals from growing the cache without limit.
+
+The dual above, the re-intersection that checks each decomposition against
+its ideal, and the meet of each localization of a symbolic power that is
+one component are all folds of :func:`_meet_irreducible_power`, which
+reads J ^ q_a^n off the generators of J.
 """
 
 from __future__ import annotations
@@ -32,7 +34,13 @@ from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, DomainError
-from .ideals import Exponent, MonomialIdeal, graded_lex_key, unit_vector
+from .ideals import (
+    Exponent,
+    MonomialIdeal,
+    graded_lex_key,
+    minimal_generators,
+    unit_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -140,10 +148,7 @@ class IrreducibleDecomposition:
         )
 
     def intersection(self) -> MonomialIdeal:
-        out = MonomialIdeal.unit(self.num_vars)
-        for c in self.components:
-            out = _meet_irreducible_power(out, c.alpha, 1)
-        return out
+        return _meet_all(self.alphas(), self.num_vars)
 
     def alphas(self) -> tuple[Exponent, ...]:
         return tuple(c.alpha for c in self.components)
@@ -152,9 +157,9 @@ class IrreducibleDecomposition:
         return " ^ ".join(str(c) for c in self.components)
 
 
-def _contains_irreducible(a: Exponent, b: Exponent) -> bool:
-    """q_a contains q_b: 0 < a_i <= b_i for every i in supp(b)."""
-    return all(0 < x <= y for x, y in zip(a, b) if y)
+def _flip(top: Exponent, v: Exponent) -> Exponent:
+    """top_i + 1 - v_i on supp(v), 0 elsewhere; an involution below `top`."""
+    return tuple(t + 1 - x if x else 0 for t, x in zip(top, v))
 
 
 def irredundant_subset(
@@ -163,20 +168,18 @@ def irredundant_subset(
     """The components that contain no other component, canonically sorted.
 
     By meet-primality these are exactly the components of the unique
-    irredundant decomposition of their intersection.  Raises if they do
-    not intersect to `target`.
+    irredundant decomposition of their intersection; they are the ones
+    whose flips, with top the entrywise max of the alphas, are minimal
+    generators.  Raises if they do not intersect to `target`.
     """
     comps = sorted(set(components), key=lambda c: graded_lex_key(c.alpha))
-    kept = [
-        c
-        for c in comps
-        if not any(
-            d is not c and _contains_irreducible(c.alpha, d.alpha) for d in comps
-        )
-    ]
-    if IrreducibleDecomposition(target.num_vars, tuple(kept)).intersection() != target:
+    top = tuple(map(max, zip(*(c.alpha for c in comps))))
+    flips = [_flip(top, c.alpha) for c in comps]
+    minimal = set(minimal_generators(flips))
+    kept = tuple(c for c, f in zip(comps, flips) if f in minimal)
+    if _meet_all((c.alpha for c in kept), target.num_vars) != target:
         raise ConsistencyError("components do not intersect to the expected ideal")
-    return tuple(kept)
+    return kept
 
 
 def _meet_irreducible_power(ideal, alpha, n):
@@ -210,31 +213,22 @@ def _meet_irreducible_power(ideal, alpha, n):
     return MonomialIdeal._from_trusted(vectors, ideal.num_vars)
 
 
+def _meet_all(alphas, num_vars: int) -> MonomialIdeal:
+    """The intersection of the q_a, a in `alphas`, folded from the unit ideal."""
+    out = MonomialIdeal.unit(num_vars)
+    for a in alphas:
+        out = _meet_irreducible_power(out, a, 1)
+    return out
+
+
 @lru_cache(maxsize=256)
 def _decomposition(ideal: MonomialIdeal) -> IrreducibleDecomposition:
     if ideal.is_zero() or ideal.is_unit():
         raise DomainError("only proper nonzero ideals have an irreducible decomposition")
-    comps = [(0,) * ideal.num_vars]
-    for g in ideal.gens:
-        support = [i for i, e in enumerate(g) if e]
-        kept, pieces = [], set()
-        for a in comps:
-            if any(0 < a[i] <= g[i] for i in support):
-                kept.append(a)
-            else:
-                # t^g lies outside q_a, so each a_i on supp(g) is 0 or above
-                # g_i, and q_a + (t_i^{g_i}) sets a_i to g_i.
-                pieces.update(a[:i] + (g[i],) + a[i + 1:] for i in support)
-        # A piece contains its parent, so it never equals a kept component
-        # (that would contain the parent too): `b != p` skips only p itself.
-        survivors = kept + list(pieces)
-        comps = kept + [
-            p
-            for p in pieces
-            if not any(b != p and _contains_irreducible(p, b) for b in survivors)
-        ]
+    top = tuple(map(max, zip(*ideal.gens)))
+    dual = _meet_all((_flip(top, g) for g in ideal.gens), ideal.num_vars)
     components = irredundant_subset(
-        [IrreducibleIdeal(ideal.num_vars, a) for a in comps], ideal
+        [IrreducibleIdeal(ideal.num_vars, _flip(top, u)) for u in dual.gens], ideal
     )
     return IrreducibleDecomposition(ideal.num_vars, components)
 

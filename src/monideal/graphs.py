@@ -33,7 +33,7 @@ from .errors import (
     FormatError,
     ResourceLimitExceeded,
 )
-from .ideals import Exponent, MonomialIdeal
+from .ideals import PARSE_VARIABLE_LIMIT, Exponent, MonomialIdeal
 
 DEFAULT_COVER_VERTEX_LIMIT = 22
 
@@ -368,23 +368,22 @@ def _odd_girth(graph: WeightedOrientedGraph) -> int | None:
     """Odd girth of the underlying simple graph, None when it is bipartite.
 
     A breadth-first search per root, where an edge between two vertices at
-    distance d closes an odd walk of length 2d + 1.
+    distance d closes an odd walk of length 2d + 1.  A vertex on no edge
+    closes no walk, so the roots are the vertices the edges reach.
     """
-    adjacency = {
-        v: graph.underlying_neighbors(v) for v in range(1, graph.num_vertices + 1)
-    }
+    adjacency: dict[int, set[int]] = {}
+    for i, j in graph.edges:
+        adjacency.setdefault(i, set()).add(j)
+        adjacency.setdefault(j, set()).add(i)
     odd_girth = None
     for root in adjacency:
         dist = {root: 0}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in adjacency[v]:
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
+        queue = [root]  # grows while it is read, in order of distance
+        for v in queue:
+            for u in adjacency[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
         for i, j in graph.edges:
             if i in dist and j in dist and dist[i] == dist[j]:
                 length = 2 * dist[i] + 1
@@ -452,6 +451,11 @@ def parse_graph(text: str) -> WeightedOrientedGraph:
             num_vertices = int(args[0])
             if num_vertices < 1:
                 fail(lineno, "vertex count must be >= 1")
+            if num_vertices > PARSE_VARIABLE_LIMIT:  # a variable of I(D) per vertex
+                raise ResourceLimitExceeded(
+                    f"line {lineno}: {num_vertices} vertices exceed the parser's limit "
+                    f"{PARSE_VARIABLE_LIMIT}"
+                )
         elif keyword == "weights":
             if num_vertices is None:
                 fail(lineno, "'weights' before 'vertices'")

@@ -226,6 +226,28 @@ def test_inclusion_filter_matches_greedy_oracle(I, split_last):
     assert irredundant_subset(leaves, I) == greedy_irredundant_oracle(leaves, I)
 
 
+def test_inclusion_filter_matches_pairwise_rule_past_the_byte_boundary():
+    """Exponents around 255 and 2^70 in one column: their flips reach the
+    divisibility kernel's exact int path, and the filter must still agree
+    with q_c containing q_d iff 0 < c_i <= d_i on supp(d)."""
+
+    def contains(c, d):
+        return all(0 < x <= y for x, y in zip(c, d) if y)
+
+    column = (1, 254, 255, 256, 257, 2**70 - 2, 2**70 + 2)
+    alphas = [(v, len(column) - k, 0) for k, v in enumerate(column)]
+    alphas += [(v, 0, k + 1) for k, v in enumerate(reversed(column))]
+    alphas += [(v + 1, 1, 0) for v in column[:-1]] + [(0, 2, 3), (0, 8, 1)]
+    comps = [IrreducibleIdeal(3, a) for a in alphas]
+    target = intersect_all([c.as_ideal() for c in comps], 3)
+    expected = tuple(
+        c
+        for c in sorted(comps, key=lambda c: graded_lex_key(c.alpha))
+        if not any(d != c and contains(c.alpha, d.alpha) for d in comps)
+    )
+    assert irredundant_subset(comps, target) == expected
+
+
 def test_inclusion_filter_keeps_incomparable_and_drops_containing():
     q = lambda *a: IrreducibleIdeal(len(a), a)  # noqa: E731
     # (t1, t2) contains (t1^2, t2); (t1, t3) and (t1^2, t2) are incomparable.

@@ -38,6 +38,7 @@ from monideal.graphs import (
     strong_covers,
 )
 from monideal.decomposition import irreducible_decomposition
+from monideal.ideals import PARSE_VARIABLE_LIMIT
 
 from conftest import graphs
 from oracles import is_minimal_cover, is_vertex_cover
@@ -306,3 +307,11 @@ def test_parse_graph_errors_carry_line_numbers():
         parse_graph("vertices 2\nweights 1\nedge 1 2\n")
     with pytest.raises(FormatError, match="line 2: self loop at vertex 1"):
         parse_graph("vertices 2\nedge 1 1\n")
+
+
+def test_parse_graph_refuses_more_vertices_than_variables():
+    """Each vertex is a variable of I(D), so the parser's variable limit
+    caps the count, before a weight per vertex is built."""
+    assert parse_graph(f"vertices {PARSE_VARIABLE_LIMIT}\n").num_vertices == PARSE_VARIABLE_LIMIT
+    with pytest.raises(ResourceLimitExceeded, match="line 1: 100001 vertices exceed"):
+        parse_graph(f"vertices {PARSE_VARIABLE_LIMIT + 1}\nedge 1 2\n")
