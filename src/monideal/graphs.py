@@ -33,9 +33,10 @@ from .errors import (
     FormatError,
     ResourceLimitExceeded,
 )
-from .ideals import PARSE_VARIABLE_LIMIT, Exponent, MonomialIdeal
+from .ideals import PARSE_VARIABLE_LIMIT, Exponent, MonomialIdeal, _fail, _read_int
 
 DEFAULT_COVER_VERTEX_LIMIT = 22
+_NONE: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,8 @@ class WeightedOrientedGraph:
         for w in self.weights:
             if not isinstance(w, int) or w < 1:
                 raise ValueError(f"weights must be positive integers, got {w!r}")
+        out: dict[int, set[int]] = {}
+        into: dict[int, set[int]] = {}
         for i, j in self.edges:
             if not (1 <= i <= s and 1 <= j <= s):
                 raise ValueError(f"edge ({i}, {j}) out of range 1..{s}")
@@ -71,10 +74,16 @@ class WeightedOrientedGraph:
                 raise ValueError(
                     f"edges ({i}, {j}) and ({j}, {i}) orient the same underlying edge twice"
                 )
-        targets = {j for _, j in self.edges}
+            out.setdefault(i, set()).add(j)
+            into.setdefault(j, set()).add(i)
         object.__setattr__(self, "weights", tuple(
-            w if v in targets else 1 for v, w in enumerate(self.weights, start=1)
+            w if v in into else 1 for v, w in enumerate(self.weights, start=1)
         ))
+        # Not dataclass fields, so equality, hashing, repr and asdict see only
+        # the fields above.  A vertex on no edge has no entry.
+        near = {v: out.get(v, set()) | into.get(v, set()) for v in out.keys() | into.keys()}
+        for name, sets in (("_out", out), ("_in", into), ("_underlying", near)):
+            object.__setattr__(self, name, {v: frozenset(n) for v, n in sets.items()})
 
     @staticmethod
     def build(num_vertices, edges, weights=None) -> "WeightedOrientedGraph":
@@ -96,14 +105,14 @@ class WeightedOrientedGraph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def out_neighbors(self, v: int) -> set[int]:
-        return {j for i, j in self.edges if i == v}
+    def out_neighbors(self, v: int) -> frozenset[int]:
+        return self._out.get(v, _NONE)
 
-    def in_neighbors(self, v: int) -> set[int]:
-        return {i for i, j in self.edges if j == v}
+    def in_neighbors(self, v: int) -> frozenset[int]:
+        return self._in.get(v, _NONE)
 
-    def underlying_neighbors(self, v: int) -> set[int]:
-        return self.out_neighbors(v) | self.in_neighbors(v)
+    def underlying_neighbors(self, v: int) -> frozenset[int]:
+        return self._underlying.get(v, _NONE)
 
 
 def edge_ideal(graph: WeightedOrientedGraph) -> MonomialIdeal:
@@ -129,15 +138,11 @@ class AlexanderDual:
 def alexander_dual(graph: WeightedOrientedGraph) -> AlexanderDual:
     if not graph.edges:
         raise DomainError("the dual edge ideal needs at least one edge")
+    # Two edges never share a support, so no generator of I(D) divides
+    # another: each is a component, and they come graded-lex sorted.
     s = graph.num_vertices
-    components = []
-    for i, j in graph.sorted_edges():
-        alpha = [0] * s
-        alpha[i - 1] = 1
-        alpha[j - 1] = graph.weight(j)
-        components.append(IrreducibleIdeal(s, tuple(alpha)))
     dec = IrreducibleDecomposition(
-        s, tuple(sorted(components, key=lambda c: (sum(c.alpha), c.alpha)))
+        s, tuple(IrreducibleIdeal(s, g) for g in edge_ideal(graph).gens)
     )
     return AlexanderDual(dec, dec.intersection())
 
@@ -203,9 +208,11 @@ def strong_covers(
 ) -> tuple[frozenset[int], ...]:
     """All nonempty strong vertex covers, sorted by size then contents.
 
-    Enumerates covers by a depth-first include/exclude sweep that abandons
-    a branch as soon as two endpoints of an edge are both excluded.  The
-    subset scan is exponential, hence the vertex limit.
+    Enumerates the vertex covers in one loop over the vertices, keeping a
+    vertex out only when all its earlier neighbours are in.  A vertex on no
+    edge is left out of every cover: in a cover it would lie in L3 with no
+    in-neighbour, so no strong cover holds it.  The number of covers is
+    exponential, hence the vertex limit.
     """
     return tuple(part.cover for part in _strong_partitions(graph, max_vertices))
 
@@ -213,36 +220,26 @@ def strong_covers(
 def _strong_partitions(
     graph: WeightedOrientedGraph, max_vertices: int
 ) -> tuple[CoverPartition, ...]:
-    """The partitions of the strong covers, in the order of
-    :func:`strong_covers`.  The sweep yields only vertex covers, so each
-    is partitioned once, without checking its edges again."""
+    """The partitions of the strong covers, in the order of :func:`strong_covers`.
+
+    After vertex v the list holds the vertex covers of the edges among 1..v:
+    each cover takes v, and also leaves it out if it holds v's earlier
+    neighbours.  A vertex on no edge is skipped.  Only covers are built, so
+    each is partitioned once, without checking its edges again."""
     s = graph.num_vertices
     if s > max_vertices:
         raise ResourceLimitExceeded(
             f"cover enumeration over {s} vertices exceeds the limit {max_vertices}; "
             "pass a larger max_vertices (CLI: --max-covers) to proceed"
         )
-    earlier = {
-        v: [u for u in graph.underlying_neighbors(v) if u < v]
-        for v in range(1, s + 1)
-    }
-    covers: list[frozenset[int]] = []
-
-    def sweep(v: int, chosen: list[int], excluded: set[int]):
-        if v > s:
-            if chosen:
-                covers.append(frozenset(chosen))
-            return
-        chosen.append(v)
-        sweep(v + 1, chosen, excluded)
-        chosen.pop()
-        if all(u not in excluded for u in earlier[v]):
-            excluded.add(v)
-            sweep(v + 1, chosen, excluded)
-            excluded.remove(v)
-
-    sweep(1, [], set())
-    strong = [p for p in (_partition(graph, c) for c in covers) if _is_strong(graph, p)]
+    covers = [_NONE]
+    for v in range(1, s + 1):
+        neighbors = graph.underlying_neighbors(v)
+        if not neighbors:
+            continue
+        earlier, added = {u for u in neighbors if u < v}, {v}
+        covers = [c | added for c in covers] + [c for c in covers if earlier <= c]
+    strong = [p for p in (_partition(graph, c) for c in covers if c) if _is_strong(graph, p)]
     strong.sort(key=lambda p: (len(p.cover), tuple(sorted(p.cover))))
     return tuple(strong)
 
@@ -304,9 +301,9 @@ def irrelevant_in_ass(graph: WeightedOrientedGraph) -> bool:
     if not graph.edges:
         return False
     by_cover = is_strong_cover(graph, everything)
-    heavy = {v for v in everything if graph.weight(v) >= 2}
-    out_of_heavy = {j for i, j in graph.edges if i in heavy}
-    by_neighborhood = out_of_heavy == everything
+    by_neighborhood = all(
+        any(graph.weight(u) >= 2 for u in graph.in_neighbors(v)) for v in everything
+    )
     by_ass = MonomialPrime(s, everything) in associated_primes(edge_ideal(graph))
     if not by_cover == by_neighborhood == by_ass:
         raise ConsistencyError(
@@ -343,9 +340,8 @@ class ClassifyReport:
 def classify(graph: WeightedOrientedGraph) -> ClassifyReport:
     # A vertex of weight >= 2 is a sink iff no edge leaves it.  The odd
     # girth decides the rest: None means bipartite, 3 a triangle.
-    tails = {i for i, _ in graph.edges}
     heavy_non_sinks = tuple(
-        v for v, w in enumerate(graph.weights, start=1) if w >= 2 and v in tails
+        v for v, w in enumerate(graph.weights, start=1) if w >= 2 and graph.out_neighbors(v)
     )
     odd_girth = _odd_girth(graph)
     all_heavy_are_sinks = not heavy_non_sinks
@@ -371,16 +367,14 @@ def _odd_girth(graph: WeightedOrientedGraph) -> int | None:
     distance d closes an odd walk of length 2d + 1.  A vertex on no edge
     closes no walk, so the roots are the vertices the edges reach.
     """
-    adjacency: dict[int, set[int]] = {}
-    for i, j in graph.edges:
-        adjacency.setdefault(i, set()).add(j)
-        adjacency.setdefault(j, set()).add(i)
     odd_girth = None
-    for root in adjacency:
+    for root in range(1, graph.num_vertices + 1):
+        if not graph.underlying_neighbors(root):
+            continue
         dist = {root: 0}
         queue = [root]  # grows while it is read, in order of distance
         for v in queue:
-            for u in adjacency[v]:
+            for u in graph.underlying_neighbors(v):
                 if u not in dist:
                     dist[u] = dist[v] + 1
                     queue.append(u)
@@ -400,13 +394,11 @@ def non_sink_witness(graph: WeightedOrientedGraph) -> Exponent | None:
     t_u * t_v^{w_v} * t_x^{w_x}, choosing the least v, then least u and x.
     """
     for v in range(1, graph.num_vertices + 1):
-        if graph.weight(v) < 2:
-            continue
-        preds = graph.in_neighbors(v)
         succs = graph.out_neighbors(v)
-        if not preds or not succs:
+        if graph.weight(v) < 2 or not succs:
             continue
-        u, x = min(preds), min(succs)
+        # Weights are canonical, so a heavy vertex is an edge's target.
+        u, x = min(graph.in_neighbors(v)), min(succs)
         f = [0] * graph.num_vertices
         f[u - 1] += 1
         f[v - 1] += graph.weight(v)
@@ -433,10 +425,6 @@ def parse_graph(text: str) -> WeightedOrientedGraph:
     num_vertices = None
     weights = None
     edges: list[tuple[int, int]] = []
-
-    def fail(lineno: int, message: str):
-        raise FormatError(f"line {lineno}: {message}")
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -445,12 +433,12 @@ def parse_graph(text: str) -> WeightedOrientedGraph:
         keyword, args = fields[0], fields[1:]
         if keyword == "vertices":
             if num_vertices is not None:
-                fail(lineno, "duplicate 'vertices' line")
+                _fail(lineno, "duplicate 'vertices' line")
             if len(args) != 1 or not args[0].isdigit():
-                fail(lineno, "expected: vertices <count>")
-            num_vertices = int(args[0])
+                _fail(lineno, "expected: vertices <count>")
+            num_vertices = _read_int(args[0], lineno)
             if num_vertices < 1:
-                fail(lineno, "vertex count must be >= 1")
+                _fail(lineno, "vertex count must be >= 1")
             if num_vertices > PARSE_VARIABLE_LIMIT:  # a variable of I(D) per vertex
                 raise ResourceLimitExceeded(
                     f"line {lineno}: {num_vertices} vertices exceed the parser's limit "
@@ -458,38 +446,38 @@ def parse_graph(text: str) -> WeightedOrientedGraph:
                 )
         elif keyword == "weights":
             if num_vertices is None:
-                fail(lineno, "'weights' before 'vertices'")
+                _fail(lineno, "'weights' before 'vertices'")
             if weights is not None:
-                fail(lineno, "duplicate 'weights' line")
+                _fail(lineno, "duplicate 'weights' line")
             if edges:
-                fail(lineno, "'weights' must come before the edges")
+                _fail(lineno, "'weights' must come before the edges")
             if len(args) != num_vertices:
-                fail(lineno, f"expected {num_vertices} weights, got {len(args)}")
+                _fail(lineno, f"expected {num_vertices} weights, got {len(args)}")
             try:
                 weights = tuple(int(a) for a in args)
             except ValueError:
-                fail(lineno, "weights must be integers")
+                _fail(lineno, "weights must be integers")
             if any(w < 1 for w in weights):
-                fail(lineno, "weights must be >= 1")
+                _fail(lineno, "weights must be >= 1")
         elif keyword == "edge":
             if num_vertices is None:
-                fail(lineno, "'edge' before 'vertices'")
+                _fail(lineno, "'edge' before 'vertices'")
             try:
                 i, j = (int(a) for a in args)
             except ValueError:
-                fail(lineno, "expected: edge <from> <to>")
+                _fail(lineno, "expected: edge <from> <to>")
             for v in (i, j):
                 if not 1 <= v <= num_vertices:
-                    fail(lineno, f"vertex index {v} out of range (vertices={num_vertices})")
+                    _fail(lineno, f"vertex index {v} out of range (vertices={num_vertices})")
             if i == j:
-                fail(lineno, f"self loop at vertex {i}")
+                _fail(lineno, f"self loop at vertex {i}")
             if (i, j) in edges:
-                fail(lineno, f"duplicate edge ({i}, {j})")
+                _fail(lineno, f"duplicate edge ({i}, {j})")
             if (j, i) in edges:
-                fail(lineno, f"edge ({i}, {j}) reorients the earlier edge ({j}, {i})")
+                _fail(lineno, f"edge ({i}, {j}) reorients the earlier edge ({j}, {i})")
             edges.append((i, j))
         else:
-            fail(lineno, f"unknown directive {keyword!r}")
+            _fail(lineno, f"unknown directive {keyword!r}")
     if num_vertices is None:
         raise FormatError("missing 'vertices' line")
     if weights is None:

@@ -446,6 +446,20 @@ PARSE_VARIABLE_LIMIT = 100_000
 _FACTOR_RE = re.compile(r"^t(\d+)(?:\^(\d+))?$")
 
 
+def _fail(lineno: int | None, message: str):
+    raise FormatError(message if lineno is None else f"line {lineno}: {message}")
+
+
+def _read_int(digits: str, lineno: int | None = None) -> int:
+    """`int` of a token its format has matched as digits, refusing one past
+    the interpreter's limit on `int(str)` (4,300 digits by default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        pass
+    _fail(lineno, f"an integer of {len(digits)} digits is too long")
+
+
 def _split_top_level(text: str) -> list[str]:
     parts, depth, cur = [], 0, []
     for ch in text:
@@ -492,8 +506,8 @@ def _parse_term(term: str):
         m = _FACTOR_RE.match(factor)
         if not m:
             raise FormatError(f"malformed monomial factor {factor!r}")
-        index = int(m.group(1))
-        exp = int(m.group(2)) if m.group(2) is not None else 1
+        index = _read_int(m.group(1))
+        exp = _read_int(m.group(2)) if m.group(2) is not None else 1
         if index < 1:
             raise FormatError(f"variable index must be >= 1 in {factor!r}")
         factors.append((index, exp))

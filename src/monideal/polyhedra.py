@@ -51,6 +51,7 @@ from .errors import (
     ResourceLimitExceeded,
 )
 from .ideals import Exponent, MonomialIdeal, _check_bound, _powers, power_contains
+from .ideals import _fail, _read_int
 
 FractionVector = tuple[Fraction, ...]
 
@@ -444,10 +445,6 @@ def parse_constraint_block(text: str) -> CoveringFormPolyhedron:
     (unit vectors) and may be omitted; rows with right-hand side 1 become
     columns.  Trailing output-request keywords are ignored.
     """
-
-    def fail(lineno, message):
-        raise FormatError(f"line {lineno}: {message}")
-
     amb: int | None = None
     expected: int | None = None
     seen = 0
@@ -459,39 +456,39 @@ def parse_constraint_block(text: str) -> CoveringFormPolyhedron:
         fields = line.split()
         if fields[0] == "amb_space":
             if amb is not None:
-                fail(lineno, "duplicate amb_space")
-            if len(fields) != 2 or not fields[1].isdigit() or int(fields[1]) < 1:
-                fail(lineno, "expected: amb_space <dimension>")
-            amb = int(fields[1])
+                _fail(lineno, "duplicate amb_space")
+            amb = _read_int(fields[1], lineno) if len(fields) == 2 and fields[1].isdigit() else 0
+            if amb < 1:
+                _fail(lineno, "expected: amb_space <dimension>")
         elif fields[0] == "constraints":
             if amb is None:
-                fail(lineno, "constraints before amb_space")
+                _fail(lineno, "constraints before amb_space")
             if len(fields) != 2 or not fields[1].isdigit():
-                fail(lineno, "expected: constraints <count>")
-            expected = int(fields[1])
+                _fail(lineno, "expected: constraints <count>")
+            expected = _read_int(fields[1], lineno)
         elif fields[0] in _OUTPUT_KEYWORDS:
             # An output section (and any data rows under it) ends the input.
             break
         else:
             if amb is None:
-                fail(lineno, "constraint row before amb_space")
+                _fail(lineno, "constraint row before amb_space")
             if len(fields) != amb + 2 or fields[-2] != ">=":
-                fail(lineno, f"expected {amb} coefficients, '>=' and a right-hand side")
+                _fail(lineno, f"expected {amb} coefficients, '>=' and a right-hand side")
             try:
                 row = tuple(Fraction(tok) for tok in fields[:amb])
                 rhs = Fraction(fields[-1])
             except (ValueError, ZeroDivisionError):
-                fail(lineno, "coefficients must be integers or fractions p/q")
+                _fail(lineno, "coefficients must be integers or fractions p/q")
             if any(x < 0 for x in row):
-                fail(lineno, "covering form needs nonnegative coefficients")
+                _fail(lineno, "covering form needs nonnegative coefficients")
             seen += 1
             if rhs == 0:
                 if sum(1 for x in row if x) != 1 or max(row) != 1:
-                    fail(lineno, "right-hand side 0 is only for coordinate rows x_i >= 0")
+                    _fail(lineno, "right-hand side 0 is only for coordinate rows x_i >= 0")
             elif rhs == 1:
                 columns.append(row)
             else:
-                fail(lineno, f"right-hand side must be 0 or 1, got {rhs}")
+                _fail(lineno, f"right-hand side must be 0 or 1, got {rhs}")
     if amb is None:
         raise FormatError("missing amb_space line")
     if expected is not None and seen != expected:

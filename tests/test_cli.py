@@ -267,6 +267,28 @@ def test_absurd_variable_count_is_a_resource_limit(monkeypatch, capsys):
     assert err == "error: 100000000 variables exceed the parser's limit 100000\n"
 
 
+LONG_DIGITS = "9" * 5000  # past int(str)'s default limit of 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "command, text, where",
+    [
+        ("decompose", f"t{LONG_DIGITS}\n", ""),
+        ("decompose", f"t1^{LONG_DIGITS}\n", ""),
+        ("wog-classify", f"vertices {LONG_DIGITS}\nedge 1 2\n", "line 1: "),
+        ("poly-vertices", f"amb_space {LONG_DIGITS}\n", "line 1: "),
+        ("poly-vertices", f"amb_space 2\nconstraints {LONG_DIGITS}\n1 1 >= 1\n", "line 2: "),
+    ],
+    ids=["index", "exponent", "vertices", "amb_space", "constraints"],
+)
+def test_over_long_integers_are_format_errors(command, text, where, monkeypatch, capsys):
+    """One short stderr line, without the digits, and no traceback."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, command, "-")
+    assert (code, out) == (2, "")
+    assert err == f"error: {where}an integer of 5000 digits is too long\n"
+
+
 def test_thm41_passes_its_limits_to_the_closure(workdir, capsys):
     """--max-vars reaches every vertex enumeration, the closures' included."""
     wide = workdir / "wide.ideal"

@@ -1,5 +1,6 @@
 """Weighted oriented graphs: covers, edge ideals, duality, classification."""
 
+from dataclasses import asdict
 from itertools import combinations
 
 import pytest
@@ -79,6 +80,19 @@ def test_graphs_differing_off_the_targets_are_equal(g, other):
     assert edge_ideal(reweighted) == edge_ideal(g)
 
 
+@given(graphs())
+def test_neighbour_lookups_match_an_edge_scan(g):
+    """The neighbour sets stored at construction are the edge-scan
+    definitions, and are no dataclass fields."""
+    for v in range(1, g.num_vertices + 1):
+        out = {j for i, j in g.edges if i == v}
+        into = {i for i, j in g.edges if j == v}
+        assert g.out_neighbors(v) == out
+        assert g.in_neighbors(v) == into
+        assert g.underlying_neighbors(v) == out | into
+    assert set(asdict(g)) == {"num_vertices", "edges", "weights"}
+
+
 def test_vertex_roles_on_triangles():
     g = TRIANGLE_SINK.graph
     assert g.weights == (2, 1, 1)
@@ -123,6 +137,29 @@ def test_strong_covers_on_fixtures():
         frozenset(c) for c in TRIANGLE_CYCLE_STRONG_COVERS
     )
     assert len(strong_covers(SEVEN_CYCLE.graph)) == SEVEN_CYCLE_COVER_COUNT
+
+
+def test_strong_covers_of_a_long_vertex_range_need_no_recursion():
+    """1,200 vertices, one edge: the other vertices lie on no edge, so no
+    strong cover holds them and the loop skips them."""
+    g = WeightedOrientedGraph.build(1200, [(1, 2)])
+    assert strong_covers(g, max_vertices=1200) == (frozenset({1}), frozenset({2}))
+
+
+def test_vertices_on_no_edge_are_never_swept(monkeypatch):
+    """At the default limit, 20 isolated vertices leave three covers of
+    the one edge to partition, not 3 * 2^20."""
+    import monideal.graphs as graphs_module
+
+    calls = []
+    partition = graphs_module._partition
+    monkeypatch.setattr(
+        graphs_module, "_partition", lambda g, c: calls.append(c) or partition(g, c)
+    )
+    assert strong_covers(parse_graph("vertices 22\nedge 1 2\n")) == (
+        frozenset({1}), frozenset({2})
+    )
+    assert len(calls) == 3
 
 
 def test_strong_cover_enumeration_has_a_vertex_limit():
@@ -193,6 +230,18 @@ def test_alexander_dual_of_four_cycle():
     dual = alexander_dual(FOUR_CYCLE_SINKS.graph)
     assert dual.ideal.gens == FOUR_CYCLE_DUAL_GENS
     assert dual.decomposition.alphas() == FOUR_CYCLE_DUAL_COMPONENT_ALPHAS
+
+
+@given(graphs())
+def test_alexander_dual_has_one_component_per_edge(g):
+    """The components are (t_i, t_j^{w_j}) per edge (i, j), graded-lex sorted."""
+    alphas = []
+    for i, j in g.sorted_edges():
+        alpha = [0] * g.num_vertices
+        alpha[i - 1], alpha[j - 1] = 1, g.weight(j)
+        alphas.append(tuple(alpha))
+    alphas.sort(key=lambda a: (sum(a), a))
+    assert alexander_dual(g).decomposition.alphas() == tuple(alphas)
 
 
 def test_classify_fixture_table():

@@ -66,7 +66,7 @@ HEAVY_SINK_SEVEN_CYCLE = WeightedOrientedGraph.build(
 def sweep_over(monkeypatch, module, graphs):
     feed = iter(graphs)
     monkeypatch.setattr(module, "random_graph", lambda *args, **kwargs: next(feed))
-    return module.sweep(module.SweepConfig(count=len(graphs), max_n=3))
+    return module.main(["--count", str(len(graphs)), "--max-n", "3"])
 
 
 def test_sweep_leaves_a_first_split_past_max_n_undecided(monkeypatch, capsys):
