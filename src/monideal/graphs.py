@@ -211,7 +211,9 @@ def strong_covers(
     Enumerates the vertex covers in one loop over the vertices, keeping a
     vertex out only when all its earlier neighbours are in.  A vertex on no
     edge is left out of every cover: in a cover it would lie in L3 with no
-    in-neighbour, so no strong cover holds it.  The number of covers is
+    in-neighbour, so no strong cover holds it.  For the same reason a cover
+    is dropped once it holds a vertex with no heavy in-neighbour together
+    with all that vertex's neighbours.  The number of covers is still
     exponential, hence the vertex limit.
     """
     return tuple(part.cover for part in _strong_partitions(graph, max_vertices))
@@ -224,21 +226,33 @@ def _strong_partitions(
 
     After vertex v the list holds the vertex covers of the edges among 1..v:
     each cover takes v, and also leaves it out if it holds v's earlier
-    neighbours.  A vertex on no edge is skipped.  Only covers are built, so
-    each is partitioned once, without checking its edges again."""
+    neighbours.  A vertex on no edge is skipped.  A vertex x with no heavy
+    in-neighbour lies in L3 of no strong cover, so once v is the largest
+    vertex of x's closed neighbourhood, a cover that takes v and holds that
+    whole neighbourhood is dropped.  Only covers are built, so each is
+    partitioned once, without checking its edges again."""
     s = graph.num_vertices
     if s > max_vertices:
         raise ResourceLimitExceeded(
             f"cover enumeration over {s} vertices exceeds the limit {max_vertices}; "
             "pass a larger max_vertices (CLI: --max-covers) to proceed"
         )
+    closed_at: dict[int, list[frozenset[int]]] = {}
+    for x in range(1, s + 1):
+        near = graph.underlying_neighbors(x)
+        if near and not any(graph.weight(y) >= 2 for y in graph.in_neighbors(x)):
+            closed = near | {x}
+            closed_at.setdefault(max(closed), []).append(closed)
     covers = [_NONE]
     for v in range(1, s + 1):
         neighbors = graph.underlying_neighbors(v)
         if not neighbors:
             continue
         earlier, added = {u for u in neighbors if u < v}, {v}
-        covers = [c | added for c in covers] + [c for c in covers if earlier <= c]
+        taken = [c | added for c in covers]
+        for closed in closed_at.get(v, ()):
+            taken = [c for c in taken if not closed <= c]
+        covers = taken + [c for c in covers if earlier <= c]
     strong = [p for p in (_partition(graph, c) for c in covers if c) if _is_strong(graph, p)]
     strong.sort(key=lambda p: (len(p.cover), tuple(sorted(p.cover))))
     return tuple(strong)
@@ -424,7 +438,7 @@ def parse_graph(text: str) -> WeightedOrientedGraph:
     """
     num_vertices = None
     weights = None
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -475,7 +489,7 @@ def parse_graph(text: str) -> WeightedOrientedGraph:
                 _fail(lineno, f"duplicate edge ({i}, {j})")
             if (j, i) in edges:
                 _fail(lineno, f"edge ({i}, {j}) reorients the earlier edge ({j}, {i})")
-            edges.append((i, j))
+            edges.add((i, j))
         else:
             _fail(lineno, f"unknown directive {keyword!r}")
     if num_vertices is None:

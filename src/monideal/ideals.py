@@ -442,6 +442,9 @@ def power_contains(ideal: MonomialIdeal, a: Exponent, n: int) -> bool:
 # Parsing a term builds a dense vector of this many entries: one term at
 # the limit peaks near 19 MB of process memory, one at 10^6 near 40 MB.
 PARSE_VARIABLE_LIMIT = 100_000
+# All terms together build at most this many entries: 10 terms at the
+# variable limit peak near 63 MB, where 100 terms peaked near 277 MB.
+PARSE_ENTRY_LIMIT = 1_000_000
 
 _FACTOR_RE = re.compile(r"^t(\d+)(?:\^(\d+))?$")
 
@@ -559,6 +562,11 @@ def parse_ideal(text: str, num_vars: int | None = None) -> MonomialIdeal:
     if num_vars > PARSE_VARIABLE_LIMIT:
         raise ResourceLimitExceeded(
             f"{num_vars} variables exceed the parser's limit {PARSE_VARIABLE_LIMIT}"
+        )
+    if len(terms) * num_vars > PARSE_ENTRY_LIMIT:
+        raise ResourceLimitExceeded(
+            f"{len(terms)} terms in {num_vars} variables exceed the parser's limit "
+            f"of {PARSE_ENTRY_LIMIT} exponent entries"
         )
     if vec_lengths and next(iter(vec_lengths)) != num_vars:
         raise FormatError(

@@ -10,21 +10,20 @@ to 1 in each generator and minimalize.  Both agree with the usual
 definitions through saturation, and the ordinary power always sits inside:
 I^n <= I<n> <= I^(n).
 
-Every I^(n) and I<n> comes from one engine, :class:`_LocalizedPowers`,
-built on I and a set of primes.  At n = 1 it returns I itself when every
+Every I^(n) and I<n> comes from one function, :func:`_localized_power`,
+given I, a set of primes and n.  At n = 1 it returns I itself when every
 associated prime of I lies inside one of the primes, so I^(1) is I iff I
 has no embedded primes, and I<1> is always I.  For other n, I_p is the
-intersection of the components of I with support in p, read once off the
+intersection of the components of I with support in p, read off the
 decomposition.  A lone component q_a (at every minimal prime of an edge
 ideal, whose components are indexed by its strong vertex covers) is met
 as q_a^n from degrees, by ``decomposition._meet_irreducible_power``, and
-no power of it is formed; every other I_p is localized and forms its
-powers on a chain, which holds only its latest power unless the engine
-must `keep` them all.  A one-shot call builds an engine for its one n;
-:func:`compare_powers_up_to` builds one for I^(n) and one that keeps, for
-I<n>, so its walk forms each power once: (bound - 1) * (1 + |minimal
-primes p whose I_p is not one component|) products, and its reports' I<n>,
-read in any order, only the powers they read.  Nothing outlives a call.
+no power of it is formed.  Every other (I_p)^n is read off I^n where the
+caller holds it, as localize(I^n, p): setting the variables outside p to
+1 is a ring map, so (I^n)_p = (I_p)^n.  A one-shot call holds no I^n and
+forms (I_p)^n from I_p.  So a walk of :func:`compare_powers_up_to` forms
+only the chain of I, bound - 1 products, whatever its reports read.
+Nothing outlives a call.
 """
 
 from __future__ import annotations
@@ -48,8 +47,8 @@ def localize(ideal: MonomialIdeal, prime: MonomialPrime) -> MonomialIdeal:
     """Monomial localization I_p: kill exponents outside the prime's support."""
     if prime.num_vars != ideal.num_vars:
         raise DomainError("prime and ideal live in different rings")
-    keep = [i in prime.support for i in range(1, ideal.num_vars + 1)]
-    gens = [tuple(e if k else 0 for e, k in zip(g, keep)) for g in ideal.gens]
+    in_p = [i in prime.support for i in range(1, ideal.num_vars + 1)]
+    gens = [tuple(e if k else 0 for e, k in zip(g, in_p)) for g in ideal.gens]
     return MonomialIdeal._from_trusted(gens, ideal.num_vars)
 
 
@@ -60,57 +59,40 @@ def max_ass(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
 
 def symbolic_power_min(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """I^(n): localized powers intersected over the minimal primes."""
-    return _LocalizedPowers(ideal, minimal_primes(ideal), n).at(n)
+    return _localized_power(ideal, minimal_primes(ideal), n)
 
 
 def symbolic_power_ass(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """I<n>: localized powers intersected over the maximal associated primes."""
-    return _LocalizedPowers(ideal, max_ass(ideal), n).at(n)
+    return _localized_power(ideal, max_ass(ideal), n)
 
 
-class _LocalizedPowers:
-    """The intersection of (I_p)^n over `primes`, at each n up to `bound`.
+def _localized_power(ideal, primes, n, power=None):
+    """The intersection of (I_p)^n over `primes`; `power` is I^n if the
+    caller holds it.
 
     I_p is the intersection of the components of I whose support lies in
     p, and the decomposition is irredundant.  So at n = 1 this is I itself
-    iff every associated prime of I lies inside one of the primes.  Reads
-    of an engine that does not `keep` must never go down in n.
+    iff every associated prime of I lies inside one of the primes.
     """
-
-    def __init__(self, ideal, primes, bound, keep=False):
-        self.ideal, self.primes, self.bound, self.keep = ideal, primes, bound, keep
-
-    def at(self, n):
-        if not isinstance(n, int) or n < 1:
-            raise DomainError(f"symbolic power requires an integer n >= 1, got {n!r}")
-        if n == 1 and all(
-            any(a <= p for p in self.primes) for a in associated_primes(self.ideal) - self.primes
-        ):
-            return self.ideal
-        lone, chains = self._localized
-        for chain, formed in chains:
-            while len(formed) < n:
-                if formed and not self.keep:
-                    formed[-1] = None
-                formed.append(next(chain))
-        out = intersect_all([formed[n - 1] for _, formed in chains], self.ideal.num_vars)
-        for alpha in lone:
-            out = _meet_irreducible_power(out, alpha, n)
-        return out
-
-    @cached_property
-    def _localized(self):
-        # Each lone component's vector; each other I_p's chain and powers.
-        dec = irreducible_decomposition(self.ideal)
-        components = [(c.support(), c.alpha) for c in dec.components]
-        lone, chains = [], []
-        for p in sorted(self.primes, key=MonomialPrime.sort_key):
-            inside = [alpha for support, alpha in components if support <= p.support]
-            if len(inside) == 1:
-                lone.append(inside[0])
-            else:
-                chains.append((_powers(localize(self.ideal, p), self.bound), []))
-        return lone, chains
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"symbolic power requires an integer n >= 1, got {n!r}")
+    if n == 1 and all(any(a <= p for p in primes) for a in associated_primes(ideal) - primes):
+        return ideal
+    components = [(c.support(), c.alpha) for c in irreducible_decomposition(ideal).components]
+    lone, localized = [], []
+    for p in sorted(primes, key=MonomialPrime.sort_key):
+        inside = [alpha for support, alpha in components if support <= p.support]
+        if len(inside) == 1:
+            lone.append(inside[0])
+        elif power is None:
+            localized.append(localize(ideal, p) ** n)
+        else:
+            localized.append(localize(power, p))
+    out = intersect_all(localized, ideal.num_vars)
+    for alpha in lone:
+        out = _meet_irreducible_power(out, alpha, n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -127,8 +109,6 @@ class SymbolicPowerReport:
     symbolic_min: MonomialIdeal
     equal_min: bool
     ideal: MonomialIdeal = field(compare=False, repr=False)
-    # The I<n> engine of the walk that made this report, shared by its reports.
-    _ass_powers: _LocalizedPowers | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def symbolic_ass(self) -> MonomialIdeal:
@@ -136,9 +116,7 @@ class SymbolicPowerReport:
         # same primes, so I^(n) serves for I<n>.
         if not embedded_primes(self.ideal):
             return self.symbolic_min
-        if self._ass_powers is None:
-            return symbolic_power_ass(self.ideal, self.n)
-        return self._ass_powers.at(self.n)
+        return _localized_power(self.ideal, max_ass(self.ideal), self.n, self.ordinary)
 
     @cached_property
     def equal_ass(self) -> bool:
@@ -155,9 +133,10 @@ class SymbolicPowerReport:
 def compare_powers(ideal: MonomialIdeal, n: int) -> SymbolicPowerReport:
     """Compare I^n with both symbolic powers; witnesses live in I^(n) \\ I^n.
 
-    Only I^n, I^(n) and `equal_min` are built here.  I<n>, `equal_ass` and
-    the witnesses are built when the report's attribute is first read.
-    When Ass(I) has no embedded primes, I<n> is the I^(n) already built.
+    Only I^n, I^(n) and `equal_min` are built here.  I<n>, read off this
+    I^n, `equal_ass` and the witnesses are built when the report's
+    attribute is first read.  When Ass(I) has no embedded primes, I<n> is
+    the I^(n) already built.
     """
     return _report(ideal, n, ideal ** n, symbolic_power_min(ideal, n))
 
@@ -165,21 +144,18 @@ def compare_powers(ideal: MonomialIdeal, n: int) -> SymbolicPowerReport:
 def compare_powers_up_to(ideal: MonomialIdeal, bound: int):
     """Yield the report of :func:`compare_powers` for n = 1..bound.
 
-    I^n is read from the chain of I, and I^(n) and I<n> from one engine
-    each, which every report of the walk shares, so no power is formed
-    twice.  A report's I<n> is built when first read, with powers formed
-    only as far as the reports read.
+    I^n is read from the chain of I, and I^(n) and each report's I<n> are
+    read off that I^n, so the walk forms no power but the chain's.  A
+    report's I<n> is built when first read.
     """
     chain = _powers(ideal, bound)
-    dec = irreducible_decomposition(ideal)
-    smin = _LocalizedPowers(ideal, dec.minimal_primes, bound)
-    sass = _LocalizedPowers(ideal, dec.maximal_primes, bound, keep=True)
+    primes = minimal_primes(ideal)
     for n, power in enumerate(chain, 1):
-        yield _report(ideal, n, power, smin.at(n), sass)
+        yield _report(ideal, n, power, _localized_power(ideal, primes, n, power))
 
 
-def _report(ideal, n, ordinary, smin, ass_powers=None):
-    return SymbolicPowerReport(n, ordinary, smin, ordinary == smin, ideal, ass_powers)
+def _report(ideal, n, ordinary, smin):
+    return SymbolicPowerReport(n, ordinary, smin, ordinary == smin, ideal)
 
 
 def powers_equal_up_to(ideal: MonomialIdeal, bound: int) -> bool:

@@ -147,8 +147,9 @@ def test_strong_covers_of_a_long_vertex_range_need_no_recursion():
 
 
 def test_vertices_on_no_edge_are_never_swept(monkeypatch):
-    """At the default limit, 20 isolated vertices leave three covers of
-    the one edge to partition, not 3 * 2^20."""
+    """At the default limit, 20 isolated vertices leave two covers of the
+    one edge to partition, not 3 * 2^20: the third, {1, 2}, holds vertex 1
+    and its neighbour, and vertex 1 has no heavy in-neighbour."""
     import monideal.graphs as graphs_module
 
     calls = []
@@ -159,7 +160,7 @@ def test_vertices_on_no_edge_are_never_swept(monkeypatch):
     assert strong_covers(parse_graph("vertices 22\nedge 1 2\n")) == (
         frozenset({1}), frozenset({2})
     )
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_strong_cover_enumeration_has_a_vertex_limit():
@@ -193,6 +194,42 @@ def test_strong_cover_enumeration_matches_definition(g):
         if is_vertex_cover(g, c) and is_strong_cover(g, c)
     }
     assert set(strong_covers(g)) == brute
+
+
+def _unpruned_strong_covers(g):
+    """The cover sweep with no pruning: every vertex cover of the edges,
+    built vertex by vertex, then kept if strong."""
+    covers = [frozenset()]
+    for v in range(1, g.num_vertices + 1):
+        near = g.underlying_neighbors(v)
+        if near:
+            earlier = {u for u in near if u < v}
+            covers = [c | {v} for c in covers] + [c for c in covers if earlier <= c]
+    strong = [c for c in covers if c and is_strong_cover(g, c)]
+    return tuple(sorted(strong, key=lambda c: (len(c), tuple(sorted(c)))))
+
+
+@given(graphs(max_vertices=9))
+@settings(max_examples=50)
+def test_pruned_cover_sweep_matches_the_unpruned_one(g):
+    assert strong_covers(g) == _unpruned_strong_covers(g)
+
+
+def test_a_star_partitions_only_its_strong_covers(monkeypatch):
+    """The 21-leaf star with centre 1 has 2^21 + 1 vertex covers.  No
+    vertex has a heavy in-neighbour, so none lies in L3 of a strong cover,
+    and the sweep drops each cover that holds a vertex and all its
+    neighbours: only the two minimal covers are left to partition."""
+    import monideal.graphs as graphs_module
+
+    calls = []
+    partition = graphs_module._partition
+    monkeypatch.setattr(
+        graphs_module, "_partition", lambda g, c: calls.append(c) or partition(g, c)
+    )
+    star = WeightedOrientedGraph.build(22, [(1, leaf) for leaf in range(2, 23)])
+    assert strong_covers(star) == (frozenset({1}), frozenset(range(2, 23)))
+    assert len(calls) == 2
 
 
 def test_cover_ideal_uses_weights_on_l2_and_l3():
@@ -356,6 +393,21 @@ def test_parse_graph_errors_carry_line_numbers():
         parse_graph("vertices 2\nweights 1\nedge 1 2\n")
     with pytest.raises(FormatError, match="line 2: self loop at vertex 1"):
         parse_graph("vertices 2\nedge 1 1\n")
+
+
+def test_parse_graph_reads_a_long_path():
+    """Duplicate and reoriented edges are looked up in a set, so 20,000
+    edges parse at once, to the graph built directly."""
+    edges = [(i, i + 1) for i in range(1, 20001)]
+    text = "vertices 20001\n" + "".join(f"edge {i} {j}\n" for i, j in edges)
+    assert parse_graph(text) == WeightedOrientedGraph.build(20001, edges)
+
+
+def test_parse_graph_refuses_repeated_edges_by_line():
+    with pytest.raises(FormatError, match="line 4: duplicate edge \\(1, 2\\)"):
+        parse_graph("vertices 3\nedge 1 2\nedge 2 3\nedge 1 2\n")
+    with pytest.raises(FormatError, match="line 3: edge \\(2, 1\\) reorients the earlier edge \\(1, 2\\)"):
+        parse_graph("vertices 3\nedge 1 2\nedge 2 1\n")
 
 
 def test_parse_graph_refuses_more_vertices_than_variables():

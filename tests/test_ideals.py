@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 
 from monideal.errors import DimensionMismatch, DomainError, FormatError, ResourceLimitExceeded
 from monideal.ideals import (
+    PARSE_ENTRY_LIMIT,
     PARSE_VARIABLE_LIMIT,
     MonomialIdeal,
     divides,
@@ -198,6 +199,30 @@ def test_parse_refuses_variable_counts_past_its_limit():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_parse_refuses_more_entries_than_its_budget():
+    """Terms times variables is checked before any dense vector is built:
+    100 terms in 100,000 variables are refused at once, and the budget
+    takes exactly 10 terms at the variable limit."""
+    limit = PARSE_VARIABLE_LIMIT
+    assert PARSE_ENTRY_LIMIT == 10 * limit
+    text = ", ".join(f"t{i}*t{limit}" for i in range(1, 101))
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ResourceLimitExceeded,
+            match=f"100 terms in {limit} variables exceed the parser's limit of {PARSE_ENTRY_LIMIT}",
+        ):
+            parse_ideal(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    eleven = ", ".join(f"t{i}" for i in range(1, 12))
+    with pytest.raises(ResourceLimitExceeded, match="11 terms"):
+        parse_ideal(eleven, num_vars=limit)
+    assert len(parse_ideal(eleven.rsplit(",", 1)[0], num_vars=limit).gens) == 10
 
 
 def test_format_monomial():

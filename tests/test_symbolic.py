@@ -82,25 +82,27 @@ def test_symbolic_square_of_path():
 
 def test_compare_powers_builds_only_what_is_read(monkeypatch):
     """The embedded prime (t1, t2, t3) of the path makes I<2> differ from
-    I^(2).  Reading `equal_min` alone never builds I<2>; reading
-    `symbolic_ass` and then `equal_ass` twice builds it once."""
+    I^(2).  Reading `equal_min` alone localizes nothing: both minimal
+    primes are lone components.  Reading `symbolic_ass` and then
+    `equal_ass` twice localizes I^2 once, at the one maximal associated
+    prime (t2, t3) whose I_p is not one component."""
     I = edge_ideal(PATH_MIDDLE.graph)
     assert embedded_primes(I)
-    real = symbolic.symbolic_power_ass
+    real = symbolic.localize
     calls = []
 
-    def counting(ideal, n):
-        calls.append(n)
-        return real(ideal, n)
+    def counting(ideal, prime):
+        calls.append(prime)
+        return real(ideal, prime)
 
-    monkeypatch.setattr(symbolic, "symbolic_power_ass", counting)
+    monkeypatch.setattr(symbolic, "localize", counting)
     assert not compare_powers(I, 2).equal_min
     assert calls == []
 
     report = compare_powers(I, 2)
     assert report.symbolic_ass != report.symbolic_min
     assert report.equal_ass and report.equal_ass
-    assert calls == [2]
+    assert len(calls) == 1
 
 
 def _with_fixture_examples(test):
@@ -345,15 +347,14 @@ def _count_products(monkeypatch):
 
 @pytest.mark.parametrize("walk", [powers_equal_up_to, is_ntf_up_to])
 def test_walks_form_each_power_once(monkeypatch, walk):
-    """Walking n = 1..3 forms I^2 and I^3, and (I_p)^2 and (I_p)^3 for each
-    minimal prime p whose I_p is not one component, each once; a lone
-    component's powers are never formed.  All 5 localizations of the
-    5-cycle are primes, and the 4 of (t1^2*t2, t3*t4) are single
-    components, two of them (t1^2, t3) and (t1^2, t4), so each walk forms
-    2 products.  (t1^2, t1*t2, t2^2) = (t1^2, t2) ^ (t1, t2^2) has two
-    components on its one prime, so its walk forms (3 - 1) * (1 + 1) = 4.
-    Their powers agree with their symbolic powers, so both walks go on to
-    n = 3."""
+    """Walking n = 1..3 forms I^2 and I^3 and no other power: a lone
+    component's powers are met from degrees, and every other (I_p)^n is
+    read off I^n.  All 5 localizations of the 5-cycle are primes, and the
+    4 of (t1^2*t2, t3*t4) are single components, two of them (t1^2, t3)
+    and (t1^2, t4).  (t1^2, t1*t2, t2^2) = (t1^2, t2) ^ (t1, t2^2) has two
+    components on its one prime, which is localized off I^n.  So each walk
+    forms 2 products.  Their powers agree with their symbolic powers, so
+    both walks go on to n = 3."""
     I = parse_ideal(FIVE_CYCLE)
     assert len(minimal_primes(I)) == 5
     products = _count_products(monkeypatch)
@@ -366,7 +367,7 @@ def test_walks_form_each_power_once(monkeypatch, walk):
     K = parse_ideal("t1^2, t1*t2, t2^2")
     assert len(irreducible_decomposition(K).components) == 2 and len(minimal_primes(K)) == 1
     walk(K, 3)
-    assert len(products) == 2 + 2 + 4
+    assert len(products) == 2 + 2 + 2
 
 
 @given(graphs())
@@ -408,9 +409,10 @@ def test_reading_equal_ass_along_a_walk_reuses_its_chains(monkeypatch, read_whil
     """The path's walk to 4 forms 3 products, all on the chain of I: its
     minimal primes (t2) and (t1, t3) localize to themselves.  I<n>
     intersects over the maximal associated primes (t1, t3) and (t2, t3),
-    whose localization (t2^2, t2*t3) is not prime, so reading `equal_ass`
-    on the four reports, during the walk or after it and from the last
-    report back, forms only the 3 powers of that one chain."""
+    whose localization (t2^2, t2*t3) is not prime, so each report reads
+    it off its own I^n: reading `equal_ass` on the four reports, during
+    the walk or after it and from the last report back, forms no power
+    beyond those 3."""
     I = edge_ideal(PATH_MIDDLE.graph)
     assert minimal_primes(I) < associated_primes(I) and len(max_ass(I)) == 2
     products = _count_products(monkeypatch)
@@ -421,25 +423,20 @@ def test_reading_equal_ass_along_a_walk_reuses_its_chains(monkeypatch, read_whil
         assert len(products) == 3
         verdicts = [r.equal_ass for r in reversed(reports)]
     assert verdicts == [True, True, True, True]
-    assert len(products) == 6
+    assert len(products) == 3
 
 
-def test_engines_read_in_order_keep_only_their_latest_power():
+def test_far_localized_powers_match_the_oracle():
     """(t1^2*t3, t1*t2, t2^2*t3) localizes at (t1, t2) to (t1^2, t2) ^
-    (t1, t2^2), two components, so that prime gets a chain; its other two
-    minimal primes are lone components.  A one-shot engine read at 25
-    holds (I_p)^25 alone on that chain.  The walk's I<n> engine, which its
-    reports read in any order, keeps every power and can go back."""
+    (t1, t2^2), two components, so that prime is localized; its other two
+    minimal primes are lone components.  A one-shot I^(25) forms
+    (I_p)^25, and the walk's reports read I<25> and I<3> off I^25 and
+    I^3, the later one first."""
     I = parse_ideal("t1^2*t3, t1*t2, t2^2*t3")
-    one_shot = symbolic._LocalizedPowers(I, minimal_primes(I), 25)
-    assert one_shot.at(25) == naive_symbolic_power_min(I, 25)
-    lone, chains = one_shot._localized
-    assert len(lone) == 2
-    assert [sum(p is not None for p in formed) for _, formed in chains] == [1]
-    walk_ass = next(compare_powers_up_to(I, 25))._ass_powers
-    assert walk_ass.at(25) == naive_symbolic_power(I, 25, max_ass(I))
-    assert walk_ass.at(3) == naive_symbolic_power(I, 3, max_ass(I))
-    assert [sum(p is not None for p in formed) for _, formed in walk_ass._localized[1]] == [25]
+    assert symbolic_power_min(I, 25) == naive_symbolic_power_min(I, 25)
+    reports = list(compare_powers_up_to(I, 25))
+    assert reports[24].symbolic_ass == naive_symbolic_power(I, 25, max_ass(I))
+    assert reports[2].symbolic_ass == naive_symbolic_power(I, 3, max_ass(I))
 
 
 BIG = 2**70
@@ -475,9 +472,9 @@ def test_meet_irreducible_power_matches_the_pairwise_intersection(J, alpha, n):
 def test_powers_match_the_chain_free_oracle(I, order):
     """Powers read from the chains equal those formed afresh by the oracle,
     whichever n is asked for first and through whichever route.  The walk's
-    reports are read in a shuffled order, so its lazily extended chains of
-    the maximal associated primes (the path and the weighted 3-cycle have
-    embedded primes) are asked for a later power before an earlier one.
+    reports are read in a shuffled order, so their I<n> over the maximal
+    associated primes (the path and the weighted 3-cycle have embedded
+    primes) is read off a later power before an earlier one.
     The 5-cycle's localizations are all primes, so its I^(n) is met from
     degrees alone, and the oracle forms every (I_p)^n by products."""
     ordinary = {n: naive_power(I, n) for n in order}
