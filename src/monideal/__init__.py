@@ -24,7 +24,6 @@ from .graphs import (
     WeightedOrientedGraph,
     alexander_dual,
     classify,
-    cover_ideal,
     decomposition_via_covers,
     edge_ideal,
     is_strong_cover,
@@ -37,7 +36,6 @@ from .ideals import (
     format_monomial,
     intersect_all,
     parse_ideal,
-    parse_monomial,
 )
 from .polyhedra import (
     CoveringFormPolyhedron,
@@ -47,7 +45,6 @@ from .polyhedra import (
     irreducible_polyhedron,
     is_normal_up_to,
     newton_hrep,
-    newton_vertices,
     polyhedral_conditions_check,
 )
 from .symbolic import (
@@ -79,7 +76,6 @@ __all__ = [
     "classify",
     "compare_powers",
     "compare_powers_up_to",
-    "cover_ideal",
     "covering_polyhedron",
     "decomposition_via_covers",
     "edge_ideal",
@@ -98,10 +94,8 @@ __all__ = [
     "max_ass",
     "minimal_primes",
     "newton_hrep",
-    "newton_vertices",
     "parse_graph",
     "parse_ideal",
-    "parse_monomial",
     "polyhedral_conditions_check",
     "powers_equal_up_to",
     "strong_covers",

@@ -30,7 +30,6 @@ from .errors import (
     FormatError,
     ResourceLimitExceeded,
 )
-from .fixtures import ALL_FIXTURES, fixture, fixture_checks
 from .graphs import (
     DEFAULT_COVER_VERTEX_LIMIT,
     _partition_ideal,
@@ -368,6 +367,9 @@ def _cmd_thm41(args):
 
 
 def _cmd_examples(args):
+    # Only this command reads the fixtures, so only it imports them.
+    from .fixtures import ALL_FIXTURES, fixture, fixture_checks
+
     if args.list and (args.show or args.name is not None):
         raise DomainError("--list takes no fixture name and no --show")
     if args.list:

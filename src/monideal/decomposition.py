@@ -34,13 +34,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, DomainError
-from .ideals import (
-    Exponent,
-    MonomialIdeal,
-    graded_lex_key,
-    minimal_generators,
-    unit_vector,
-)
+from .ideals import Exponent, MonomialIdeal, graded_lex_key, minimal_generators
 
 
 @dataclass(frozen=True)
@@ -59,14 +53,6 @@ class IrreducibleIdeal:
             raise ValueError(f"alpha {self.alpha} has a negative entry")
         if sum(self.alpha) == 0:
             raise DomainError("the unit ideal is not irreducible")
-
-    def as_ideal(self) -> MonomialIdeal:
-        gens = [
-            tuple(e if j == i else 0 for j in range(self.num_vars))
-            for i, e in enumerate(self.alpha)
-            if e
-        ]
-        return MonomialIdeal._from_trusted(gens, self.num_vars)
 
     def support(self) -> frozenset[int]:
         """1-indexed variables appearing in alpha."""
@@ -96,12 +82,6 @@ class MonomialPrime:
         bad = [i for i in self.support if not 1 <= i <= self.num_vars]
         if bad:
             raise ValueError(f"variable indices {bad} out of range 1..{self.num_vars}")
-
-    def as_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal._from_trusted(
-            [unit_vector(i, self.num_vars) for i in sorted(self.support)],
-            self.num_vars,
-        )
 
     def sort_key(self):
         return (len(self.support), tuple(sorted(self.support)))

@@ -165,8 +165,6 @@ PATH_MIDDLE_LOCALIZED_23 = ((0, 1, 1), (0, 2, 0))
 PATH_MIDDLE_LOCALIZED_13 = ((0, 0, 1), (1, 0, 0))
 PATH_MIDDLE_SYMBOLIC_SQUARE = ((0, 2, 2), (1, 2, 1), (2, 2, 0))
 PATH_MIDDLE_SQUARE_WITNESSES = ((1, 2, 1), (2, 2, 0))
-# at n = 2 the intersection over maximal associated primes collapses to I^2
-PATH_MIDDLE_ASS_SQUARE_EQUALS_POWER = True
 
 # Unweighted directed 7-cycle.  Bipartiteness is the only failing
 # condition, and the first power where symbolic and ordinary separate is

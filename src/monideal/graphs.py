@@ -187,19 +187,16 @@ def _partition(graph: WeightedOrientedGraph, cover: frozenset[int]) -> CoverPart
     return CoverPartition(cover, l1, l2, l3)
 
 
-def _is_strong(graph: WeightedOrientedGraph, part: CoverPartition) -> bool:
+def is_strong_cover(graph: WeightedOrientedGraph, cover) -> bool:
+    """Every x in L3 needs a directed in-edge (y, x) with y in L2 u L3 and
+    weight(y) >= 2.  A cover is minimal iff L3 is empty (x can leave C iff
+    all its neighbors lie in C), so minimal covers are strong."""
+    part = cover_partition(graph, cover)
     others = part.l2 | part.l3
     return all(
         any(y in others and graph.weight(y) >= 2 for y in graph.in_neighbors(x))
         for x in part.l3
     )
-
-
-def is_strong_cover(graph: WeightedOrientedGraph, cover) -> bool:
-    """Every x in L3 needs a directed in-edge (y, x) with y in L2 u L3 and
-    weight(y) >= 2.  A cover is minimal iff L3 is empty (x can leave C iff
-    all its neighbors lie in C), so minimal covers are strong."""
-    return _is_strong(graph, cover_partition(graph, cover))
 
 
 def strong_covers(
@@ -208,13 +205,9 @@ def strong_covers(
 ) -> tuple[frozenset[int], ...]:
     """All nonempty strong vertex covers, sorted by size then contents.
 
-    Enumerates the vertex covers in one loop over the vertices, keeping a
-    vertex out only when all its earlier neighbours are in.  A vertex on no
-    edge is left out of every cover: in a cover it would lie in L3 with no
-    in-neighbour, so no strong cover holds it.  For the same reason a cover
-    is dropped once it holds a vertex with no heavy in-neighbour together
-    with all that vertex's neighbours.  The number of covers is still
-    exponential, hence the vertex limit.
+    The sweep of :func:`_strong_partitions` builds only vertex covers and
+    drops each as soon as it cannot be strong, but the number of covers is
+    still exponential, hence the vertex limit.
     """
     return tuple(part.cover for part in _strong_partitions(graph, max_vertices))
 
@@ -226,50 +219,51 @@ def _strong_partitions(
 
     After vertex v the list holds the vertex covers of the edges among 1..v:
     each cover takes v, and also leaves it out if it holds v's earlier
-    neighbours.  A vertex on no edge is skipped.  A vertex x with no heavy
-    in-neighbour lies in L3 of no strong cover, so once v is the largest
-    vertex of x's closed neighbourhood, a cover that takes v and holds that
-    whole neighbourhood is dropped.  Only covers are built, so each is
-    partitioned once, without checking its edges again."""
+    neighbours.  A vertex on no edge is skipped: in a cover it would lie in
+    L3 with no in-neighbour.  A cover holding x's closed neighbourhood N[x]
+    has x in L3, and a heavy in-neighbour y of x (in the cover, being in
+    N[x]) lies in L2 u L3 iff all its out-neighbours do.  Decisions are
+    final, so a cover is dropped at the first step where it holds N[x] and
+    each such y has an out-neighbour left out: at max N[x], or at a later
+    out-neighbour of such a y.  The covers left are exactly the strong
+    ones, each partitioned once without checking its edges."""
     s = graph.num_vertices
     if s > max_vertices:
         raise ResourceLimitExceeded(
             f"cover enumeration over {s} vertices exceeds the limit {max_vertices}; "
             "pass a larger max_vertices (CLI: --max-covers) to proceed"
         )
-    closed_at: dict[int, list[frozenset[int]]] = {}
+    # checks[v]: per x checked at v, N[x] and, per heavy in-neighbour y of
+    # x, the out-neighbours of y among 1..v.
+    checks: dict[int, list] = {}
     for x in range(1, s + 1):
         near = graph.underlying_neighbors(x)
-        if near and not any(graph.weight(y) >= 2 for y in graph.in_neighbors(x)):
-            closed = near | {x}
-            closed_at.setdefault(max(closed), []).append(closed)
+        if not near:
+            continue
+        closed = near | {x}
+        heavy = [graph.out_neighbors(y) for y in graph.in_neighbors(x) if graph.weight(y) >= 2]
+        first = max(closed)
+        for v in {first, *(u for outs in heavy for u in outs if u > first)}:
+            decided = [frozenset(u for u in outs if u <= v) for outs in heavy]
+            checks.setdefault(v, []).append((closed, decided))
     covers = [_NONE]
     for v in range(1, s + 1):
         neighbors = graph.underlying_neighbors(v)
         if not neighbors:
             continue
         earlier, added = {u for u in neighbors if u < v}, {v}
-        taken = [c | added for c in covers]
-        for closed in closed_at.get(v, ()):
-            taken = [c for c in taken if not closed <= c]
-        covers = taken + [c for c in covers if earlier <= c]
-    strong = [p for p in (_partition(graph, c) for c in covers if c) if _is_strong(graph, p)]
+        covers = [c | added for c in covers] + [c for c in covers if earlier <= c]
+        for closed, decided in checks.get(v, ()):
+            covers = [c for c in covers if not closed <= c or any(d <= c for d in decided)]
+    strong = [_partition(graph, c) for c in covers if c]
     strong.sort(key=lambda p: (len(p.cover), tuple(sorted(p.cover))))
     return tuple(strong)
-
-
-def cover_ideal(graph: WeightedOrientedGraph, cover) -> IrreducibleIdeal:
-    """I_C for a strong cover C: exponent 1 on L1, the weight on L2 u L3."""
-    part = cover_partition(graph, cover)
-    if not _is_strong(graph, part):
-        raise DomainError(f"{sorted(part.cover)} is not a strong vertex cover")
-    return _partition_ideal(graph, part)
 
 
 def _partition_ideal(
     graph: WeightedOrientedGraph, part: CoverPartition
 ) -> IrreducibleIdeal:
-    """I_C read off the partition of a cover the caller knows is strong."""
+    """I_C of a cover the caller knows is strong: 1 on L1, the weight on L2 u L3."""
     alpha = [0] * graph.num_vertices
     for x in part.l1:
         alpha[x - 1] = 1

@@ -14,10 +14,10 @@ Vectors are validated in one place, :func:`_check_vectors`, which checks
 the vectors that come from outside: those given to
 :meth:`MonomialIdeal.from_gens` (and so to :func:`parse_ideal`), and the
 `gens` of the public constructor.  Results that the library derives from
-ideals it already holds (products, intersections, colons, radicals,
-localizations) go through the private :meth:`MonomialIdeal._from_trusted`,
-which minimalizes without checking again.  Only vectors built from valid
-operands may be passed to it.
+ideals it already holds (products, intersections, localizations, closures)
+go through the private :meth:`MonomialIdeal._from_trusted`, which
+minimalizes without checking again.  Only vectors built from valid operands
+may be passed to it.
 
 Divisibility is tested on one bitset kernel.  It indexes a list of vectors
 by the bits of Python ints: the mask of a coordinate and a threshold x
@@ -70,22 +70,6 @@ def divides(a: Exponent, b: Exponent) -> bool:
         if x > y:
             return False
     return True
-
-
-def vec_sub_clamped(a: Exponent, b: Exponent) -> Exponent:
-    """Exponent vector of t^a : t^b, clamping below at zero."""
-    return tuple(x - y if x > y else 0 for x, y in zip(a, b))
-
-
-def vec_support(a: Exponent) -> Exponent:
-    return tuple(1 if x else 0 for x in a)
-
-
-def unit_vector(index: int, num_vars: int) -> Exponent:
-    """Exponent vector of the variable t_index (1-indexed)."""
-    if not 1 <= index <= num_vars:
-        raise ValueError(f"variable index {index} out of range 1..{num_vars}")
-    return tuple(1 if i == index - 1 else 0 for i in range(num_vars))
 
 
 # _REACH[x] is a bytes.translate table that maps a byte b to the digit "1"
@@ -257,9 +241,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return bool(self.gens) and sum(self.gens[0]) == 0
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
     def contains(self, a: Exponent) -> bool:
         """Is the monomial t^a in the ideal?"""
         a = tuple(a)
@@ -328,24 +309,6 @@ class MonomialIdeal:
         ]
         return MonomialIdeal._from_trusted(
             in_j + in_k + list(zip(*cols)), self.num_vars
-        )
-
-    def colon(self, f: Exponent) -> "MonomialIdeal":
-        """The colon ideal (self : t^f)."""
-        f = tuple(int(e) for e in f)
-        if len(f) != self.num_vars:
-            raise DimensionMismatch(
-                f"monomial {f} has length {len(f)}, expected {self.num_vars}"
-            )
-        if any(e < 0 for e in f):
-            raise ValueError(f"monomial {f} has a negative exponent")
-        return MonomialIdeal._from_trusted(
-            [vec_sub_clamped(g, f) for g in self.gens], self.num_vars
-        )
-
-    def radical(self) -> "MonomialIdeal":
-        return MonomialIdeal._from_trusted(
-            [vec_support(g) for g in self.gens], self.num_vars
         )
 
     def __str__(self) -> str:
@@ -447,6 +410,7 @@ PARSE_VARIABLE_LIMIT = 100_000
 PARSE_ENTRY_LIMIT = 1_000_000
 
 _FACTOR_RE = re.compile(r"^t(\d+)(?:\^(\d+))?$")
+_GROUP_RE = re.compile(r"\([^()]*\)")
 
 
 def _fail(lineno: int | None, message: str):
@@ -461,6 +425,24 @@ def _read_int(digits: str, lineno: int | None = None) -> int:
     except ValueError:
         pass
     _fail(lineno, f"an integer of {len(digits)} digits is too long")
+
+
+def _check_entry_counts(text: str):
+    """Refuse stripped ideal text with too many entries, before any walk over
+    its characters.  Each comma ends a term or an entry of a vector, so the
+    commas plus one bound terms times variables.  A vector is a group in
+    parentheses with none inside; only an outer wrapper spans the text."""
+    if text.count(",") >= PARSE_ENTRY_LIMIT:
+        raise ResourceLimitExceeded(
+            f"{text.count(',') + 1} comma-separated entries exceed the parser's "
+            f"limit of {PARSE_ENTRY_LIMIT} exponent entries"
+        )
+    for m in _GROUP_RE.finditer(text):
+        entries = text.count(",", *m.span()) + 1
+        if entries > PARSE_VARIABLE_LIMIT and m.span() != (0, len(text)):
+            raise ResourceLimitExceeded(
+                f"{entries} variables exceed the parser's limit {PARSE_VARIABLE_LIMIT}"
+            )
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -539,8 +521,9 @@ def parse_ideal(text: str, num_vars: int | None = None) -> MonomialIdeal:
     any exponent vectors present, otherwise from the largest variable index
     used.  "0" parses to the zero ideal and needs an explicit `num_vars`.
     """
-    body = _strip_outer_parens(re.sub(r"#.*", "", text))
-    body = " ".join(body.split())
+    text = re.sub(r"#.*", "", text).strip()
+    _check_entry_counts(text)
+    body = " ".join(_strip_outer_parens(text).split())
     if body == "0":
         if num_vars is None:
             raise FormatError("the zero ideal needs an explicit variable count")
@@ -584,14 +567,6 @@ def parse_ideal(text: str, num_vars: int | None = None) -> MonomialIdeal:
                 v[index - 1] += exp
             vectors.append(tuple(v))
     return MonomialIdeal.from_gens(vectors, num_vars)
-
-
-def parse_monomial(text: str, num_vars: int) -> Exponent:
-    """Parse a single monomial into its exponent vector."""
-    ideal = parse_ideal(text, num_vars)
-    if len(ideal.gens) != 1:
-        raise FormatError(f"expected a single monomial, got {text!r}")
-    return ideal.gens[0]
 
 
 def format_monomial(v: Exponent) -> str:

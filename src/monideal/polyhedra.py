@@ -181,20 +181,13 @@ def newton_hrep(ideal: MonomialIdeal, **limits) -> CoveringFormPolyhedron:
     )
 
 
-def newton_vertices(ideal: MonomialIdeal, **limits) -> tuple[Exponent, ...]:
-    """The generators of I that are vertices of its Newton polyhedron.
-
-    The description `newton_hrep` is the blocker of Q(I), and the blocker
-    of the blocker of NP(I) is NP(I) (Fulkerson 1971), so the vertices of
-    that description are the vertices of NP(I), all of them generators.
-    `limits` bound the enumeration of Q(I) only: the description has as
-    many columns as Q(I) has vertices, which they do not bound.
-    """
-    return _generators_at_vertices(ideal, newton_hrep(ideal, **limits))
-
-
 def _generators_at_vertices(ideal: MonomialIdeal, hrep: CoveringFormPolyhedron):
-    """The generators of I that are vertices of the polyhedron `hrep`."""
+    """The generators of I that are vertices of the polyhedron `hrep`.
+
+    For `hrep` = :func:`newton_hrep` (I), the blocker of Q(I), these are the
+    vertices of its blocker NP(I) (Fulkerson 1971), all generators.  `hrep`
+    has a column per vertex of Q(I), which no limit bounds, so no limit
+    applies here."""
     vertices = set(_vertex_certificates(hrep))
     return tuple(g for g in ideal.gens if g in vertices)
 
@@ -279,28 +272,16 @@ def integral_closure_power(ideal: MonomialIdeal, n: int, **limits) -> MonomialId
     )
 
 
-def closure_witness_scale(ideal: MonomialIdeal) -> int:
-    """Lcm of the denominators of all vertices of Q(I)."""
-    verts = enumerate_vertices(covering_polyhedron(ideal))
-    return math.lcm(*(x.denominator for u in verts for x in u))
-
-
-def closure_member_by_power_scan(
-    ideal: MonomialIdeal,
-    a: Exponent,
-    n: int,
-    scale_bound: int | None = None,
-) -> int | None:
-    """Smallest p <= scale_bound with p*a in I^(p*n), else None.
+def closure_member_by_power_scan(ideal: MonomialIdeal, a: Exponent, n: int) -> int | None:
+    """Smallest p with p*a in I^(p*n), else None.
 
     Membership of t^a in the closure of I^n is equivalent to such a scaled
-    power relation for some p >= 1; clearing the vertex denominators
-    bounds the p that needs to be tried.  Used as the independent route in
-    closure cross-checks.
+    power relation for some p >= 1, and p need not exceed the lcm of the
+    denominators of the vertices of Q(I), which clears them.  Used as the
+    independent route in closure cross-checks.
     """
-    if scale_bound is None:
-        scale_bound = closure_witness_scale(ideal)
-    for p in range(1, scale_bound + 1):
+    verts = enumerate_vertices(covering_polyhedron(ideal))
+    for p in range(1, math.lcm(*(x.denominator for u in verts for x in u)) + 1):
         if power_contains(ideal, tuple(p * x for x in a), p * n):
             return p
     return None

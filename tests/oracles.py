@@ -4,12 +4,12 @@ They form sums and lcms of exponent vectors one pair at a time, as the
 products and intersections of ideals did before they worked column by
 column.  They recompute associated primes from the colon definition,
 (I : t^f) = p, by scanning a box of exponent vectors, and the pure powers
-that make up the generators of the irreducible components.  Vertex covers and their
-minimality are read off the edges, membership in a covering-form
-polyhedron off its inequalities, and the equality of two such polyhedra
-off both vertex sets.  Powers and symbolic powers are formed afresh on each
-call, n - 1 products folded left, without the power chains.  No product
-code calls them.
+that generate the irreducible components, all together and one component
+at a time.  Vertex covers and their minimality are read off the edges,
+membership in a covering-form polyhedron off its inequalities, and the
+equality of two such polyhedra off both vertex sets.  Powers and symbolic
+powers are formed afresh on each call, n - 1 products folded left, without
+the power chains.  No product code calls them.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from functools import reduce
 from itertools import product, repeat
 from operator import add
 
-from monideal.decomposition import MonomialPrime, minimal_primes
+from monideal.decomposition import IrreducibleIdeal, MonomialPrime, minimal_primes
 from monideal.errors import DimensionMismatch, DomainError
 from monideal.graphs import WeightedOrientedGraph
-from monideal.ideals import Exponent, MonomialIdeal, graded_lex_key, vec_sub_clamped
+from monideal.ideals import Exponent, MonomialIdeal, graded_lex_key
 from monideal.polyhedra import CoveringFormPolyhedron, enumerate_vertices
 from monideal.symbolic import localize
 
@@ -35,6 +35,11 @@ def vec_add(a: Exponent, b: Exponent) -> Exponent:
 def vec_max(a: Exponent, b: Exponent) -> Exponent:
     """Exponent vector of lcm(t^a, t^b)."""
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def vec_sub_clamped(a: Exponent, b: Exponent) -> Exponent:
+    """Exponent vector of t^a : t^b, clamping below at zero."""
+    return tuple(x - y if x > y else 0 for x, y in zip(a, b))
 
 
 def naive_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
@@ -67,6 +72,15 @@ def exponent_duality(ideal: MonomialIdeal) -> tuple[Exponent, ...]:
         if e
     }
     return tuple(sorted(powers, key=graded_lex_key))
+
+
+def component_ideal(component: IrreducibleIdeal) -> MonomialIdeal:
+    """q_a as an ideal: the pure powers t_i^{a_i} over supp(a)."""
+    s = component.num_vars
+    return MonomialIdeal.from_gens(
+        [tuple(e if j == i else 0 for j in range(s)) for i, e in enumerate(component.alpha) if e],
+        s,
+    )
 
 
 def _colon_gives_prime(ideal: MonomialIdeal, f: Exponent) -> frozenset[int] | None:

@@ -23,12 +23,12 @@ from monideal.graphs import edge_ideal
 from monideal.symbolic import max_ass
 
 from conftest import ideals
-from oracles import ass_witness_oracle, colon_prime_scan, exponent_duality
+from oracles import ass_witness_oracle, colon_prime_scan, component_ideal, exponent_duality
 
 
 def test_irreducible_ideal_expansion():
     c = IrreducibleIdeal(4, (0, 2, 0, 2))
-    assert c.as_ideal() == parse_ideal("(t2^2, t4^2)", num_vars=4)
+    assert component_ideal(c) == parse_ideal("(t2^2, t4^2)", num_vars=4)
     assert c.support() == frozenset({2, 4})
     assert str(c) == "(t2^2, t4^2)"
 
@@ -37,7 +37,6 @@ def test_prime_display_and_sorting():
     p = MonomialPrime(3, frozenset({1, 3}))
     q = MonomialPrime(3, frozenset({2}))
     assert str(p) == "(t1, t3)"
-    assert p.as_ideal() == parse_ideal("(t1, t3)", num_vars=3)
     assert sorted({p, q}, key=MonomialPrime.sort_key) == [q, p]
 
 
@@ -89,7 +88,7 @@ def test_irredundant_subset_rejects_wrong_target(comps, target):
 @given(ideals())
 def test_decomposition_reintersects_to_the_ideal(I):
     dec = irreducible_decomposition(I)
-    assert intersect_all([c.as_ideal() for c in dec.components], I.num_vars) == I
+    assert intersect_all([component_ideal(c) for c in dec.components], I.num_vars) == I
 
 
 @given(ideals(max_vars=3, max_gens=4))
@@ -100,7 +99,7 @@ def test_decomposition_is_irredundant(I):
     if len(comps) == 1:
         return
     for dropped in comps:
-        rest = [c.as_ideal() for c in comps if c is not dropped]
+        rest = [component_ideal(c) for c in comps if c is not dropped]
         assert intersect_all(rest, I.num_vars) != I
 
 
@@ -210,12 +209,12 @@ def greedy_irredundant_oracle(components, target):
     """The earlier filter: drop components, largest first, while the rest
     still intersect to `target`."""
     kept = sorted(set(components), key=lambda c: graded_lex_key(c.alpha))
-    assert intersect_all([c.as_ideal() for c in kept], target.num_vars) == target
+    assert intersect_all([component_ideal(c) for c in kept], target.num_vars) == target
     for c in sorted(kept, key=lambda c: graded_lex_key(c.alpha), reverse=True):
         if len(kept) == 1:
             break
         rest = [k for k in kept if k != c]
-        if intersect_all([k.as_ideal() for k in rest], target.num_vars) == target:
+        if intersect_all([component_ideal(k) for k in rest], target.num_vars) == target:
             kept = rest
     return tuple(kept)
 
@@ -239,7 +238,7 @@ def test_inclusion_filter_matches_pairwise_rule_past_the_byte_boundary():
     alphas += [(v, 0, k + 1) for k, v in enumerate(reversed(column))]
     alphas += [(v + 1, 1, 0) for v in column[:-1]] + [(0, 2, 3), (0, 8, 1)]
     comps = [IrreducibleIdeal(3, a) for a in alphas]
-    target = intersect_all([c.as_ideal() for c in comps], 3)
+    target = intersect_all([component_ideal(c) for c in comps], 3)
     expected = tuple(
         c
         for c in sorted(comps, key=lambda c: graded_lex_key(c.alpha))
@@ -252,7 +251,7 @@ def test_inclusion_filter_keeps_incomparable_and_drops_containing():
     q = lambda *a: IrreducibleIdeal(len(a), a)  # noqa: E731
     # (t1, t2) contains (t1^2, t2); (t1, t3) and (t1^2, t2) are incomparable.
     comps = [q(1, 1, 0), q(2, 1, 0), q(1, 0, 1)]
-    target = intersect_all([c.as_ideal() for c in comps], 3)
+    target = intersect_all([component_ideal(c) for c in comps], 3)
     assert irredundant_subset(iter(comps), target) == (q(1, 0, 1), q(2, 1, 0))
 
 

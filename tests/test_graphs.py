@@ -25,9 +25,9 @@ from monideal.fixtures import (
 )
 from monideal.graphs import (
     WeightedOrientedGraph,
+    _partition_ideal,
     alexander_dual,
     classify,
-    cover_ideal,
     cover_partition,
     decomposition_via_covers,
     edge_ideal,
@@ -232,10 +232,31 @@ def test_a_star_partitions_only_its_strong_covers(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_hub_with_a_heavy_in_neighbour_partitions_only_its_strong_covers(monkeypatch):
+    """Vertex 1 feeds the heavy hub 2, which feeds 20 leaves.  A leaf in a
+    cover with the hub lies in L3, so the cover is strong there only while
+    every leaf is in it: the sweep drops a cover that holds the hub and a
+    leaf as soon as a later leaf is left out, and one that holds 1 and the
+    hub at once.  Only the three strong covers are left to partition."""
+    import monideal.graphs as graphs_module
+
+    calls = []
+    partition = graphs_module._partition
+    monkeypatch.setattr(
+        graphs_module, "_partition", lambda g, c: calls.append(c) or partition(g, c)
+    )
+    hub = WeightedOrientedGraph.build(22, [(1, 2)] + [(2, j) for j in range(3, 23)], {2: 2})
+    assert strong_covers(hub) == (
+        frozenset({2}), frozenset({1, *range(3, 23)}), frozenset(range(2, 23))
+    )
+    assert len(calls) == 3
+
+
 def test_cover_ideal_uses_weights_on_l2_and_l3():
-    assert cover_ideal(PATH_MIDDLE.graph, {2, 3}).alpha == (0, 2, 1)
-    assert cover_ideal(PATH_MIDDLE.graph, {1, 3}).alpha == (1, 0, 1)
-    assert cover_ideal(PATH_MIDDLE.graph, {2}).alpha == (0, 1, 0)
+    g = PATH_MIDDLE.graph
+    assert _partition_ideal(g, cover_partition(g, {2, 3})).alpha == (0, 2, 1)
+    assert _partition_ideal(g, cover_partition(g, {1, 3})).alpha == (1, 0, 1)
+    assert _partition_ideal(g, cover_partition(g, {2})).alpha == (0, 1, 0)
 
 
 @given(graphs())

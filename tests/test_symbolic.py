@@ -49,7 +49,7 @@ from monideal.symbolic import (
 )
 
 from conftest import graphs, ideals
-from oracles import naive_power, naive_symbolic_power, naive_symbolic_power_min
+from oracles import component_ideal, naive_power, naive_symbolic_power, naive_symbolic_power_min
 from test_ideals import naive_intersection
 
 
@@ -140,7 +140,7 @@ def test_symbolic_power_from_the_components_of_the_power(G, n):
     I = edge_ideal(G)
     minimal = {p.support for p in minimal_primes(I)}
     components = [
-        c.as_ideal()
+        component_ideal(c)
         for c in irreducible_decomposition(I ** n).components
         if c.support() in minimal
     ]
@@ -459,7 +459,7 @@ def test_meet_irreducible_power_matches_the_pairwise_intersection(J, alpha, n):
     kernel's exact-int path."""
     alpha = tuple(alpha[: J.num_vars])
     assume(any(alpha))
-    q = IrreducibleIdeal(J.num_vars, alpha).as_ideal()
+    q = component_ideal(IrreducibleIdeal(J.num_vars, alpha))
     assert _meet_irreducible_power(J, alpha, n) == naive_intersection(J, naive_power(q, n))
 
 
