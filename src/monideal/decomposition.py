@@ -35,6 +35,7 @@ from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, DomainError
 from .ideals import Exponent, MonomialIdeal, graded_lex_key, minimal_generators
+from .ideals import _check_vectors, _pure_powers
 
 
 @dataclass(frozen=True)
@@ -45,28 +46,16 @@ class IrreducibleIdeal:
     alpha: Exponent
 
     def __post_init__(self):
-        if len(self.alpha) != self.num_vars:
-            raise ValueError(
-                f"alpha {self.alpha} has length {len(self.alpha)}, expected {self.num_vars}"
-            )
-        if any(e < 0 for e in self.alpha):
-            raise ValueError(f"alpha {self.alpha} has a negative entry")
-        if sum(self.alpha) == 0:
+        if not any(self.alpha):
             raise DomainError("the unit ideal is not irreducible")
+        _check_vectors((self.alpha,), self.num_vars)
 
     def support(self) -> frozenset[int]:
         """1-indexed variables appearing in alpha."""
         return frozenset(i + 1 for i, e in enumerate(self.alpha) if e)
 
     def __str__(self) -> str:
-        # Pure powers read best in variable order: (t1^2, t2).
-        parts = []
-        for i, e in enumerate(self.alpha):
-            if e == 1:
-                parts.append(f"t{i + 1}")
-            elif e > 1:
-                parts.append(f"t{i + 1}^{e}")
-        return "(" + ", ".join(parts) + ")"
+        return "(" + ", ".join(_pure_powers(self.alpha)) + ")"
 
 
 @dataclass(frozen=True)

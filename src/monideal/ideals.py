@@ -12,12 +12,12 @@ by the zero vector, and variables are written t1..ts (1-indexed).
 
 Vectors are validated in one place, :func:`_check_vectors`, which checks
 the vectors that come from outside: those given to
-:meth:`MonomialIdeal.from_gens` (and so to :func:`parse_ideal`), and the
-`gens` of the public constructor.  Results that the library derives from
-ideals it already holds (products, intersections, localizations, closures)
-go through the private :meth:`MonomialIdeal._from_trusted`, which
-minimalizes without checking again.  Only vectors built from valid operands
-may be passed to it.
+:meth:`MonomialIdeal.from_gens` (and so to :func:`parse_ideal`), the `gens`
+of the public constructor, irreducible ideals and polyhedron columns.
+Results derived from ideals the library already holds (products,
+intersections, localizations, closures) go through the private
+:meth:`MonomialIdeal._from_trusted`, which minimalizes without checking
+again.  Only vectors built from valid operands may be passed to it.
 
 Divisibility is tested on one bitset kernel.  It indexes a list of vectors
 by the bits of Python ints: the mask of a coordinate and a threshold x
@@ -569,16 +569,13 @@ def parse_ideal(text: str, num_vars: int | None = None) -> MonomialIdeal:
     return MonomialIdeal.from_gens(vectors, num_vars)
 
 
+def _pure_powers(v: Exponent) -> list[str]:
+    """t_i^{v_i} for each v_i > 0, in variable order, with ^1 left out."""
+    return [f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}" for i, e in enumerate(v) if e]
+
+
 def format_monomial(v: Exponent) -> str:
-    if sum(v) == 0:
-        return "1"
-    parts = []
-    for i, e in enumerate(v):
-        if e == 1:
-            parts.append(f"t{i + 1}")
-        elif e > 1:
-            parts.append(f"t{i + 1}^{e}")
-    return "*".join(parts)
+    return "*".join(_pure_powers(v)) or "1"
 
 
 def format_ideal(ideal: MonomialIdeal) -> str:

@@ -23,18 +23,25 @@ box, which sets one coordinate at a time under three exact rules:
   it touches: one below a larger value still meets them, so it gives only
   multiples; if those are all the short rows, sat completes a member.
 
-One enumeration, of the vertex set V of Q(I), decides the conditions of
-`polyhedral_conditions_check`; C are the irreducible polyhedron's columns.
-The Newton and irreducible polyhedra are the blockers of Q(I) = conv(V) +
-R^s_{>=0} and of conv(C) + R^s_{>=0} (Fulkerson, "Blocking and anti-blocking
-pairs of polyhedra", Math. Programming 1, 1971), so they are equal iff those
-are.  Each c in C lies in Q(I): a generator g in q_a has g_i >= a_i > 0 for
-some i, so g . c >= 1.  A vertex of Q(I) in conv(C) + R^s_{>=0}, being no
-proper combination of points of Q(I), is a c; so NP(I) = IP(I) iff V <= C.
-The closure of q_a^n is {t^x : sum x_i / a_i >= n}, so the component
-closures intersect to the closure search with rows C, in the same box as the
-closure of I^n, x_k <= n * max_g g_k: lowering a minimal x_k by one breaks
-a row with a_k > 0, so x_k <= n * a_k, and a_k is a generator's exponent.
+One enumeration, of the vertex set V of Q(I), decides every question about
+the Newton and irreducible polyhedra; C are the irreducible polyhedron's
+columns.  These are the blockers of Q(I) = conv(V) + R^s_{>=0} and of
+conv(C) + R^s_{>=0} (Fulkerson, "Blocking and anti-blocking pairs of
+polyhedra", Math. Programming 1, 1971), so they are equal iff those are.
+Each c in C lies in Q(I): a generator g in q_a has g_i >= a_i > 0 for some
+i, so g . c >= 1.  A vertex of Q(I) in conv(C) + R^s_{>=0}, being no proper
+combination of points of Q(I), is a c; so NP(I) = IP(I) iff V <= C.
+- The vertices of NP(I) = {x >= 0 : x . v >= 1, v in V} are generators,
+  and a generator g is one iff no other generator is tight on every row
+  tight at g (the v with v . g = 1 and the i with g_i = 0): a vertex's
+  tight rows have rank s, and a generator that is no vertex lies inside a
+  face of dimension >= 1, one of whose vertices is such a generator.
+- The closure of q_a^n is {t^x : sum x_i / a_i >= n}, so the component
+  closures intersect to the closure search with rows C, in the same box as
+  the closure of I^n, x_k <= n * max_g g_k: lowering a minimal x_k by one
+  breaks a row with a_k > 0, so x_k <= n * a_k, a generator's exponent.
+  As C lies in Q(I), that intersection holds the closure of I^n, and
+  equals it iff each generator of the search meets every v in V to >= n.
 """
 
 from __future__ import annotations
@@ -44,14 +51,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decomposition import IrreducibleDecomposition, irreducible_decomposition
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    FormatError,
-    ResourceLimitExceeded,
-)
+from .errors import DomainError, FormatError, ResourceLimitExceeded
 from .ideals import Exponent, MonomialIdeal, _check_bound, _powers, power_contains
-from .ideals import _fail, _read_int
+from .ideals import _check_vectors, _fail, _read_int
 
 FractionVector = tuple[Fraction, ...]
 
@@ -69,17 +71,18 @@ class CoveringFormPolyhedron:
     def __post_init__(self):
         columns = tuple(tuple(Fraction(x) for x in c) for c in self.columns)
         object.__setattr__(self, "columns", columns)
-        for c in columns:
-            if len(c) != self.num_vars:
-                raise DimensionMismatch(
-                    f"column {c} has length {len(c)}, expected {self.num_vars}"
-                )
-            if any(x < 0 for x in c):
-                raise ValueError(f"column {c} has a negative entry")
+        _check_vectors(columns, self.num_vars)
 
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def _integer_rows(rows):
+    """Each rational row r as (d * r, d), with d the lcm of its denominators."""
+    for r in rows:
+        d = math.lcm(*(x.denominator for x in r))
+        yield tuple(int(x * d) for x in r), d
 
 
 # perfbench/spans.py reads this function by name.
@@ -105,9 +108,8 @@ def _vertex_certificates(poly: CoveringFormPolyhedron) -> tuple[FractionVector, 
         (tuple(int(i == j) for i in range(dim)), everything ^ (1 << j))
         for j in range(dim)
     ]
-    for bit, c in enumerate(poly.columns, start=dim):
-        d = math.lcm(*(x.denominator for x in c))
-        row = (-d, *(int(x * d) for x in c))
+    for bit, (c, d) in enumerate(_integer_rows(poly.columns), start=dim):
+        row = (-d, *c)
         dots = [_dot(row, r) for r, _ in rays]
         kept = [
             (r, tight | (1 << bit) if v == 0 else tight)
@@ -182,14 +184,18 @@ def newton_hrep(ideal: MonomialIdeal, **limits) -> CoveringFormPolyhedron:
 
 
 def _generators_at_vertices(ideal: MonomialIdeal, hrep: CoveringFormPolyhedron):
-    """The generators of I that are vertices of the polyhedron `hrep`.
-
-    For `hrep` = :func:`newton_hrep` (I), the blocker of Q(I), these are the
-    vertices of its blocker NP(I) (Fulkerson 1971), all generators.  `hrep`
-    has a column per vertex of Q(I), which no limit bounds, so no limit
-    applies here."""
-    vertices = set(_vertex_certificates(hrep))
-    return tuple(g for g in ideal.gens if g in vertices)
+    """The generators of I that are vertices of NP(I), for `hrep` =
+    :func:`newton_hrep` (I), by the tight-row rule of the module docstring."""
+    rows = list(_integer_rows(hrep.columns))
+    tight = [
+        sum(1 << j for j, (v, d) in enumerate(rows) if _dot(v, g) == d)
+        | sum(1 << (len(rows) + i) for i, e in enumerate(g) if not e)
+        for g in ideal.gens
+    ]
+    return tuple(
+        g for i, (g, t) in enumerate(zip(ideal.gens, tight))
+        if not any(u & t == t for j, u in enumerate(tight) if j != i)
+    )
 
 
 def irreducible_polyhedron(dec: IrreducibleDecomposition) -> CoveringFormPolyhedron:
@@ -215,10 +221,7 @@ def _closure_box_scan(ideal: MonomialIdeal, rows, n: int) -> MonomialIdeal:
     is a member.  So the search emits every minimal member and only members,
     and its stack holds at most one prefix per value of each coordinate.
     """
-    scaled = []
-    for u in rows:
-        d = math.lcm(*(x.denominator for x in u))
-        scaled.append((tuple(int(x * d) for x in u), n * d))
+    scaled = [(row, n * d) for row, d in _integer_rows(rows)]
     s = ideal.num_vars
     bounds = [n * max(g[k] for g in ideal.gens) for k in range(s)]
     # reach[k][j]: the most that coordinates k.. can add to row j.
@@ -272,15 +275,18 @@ def integral_closure_power(ideal: MonomialIdeal, n: int, **limits) -> MonomialId
     )
 
 
-def closure_member_by_power_scan(ideal: MonomialIdeal, a: Exponent, n: int) -> int | None:
+def closure_member_by_power_scan(
+    ideal: MonomialIdeal, a: Exponent, n: int, **limits
+) -> int | None:
     """Smallest p with p*a in I^(p*n), else None.
 
     Membership of t^a in the closure of I^n is equivalent to such a scaled
     power relation for some p >= 1, and p need not exceed the lcm of the
     denominators of the vertices of Q(I), which clears them.  Used as the
-    independent route in closure cross-checks.
+    independent route in closure cross-checks.  `limits` go to
+    :func:`enumerate_vertices`.
     """
-    verts = enumerate_vertices(covering_polyhedron(ideal))
+    verts = enumerate_vertices(covering_polyhedron(ideal), **limits)
     for p in range(1, math.lcm(*(x.denominator for u in verts for x in u)) + 1):
         if power_contains(ideal, tuple(p * x for x in a), p * n):
             return p
@@ -325,9 +331,9 @@ class PolyhedralConditionsReport:
         component exponent vectors.
 
     With V the vertices of Q(I) and C the irreducible columns, (b) is
-    V <= C by blocking duality, (c) is V == C, and the right side of (a)
-    is the closure search with rows C, as the closure of q_a^n is
-    {t^x : sum x_i / a_i >= n}; the module docstring gives the proofs.
+    V <= C by blocking duality, (c) is V == C, and (a) at n holds iff every
+    generator x of the closure search with rows C has x . v >= n for each
+    v in V; the module docstring gives the proofs.
 
     When the caller also supplies whether I^n == I^(n) holds for every n,
     `consistent` records the implication equality => a, b, c (None when
@@ -361,9 +367,13 @@ def polyhedral_conditions_check(
     columns = irreducible_polyhedron(dec).columns
     per_power = holds = None
     if minimal:
+        rows = list(_integer_rows(vertices))
         per_power = tuple(
-            (n, _closure_box_scan(ideal, vertices, n)
-             == _closure_box_scan(ideal, columns, n))
+            (n, all(
+                _dot(x, v) >= n * d
+                for x in _closure_box_scan(ideal, columns, n).gens
+                for v, d in rows
+            ))
             for n in range(1, bound + 1)
         )
         holds = all(ok for _, ok in per_power)

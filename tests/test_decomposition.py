@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from monideal.errors import ConsistencyError, DomainError
+from monideal.errors import ConsistencyError, DimensionMismatch, DomainError
 from monideal.ideals import MonomialIdeal, graded_lex_key, intersect_all, parse_ideal
 from monideal.decomposition import (
     IrreducibleIdeal,
@@ -31,6 +31,16 @@ def test_irreducible_ideal_expansion():
     assert component_ideal(c) == parse_ideal("(t2^2, t4^2)", num_vars=4)
     assert c.support() == frozenset({2, 4})
     assert str(c) == "(t2^2, t4^2)"
+
+
+def test_irreducible_ideal_refuses_bad_exponents():
+    with pytest.raises(DimensionMismatch):
+        IrreducibleIdeal(3, (1, 2))
+    with pytest.raises(ValueError, match="negative"):
+        IrreducibleIdeal(2, (1, -1))
+    for num_vars, alpha in ((2, (0, 0)), (0, ())):
+        with pytest.raises(DomainError, match="unit ideal"):
+            IrreducibleIdeal(num_vars, alpha)
 
 
 def test_prime_display_and_sorting():

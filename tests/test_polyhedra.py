@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 import hypothesis.strategies as st
 
 from monideal.errors import (
@@ -230,6 +230,17 @@ def test_newton_vertices_match_the_rank_test(I):
     assert _generators_at_vertices(I, hrep) == expected
 
 
+@given(st.one_of(_polyhedron_ideals, ideals(max_vars=3, max_gens=8, max_exp=5)))
+@example(parse_ideal("t1^2, t1*t2, t2^2"))
+@settings(max_examples=60)
+def test_newton_vertices_match_the_enumerated_vertices(I):
+    """The tight-row rule against the vertices of the Newton description
+    found by a second enumeration."""
+    hrep = newton_hrep(I)
+    vertices = set(_vertex_certificates(hrep))
+    assert _generators_at_vertices(I, hrep) == tuple(g for g in I.gens if g in vertices)
+
+
 def test_newton_polyhedron_of_four_cycle():
     I = edge_ideal(FOUR_CYCLE_SINKS.graph)
     np = newton_hrep(I)
@@ -240,6 +251,13 @@ def test_newton_polyhedron_of_four_cycle():
         (1, 0, 1, 0),
         (0, Fraction(1, 2), 0, Fraction(1, 2)),
     }
+
+
+def test_construction_refuses_bad_columns():
+    with pytest.raises(DimensionMismatch):
+        CoveringFormPolyhedron(2, [(1, 0, 0)])
+    with pytest.raises(ValueError, match="negative"):
+        CoveringFormPolyhedron(2, [(1, Fraction(-1, 2))])
 
 
 def test_polyhedra_equal_checks_dimensions():
@@ -325,13 +343,8 @@ def test_nine_cycle_closure_matches_both_oracles():
     vertices = enumerate_vertices(covering_polyhedron(I), max_dim=9)
     closure = integral_closure_power(I, 2, max_dim=9)
     assert closure == _box_scan_oracle(I, vertices, 2)
-    # Nine variables exceed the power scan's default dimension limit, so the
-    # scan runs here on the scale of the vertices enumerated above.
-    scale = math.lcm(*(x.denominator for v in vertices for x in v))
     for g in closure.gens:
-        assert any(
-            power_contains(I, tuple(p * x for x in g), 2 * p) for p in range(1, scale + 1)
-        )
+        assert closure_member_by_power_scan(I, g, 2, max_dim=9) is not None
 
 
 def test_four_cycle_closure():
@@ -475,6 +488,25 @@ def test_polyhedral_conditions_enumerate_only_q(monkeypatch):
     monkeypatch.setattr(polyhedra, "_vertex_certificates", counted)
     polyhedral_conditions_check(I, 2)
     assert calls == [covering_polyhedron(I)]
+
+
+def test_polyhedral_conditions_search_once_per_power(monkeypatch):
+    """On a minimal decomposition, condition (a) runs one closure search
+    per power, with the component rows C."""
+    import monideal.polyhedra as polyhedra
+
+    I = edge_ideal(FOUR_CYCLE_SINKS.graph)
+    columns = irreducible_polyhedron(irreducible_decomposition(I)).columns
+    calls = []
+    original = polyhedra._closure_box_scan
+
+    def counted(ideal, rows, n):
+        calls.append((rows, n))
+        return original(ideal, rows, n)
+
+    monkeypatch.setattr(polyhedra, "_closure_box_scan", counted)
+    assert polyhedral_conditions_check(I, 3).minimal
+    assert calls == [(columns, 1), (columns, 2), (columns, 3)]
 
 
 def test_polyhedral_conditions_consistency_logic():
