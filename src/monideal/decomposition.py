@@ -48,7 +48,7 @@ class IrreducibleIdeal:
     def __post_init__(self):
         if not any(self.alpha):
             raise DomainError("the unit ideal is not irreducible")
-        _check_vectors((self.alpha,), self.num_vars)
+        _check_vectors((self.alpha,), self.num_vars, "alpha")
 
     def support(self) -> frozenset[int]:
         """1-indexed variables appearing in alpha."""

@@ -180,18 +180,18 @@ def minimal_generators(vectors) -> tuple[Exponent, ...]:
     return tuple(out)
 
 
-def _check_vectors(vectors, num_vars: int):
+def _check_vectors(vectors, num_vars: int, noun: str = "generator"):
     """Refuse a ring without variables, and vectors that are not exponent
-    vectors of length `num_vars`."""
+    vectors of length `num_vars`; messages call each vector a `noun`."""
     if num_vars < 1:
         raise ValueError(f"need at least one variable, got {num_vars}")
     for v in vectors:
         if len(v) != num_vars:
             raise DimensionMismatch(
-                f"generator {v} has length {len(v)}, expected {num_vars}"
+                f"{noun} {v} has length {len(v)}, expected {num_vars}"
             )
         if any(e < 0 for e in v):
-            raise ValueError(f"generator {v} has a negative exponent")
+            raise ValueError(f"{noun} {v} has a negative exponent")
 
 
 @dataclass(frozen=True)

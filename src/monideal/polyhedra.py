@@ -71,7 +71,7 @@ class CoveringFormPolyhedron:
     def __post_init__(self):
         columns = tuple(tuple(Fraction(x) for x in c) for c in self.columns)
         object.__setattr__(self, "columns", columns)
-        _check_vectors(columns, self.num_vars)
+        _check_vectors(columns, self.num_vars, "column")
 
 
 def _dot(a, b):
@@ -275,18 +275,15 @@ def integral_closure_power(ideal: MonomialIdeal, n: int, **limits) -> MonomialId
     )
 
 
-def closure_member_by_power_scan(
-    ideal: MonomialIdeal, a: Exponent, n: int, **limits
-) -> int | None:
+def closure_member_by_power_scan(ideal: MonomialIdeal, a: Exponent, n: int) -> int | None:
     """Smallest p with p*a in I^(p*n), else None.
 
     Membership of t^a in the closure of I^n is equivalent to such a scaled
     power relation for some p >= 1, and p need not exceed the lcm of the
     denominators of the vertices of Q(I), which clears them.  Used as the
-    independent route in closure cross-checks.  `limits` go to
-    :func:`enumerate_vertices`.
+    independent route in closure cross-checks.
     """
-    verts = enumerate_vertices(covering_polyhedron(ideal), **limits)
+    verts = enumerate_vertices(covering_polyhedron(ideal))
     for p in range(1, math.lcm(*(x.denominator for u in verts for x in u)) + 1):
         if power_contains(ideal, tuple(p * x for x in a), p * n):
             return p
