@@ -15,11 +15,14 @@ top_i + 1 - v_i and keeps zeros (:func:`_flip`), an involution below `top`.
 
 Irreducible monomial ideals are meet-prime (if q contains J ^ K it contains
 J or K, since the lcm of two witnesses outside q stays outside q), so a
-component is redundant exactly when it contains another one: the kept
-components are those whose flips are minimal generators
-(:func:`irredundant_subset`).  The 256 most recent decompositions are
-memoized per canonical generating set, a fixed bound that keeps a long
-sweep over many ideals from growing the cache without limit.
+family of components is irredundant exactly when none contains another.
+The minimal generators of the dual divide none of each other, and they lie
+below top, so by the rule above no component flipped from them contains
+another: the fold yields the irredundant decomposition as it stands, and
+:func:`irredundant_subset` only sorts it and checks it against the ideal.
+The 256 most recent decompositions are memoized per canonical generating
+set, a fixed bound that keeps a long sweep over many ideals from growing
+the cache without limit.
 
 The dual above, the re-intersection that checks each decomposition against
 its ideal, and the meet of each localization of a symbolic power that is
@@ -34,7 +37,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, DomainError
-from .ideals import Exponent, MonomialIdeal, graded_lex_key, minimal_generators
+from .ideals import Exponent, MonomialIdeal, graded_lex_key
 from .ideals import _check_vectors, _pure_powers
 
 
@@ -134,21 +137,20 @@ def _flip(top: Exponent, v: Exponent) -> Exponent:
 def irredundant_subset(
     components, target: MonomialIdeal
 ) -> tuple[IrreducibleIdeal, ...]:
-    """The components that contain no other component, canonically sorted.
+    """The components, canonically sorted, once checked to intersect to `target`.
 
-    By meet-primality these are exactly the components of the unique
-    irredundant decomposition of their intersection; they are the ones
-    whose flips, with top the entrywise max of the alphas, are minimal
-    generators.  Raises if they do not intersect to `target`.
+    Both callers pass an irredundant family: the flips of the dual's
+    minimal generators form an antichain (see the module docstring), and
+    the strong covers index the irredundant decomposition of I(D)
+    (Pitones-Reyes-Toledo, Electron. J. Combin. 26, 2019).  Nothing is
+    filtered, so a missing component fails the check and a redundant one
+    stays in the result, where a comparison with the other route shows it.
+    The name stays because ``perfbench/spans.py`` wraps it by name.
     """
-    comps = sorted(set(components), key=lambda c: graded_lex_key(c.alpha))
-    top = tuple(map(max, zip(*(c.alpha for c in comps))))
-    flips = [_flip(top, c.alpha) for c in comps]
-    minimal = set(minimal_generators(flips))
-    kept = tuple(c for c, f in zip(comps, flips) if f in minimal)
-    if _meet_all((c.alpha for c in kept), target.num_vars) != target:
+    comps = tuple(sorted(components, key=lambda c: graded_lex_key(c.alpha)))
+    if _meet_all((c.alpha for c in comps), target.num_vars) != target:
         raise ConsistencyError("components do not intersect to the expected ideal")
-    return kept
+    return comps
 
 
 def _meet_irreducible_power(ideal, alpha, n):

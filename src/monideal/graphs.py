@@ -278,10 +278,13 @@ def decomposition_via_covers(
 ) -> IrreducibleDecomposition:
     """Irreducible decomposition of I(D) assembled from strong covers.
 
-    The cover ideals of all strong covers must intersect to I(D), which
-    :func:`irredundant_subset` checks on the components it keeps; the result
-    has to match :func:`irreducible_decomposition`, which the test-suite
-    checks graph by graph.
+    The strong covers index the irredundant decomposition (Pitones-Reyes-
+    Toledo 2019), so their cover ideals are taken as they are:
+    :func:`irredundant_subset` sorts them and checks that they intersect to
+    I(D), and drops none.  A missing cover fails that check; a cover that
+    is not strong adds a redundant component, so the result then differs
+    from :func:`irreducible_decomposition`, which the tests and
+    ``scripts/verify_classification.py`` compare graph by graph.
     """
     if not graph.edges:
         raise DomainError("the edgeless graph has the zero edge ideal; no decomposition")
@@ -289,8 +292,7 @@ def decomposition_via_covers(
     components = [
         _partition_ideal(graph, p) for p in _strong_partitions(graph, max_vertices)
     ]
-    kept = irredundant_subset(components, ideal)
-    return IrreducibleDecomposition(graph.num_vertices, kept)
+    return IrreducibleDecomposition(graph.num_vertices, irredundant_subset(components, ideal))
 
 
 # ------------------------------------------------------- graph-level checks

@@ -285,8 +285,7 @@ class MonomialIdeal:
         return MonomialIdeal._from_trusted(list(zip(*cols)), self.num_vars)
 
     def __pow__(self, n: int) -> "MonomialIdeal":
-        if not isinstance(n, int) or n < 1:
-            raise DomainError(f"ideal power requires an integer n >= 1, got {n!r}")
+        _check_power(n, "ideal power")
         return _last(_powers(self, n))
 
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
@@ -344,6 +343,11 @@ def _check_bound(bound):
         raise DomainError(f"bound must be >= 1, got {bound}")
 
 
+def _check_power(n, noun):
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"{noun} requires an integer n >= 1, got {n!r}")
+
+
 def _powers(ideal: MonomialIdeal, bound: int):
     """I^1..I^bound, each formed when asked for as the previous power times
     I; the bound is checked at the call, before any power is formed."""
@@ -365,8 +369,7 @@ def power_contains(ideal: MonomialIdeal, a: Exponent, n: int) -> bool:
     usable for the large n that turn up when scaled membership relations
     p*a in I^{p*n} are scanned.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"ideal power requires an integer n >= 1, got {n!r}")
+    _check_power(n, "ideal power")
     a = tuple(int(e) for e in a)
     if len(a) != ideal.num_vars:
         raise DimensionMismatch(

@@ -53,7 +53,7 @@ from fractions import Fraction
 from .decomposition import IrreducibleDecomposition, irreducible_decomposition
 from .errors import DomainError, FormatError, ResourceLimitExceeded
 from .ideals import Exponent, MonomialIdeal, _check_bound, _powers, power_contains
-from .ideals import _check_vectors, _fail, _read_int
+from .ideals import _check_power, _check_vectors, _fail, _read_int
 
 FractionVector = tuple[Fraction, ...]
 
@@ -268,8 +268,7 @@ def integral_closure_power(ideal: MonomialIdeal, n: int, **limits) -> MonomialId
     module docstring) plus divisibility filtering finds the minimal
     generators.  `limits` go to :func:`enumerate_vertices`.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"integral closure of I^n requires an integer n >= 1, got {n!r}")
+    _check_power(n, "integral closure of I^n")
     return _closure_box_scan(
         ideal, enumerate_vertices(covering_polyhedron(ideal), **limits), n
     )
@@ -402,13 +401,13 @@ def format_fraction_vector(v) -> str:
 
 
 def emit_constraint_block(
-    poly: CoveringFormPolyhedron, vertices: tuple[FractionVector, ...] | None = None
+    poly: CoveringFormPolyhedron, vertices: tuple[FractionVector, ...]
 ) -> str:
     """Text block in the common solver exchange layout.
 
     `amb_space`, a `constraints` count, one row per inequality with its
-    right-hand side, then (optionally) a VerticesOfPolyhedron section with
-    one space-separated vertex per line, fractions kept exact.
+    right-hand side, then a VerticesOfPolyhedron section with one
+    space-separated vertex per line, fractions kept exact.
     """
     s = poly.num_vars
     lines = [f"amb_space {s}", f"constraints {s + len(poly.columns)}"]
@@ -416,10 +415,8 @@ def emit_constraint_block(
         lines.append(" ".join("1" if k == i else "0" for k in range(s)) + " >= 0")
     for c in poly.columns:
         lines.append(" ".join(str(x) for x in c) + " >= 1")
-    if vertices is not None:
-        lines.append(f"VerticesOfPolyhedron {len(vertices)}")
-        for v in vertices:
-            lines.append(" ".join(str(x) for x in v))
+    lines.append(f"VerticesOfPolyhedron {len(vertices)}")
+    lines.extend(" ".join(str(x) for x in v) for v in vertices)
     return "\n".join(lines) + "\n"
 
 

@@ -1,8 +1,8 @@
-"""Seeded random monomial ideals and weighted oriented graphs.
+"""Seeded random weighted oriented graphs.
 
-The property tests and the sweep scripts draw from the same generators so
-that a failure seen in one place can be replayed in the other with the
-seed alone.
+The property tests, the sweep scripts and the benchmark draw from the same
+generator, so that a failure seen in one place can be replayed in the
+other with the seed alone.
 """
 
 from __future__ import annotations
@@ -10,23 +10,6 @@ from __future__ import annotations
 from random import Random
 
 from .graphs import WeightedOrientedGraph
-from .ideals import MonomialIdeal
-
-
-def random_ideal(
-    rng: Random,
-    num_vars: int,
-    max_gens: int = 6,
-    max_exp: int = 3,
-) -> MonomialIdeal:
-    """A proper nonzero monomial ideal with exponents in 0..max_exp."""
-    count = rng.randint(1, max_gens)
-    gens = []
-    while len(gens) < count:
-        v = tuple(rng.randint(0, max_exp) for _ in range(num_vars))
-        if any(v):
-            gens.append(v)
-    return MonomialIdeal.from_gens(gens, num_vars)
 
 
 def random_graph(

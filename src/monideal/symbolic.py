@@ -40,7 +40,7 @@ from .decomposition import (
     minimal_primes,
 )
 from .errors import ConsistencyError, DomainError
-from .ideals import Exponent, MonomialIdeal, _powers, intersect_all
+from .ideals import Exponent, MonomialIdeal, _check_power, _powers, intersect_all
 
 
 def localize(ideal: MonomialIdeal, prime: MonomialPrime) -> MonomialIdeal:
@@ -75,8 +75,7 @@ def _localized_power(ideal, primes, n, power=None):
     p, and the decomposition is irredundant.  So at n = 1 this is I itself
     iff every associated prime of I lies inside one of the primes.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"symbolic power requires an integer n >= 1, got {n!r}")
+    _check_power(n, "symbolic power")
     if n == 1 and all(any(a <= p for p in primes) for a in associated_primes(ideal) - primes):
         return ideal
     components = [(c.support(), c.alpha) for c in irreducible_decomposition(ideal).components]

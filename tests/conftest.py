@@ -5,10 +5,27 @@ import random
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from monideal.random_instances import random_graph, random_ideal
+from monideal.ideals import MonomialIdeal
+from monideal.random_instances import random_graph
 
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.load_profile("suite")
+
+
+def random_ideal(
+    rng: random.Random,
+    num_vars: int,
+    max_gens: int = 6,
+    max_exp: int = 3,
+) -> MonomialIdeal:
+    """A proper nonzero monomial ideal with exponents in 0..max_exp."""
+    count = rng.randint(1, max_gens)
+    gens = []
+    while len(gens) < count:
+        v = tuple(rng.randint(0, max_exp) for _ in range(num_vars))
+        if any(v):
+            gens.append(v)
+    return MonomialIdeal.from_gens(gens, num_vars)
 
 
 @st.composite

@@ -5,8 +5,9 @@ products and intersections of ideals did before they worked column by
 column.  They recompute associated primes from the colon definition,
 (I : t^f) = p, by scanning a box of exponent vectors, and the pure powers
 that generate the irreducible components, all together and one component
-at a time.  Vertex covers and their minimality are read off the edges,
-membership in a covering-form polyhedron off its inequalities, and the
+at a time.  Containment between components is read off their exponents,
+one pair at a time.  Vertex covers and their minimality are read off the
+edges, membership in a covering-form polyhedron off its inequalities, and the
 equality of two such polyhedra off both vertex sets.  Powers and symbolic
 powers are formed afresh on each call, n - 1 products folded left, without
 the power chains.  No product code calls them.
@@ -72,6 +73,22 @@ def exponent_duality(ideal: MonomialIdeal) -> tuple[Exponent, ...]:
         if e
     }
     return tuple(sorted(powers, key=graded_lex_key))
+
+
+def component_contains(c: IrreducibleIdeal, d: IrreducibleIdeal) -> bool:
+    """Does q_c contain q_d?  Each t_i^{d_i} must lie in q_c: 0 < c_i <= d_i
+    on supp(d)."""
+    return all(0 < x <= y for x, y in zip(c.alpha, d.alpha) if y)
+
+
+def drop_containing(components) -> list[IrreducibleIdeal]:
+    """The distinct components that contain no other one, compared pairwise.
+
+    Irreducible ideals are meet-prime, so these are the components of the
+    irredundant decomposition of the intersection of all of them.
+    """
+    comps = set(components)
+    return [c for c in comps if not any(d != c and component_contains(c, d) for d in comps)]
 
 
 def component_ideal(component: IrreducibleIdeal) -> MonomialIdeal:

@@ -60,9 +60,10 @@ from monideal.polyhedra import (
     newton_hrep,
     polyhedral_conditions_check,
 )
-from monideal.random_instances import random_graph, random_ideal
+from monideal.random_instances import random_graph
 from monideal.symbolic import compare_powers, localize, symbolic_power_ass, symbolic_power_min
 
+from conftest import random_ideal
 from oracles import ass_witness_oracle, colon_prime_scan, polyhedra_equal
 
 POPULATION_SEED = 20260823

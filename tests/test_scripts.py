@@ -90,3 +90,24 @@ def test_sweep_still_fails_a_first_split_within_max_n(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith("--- mismatch at sample 0\n")
     assert out.endswith(", 1 mismatches\n")
+
+
+def test_sweep_fails_a_cover_decomposition_that_differs(monkeypatch, capsys):
+    """A cover that is not strong, swept in with the strong ones, is a
+    mismatch even where the power comparison alone is undecided."""
+    import monideal.graphs as graphs_module
+
+    sweep_covers = graphs_module._strong_partitions
+    monkeypatch.setattr(
+        graphs_module,
+        "_strong_partitions",
+        lambda g, limit: sweep_covers(g, limit)
+        + (graphs_module._partition(g, frozenset(range(1, g.num_vertices + 1))),),
+    )
+    module = load("verify_classification")
+    assert sweep_over(monkeypatch, module, [NINE_CYCLE]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("--- mismatch at sample 0\n")
+    assert "strong-cover decomposition differs" in out
+    assert "predicted" not in out
+    assert out.endswith(", 1 mismatches, 1 undecided\n")
