@@ -199,17 +199,16 @@ def is_strong_cover(graph: WeightedOrientedGraph, cover) -> bool:
     )
 
 
-def strong_covers(
-    graph: WeightedOrientedGraph,
-    max_vertices: int = DEFAULT_COVER_VERTEX_LIMIT,
-) -> tuple[frozenset[int], ...]:
+def strong_covers(graph: WeightedOrientedGraph) -> tuple[frozenset[int], ...]:
     """All nonempty strong vertex covers, sorted by size then contents.
 
     The sweep of :func:`_strong_partitions` builds only vertex covers and
     drops each as soon as it cannot be strong, but the number of covers is
-    still exponential, hence the vertex limit.
+    still exponential, hence the limit of DEFAULT_COVER_VERTEX_LIMIT
+    vertices; :func:`decomposition_via_covers` and ``wog-covers
+    --max-covers`` take a larger one.
     """
-    return tuple(part.cover for part in _strong_partitions(graph, max_vertices))
+    return tuple(p.cover for p in _strong_partitions(graph, DEFAULT_COVER_VERTEX_LIMIT))
 
 
 def _strong_partitions(

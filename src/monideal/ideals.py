@@ -200,21 +200,30 @@ class MonomialIdeal:
 
     Instances are immutable and hashable; build them with
     :meth:`from_gens` rather than the raw constructor, which checks the
-    vectors but trusts that `gens` is already canonical.
+    vectors, stores them as tuples and refuses generators that are not
+    already canonical int vectors.
     """
 
     num_vars: int
     gens: tuple[Exponent, ...]
 
     def __post_init__(self):
-        _check_vectors(self.gens, self.num_vars)
+        gens = tuple(map(tuple, self.gens))
+        _check_vectors(gens, self.num_vars)
+        ints = all(isinstance(e, int) for v in gens for e in v)
+        if not ints or gens != minimal_generators(gens):
+            raise ValueError(
+                f"generators {gens} are not the canonical minimal int vectors; "
+                "build the ideal with MonomialIdeal.from_gens"
+            )
+        object.__setattr__(self, "gens", gens)
 
     @staticmethod
     def from_gens(vectors, num_vars: int) -> "MonomialIdeal":
         """The ideal generated by `vectors`, in canonical minimal form."""
         vecs = [tuple(int(e) for e in v) for v in vectors]
         _check_vectors(vecs, num_vars)
-        return _trusted_ideal(vecs, num_vars)
+        return MonomialIdeal._from_trusted(vecs, num_vars)
 
     @staticmethod
     def _from_trusted(vectors, num_vars: int) -> "MonomialIdeal":
@@ -223,7 +232,10 @@ class MonomialIdeal:
         Every vector must already be a tuple of naturals of length
         `num_vars`; see the module docstring for who may call this.
         """
-        return _trusted_ideal(vectors, num_vars)
+        ideal = object.__new__(MonomialIdeal)
+        object.__setattr__(ideal, "num_vars", num_vars)
+        object.__setattr__(ideal, "gens", minimal_generators(vectors))
+        return ideal
 
     @staticmethod
     def zero(num_vars: int) -> "MonomialIdeal":
@@ -314,21 +326,11 @@ class MonomialIdeal:
         return format_ideal(self)
 
 
-def _trusted_ideal(vectors, num_vars: int) -> MonomialIdeal:
-    """The body of ``_from_trusted``.  ``from_gens`` calls it directly, so
-    that a test can reroute every trusted construction through ``from_gens``."""
-    ideal = object.__new__(MonomialIdeal)
-    object.__setattr__(ideal, "num_vars", num_vars)
-    object.__setattr__(ideal, "gens", minimal_generators(vectors))
-    return ideal
-
-
-def intersect_all(ideals, num_vars: int | None = None) -> MonomialIdeal:
-    """Left fold of pairwise intersection; empty input gives the unit ideal."""
+def intersect_all(ideals, num_vars: int) -> MonomialIdeal:
+    """Left fold of pairwise intersection; empty input gives the unit ideal
+    in `num_vars` variables."""
     ideals = list(ideals)
     if not ideals:
-        if num_vars is None:
-            raise DomainError("intersect_all of no ideals needs num_vars")
         return MonomialIdeal.unit(num_vars)
     out = ideals[0]
     for j in ideals[1:]:
@@ -403,7 +405,8 @@ def power_contains(ideal: MonomialIdeal, a: Exponent, n: int) -> bool:
 # Monomials are written either multiplicatively (t3*t1^2) or as exponent
 # vectors ((2,0,1)); the two may be mixed inside one ideal.  Ideals are
 # comma separated lists, with "0" for the zero ideal and "1" for the unit
-# ideal, optionally wrapped in one pair of parentheses.
+# ideal, optionally wrapped in one pair of parentheses; the parentheses of
+# a lone vector such as (2,1) are its own.
 
 # Parsing a term builds a dense vector of this many entries: one term at
 # the limit peaks near 19 MB of process memory, one at 10^6 near 40 MB.
@@ -414,6 +417,8 @@ PARSE_ENTRY_LIMIT = 1_000_000
 
 _FACTOR_RE = re.compile(r"^t(\d+)(?:\^(\d+))?$")
 _GROUP_RE = re.compile(r"\([^()]*\)")
+# A lone exponent vector such as (2,1): two or more integers in parentheses.
+_LONE_VECTOR_RE = re.compile(r"\(\s*[+-]?\d+(?:\s*,\s*[+-]?\d+)+\s*\)")
 
 
 def _fail(lineno: int | None, message: str):
@@ -434,7 +439,8 @@ def _check_entry_counts(text: str):
     """Refuse stripped ideal text with too many entries, before any walk over
     its characters.  Each comma ends a term or an entry of a vector, so the
     commas plus one bound terms times variables.  A vector is a group in
-    parentheses with none inside; only an outer wrapper spans the text."""
+    parentheses with none inside; a group spanning the text is one only if
+    its body is a list of integers, else it is the outer wrapper."""
     if text.count(",") >= PARSE_ENTRY_LIMIT:
         raise ResourceLimitExceeded(
             f"{text.count(',') + 1} comma-separated entries exceed the parser's "
@@ -442,7 +448,9 @@ def _check_entry_counts(text: str):
         )
     for m in _GROUP_RE.finditer(text):
         entries = text.count(",", *m.span()) + 1
-        if entries > PARSE_VARIABLE_LIMIT and m.span() != (0, len(text)):
+        if entries > PARSE_VARIABLE_LIMIT and (
+            m.span() != (0, len(text)) or _LONE_VECTOR_RE.fullmatch(text)
+        ):
             raise ResourceLimitExceeded(
                 f"{entries} variables exceed the parser's limit {PARSE_VARIABLE_LIMIT}"
             )
@@ -503,8 +511,10 @@ def _parse_term(term: str):
 
 
 def _strip_outer_parens(text: str) -> str:
+    """Drop an optional pair of parentheses around the whole text, but not
+    those of a lone exponent vector: (2,1) is one generator, (1) the unit."""
     text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
+    if text.startswith("(") and text.endswith(")") and not _LONE_VECTOR_RE.fullmatch(text):
         depth = 0
         for pos, ch in enumerate(text):
             if ch == "(":

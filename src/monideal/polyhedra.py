@@ -303,12 +303,13 @@ def closure_gaps(ideal: MonomialIdeal, bound: int, **limits):
         yield tuple(_closure_box_scan(ideal, vertices, n)._split(power)[1])
 
 
-def is_normal_up_to(ideal: MonomialIdeal, bound: int, **limits) -> bool:
+def is_normal_up_to(ideal: MonomialIdeal, bound: int) -> bool:
     """Does I^n equal its integral closure for every n = 1..bound?
 
-    Stops at the first power that is not closed.
+    Stops at the first power that is not closed.  Q(I) is enumerated under
+    the default limits; :func:`closure_gaps` takes larger ones.
     """
-    return not any(closure_gaps(ideal, bound, **limits))
+    return not any(closure_gaps(ideal, bound))
 
 
 # ------------------------------------------------------- combined checks
@@ -331,12 +332,12 @@ class PolyhedralConditionsReport:
     generator x of the closure search with rows C has x . v >= n for each
     v in V; the module docstring gives the proofs.
 
-    When the caller also supplies whether I^n == I^(n) holds for every n,
-    `consistent` records the implication equality => a, b, c (None when
-    the antecedent is unknown or the decomposition is not minimal, since
-    the implication then asserts nothing checkable).  Equality known only
-    up to a bound is no such antecedent: a failing condition then means
-    the powers differ at some larger n.
+    The caller supplies `powers_equal`, whether I^n == I^(n) holds for
+    every n, and `consistent` records the implication equality => a, b, c.
+    It is None only when the decomposition is not minimal, since the
+    implication then asserts nothing checkable.  Equality known only up to
+    a bound is no such antecedent: a failing condition then means the
+    powers differ at some larger n.
     """
 
     bound: int
@@ -345,14 +346,14 @@ class PolyhedralConditionsReport:
     closure_per_power: tuple[tuple[int, bool], ...] | None
     newton_equals_irreducible: bool
     vertices_are_component_inverses: bool
-    powers_equal: bool | None
+    powers_equal: bool
     consistent: bool | None
 
 
 def polyhedral_conditions_check(
     ideal: MonomialIdeal,
     bound: int,
-    powers_equal: bool | None = None,
+    powers_equal: bool,
     **limits,
 ) -> PolyhedralConditionsReport:
     _check_bound(bound)
@@ -375,7 +376,7 @@ def polyhedral_conditions_check(
         holds = all(ok for _, ok in per_power)
     b = set(vertices) <= set(columns)
     c = set(vertices) == set(columns)
-    if powers_equal is None or not minimal:
+    if not minimal:
         consistent = None
     elif not powers_equal:
         consistent = True

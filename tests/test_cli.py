@@ -243,6 +243,20 @@ def test_parse_error_reporting(workdir, capsys):
     assert "malformed monomial factor" in err
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("wog-classify", "vertices 2\nedge 1 1\n", "line 2: self loop at vertex 1"),
+        ("poly-vertices", "amb_space 2\n1 1 >= 2\n", "line 2: right-hand side must be 0 or 1, got 2"),
+    ],
+    ids=["graph", "constraint-block"],
+)
+def test_graph_and_constraint_block_refusals_exit_two(command, text, message, workdir, capsys):
+    bad = workdir / "bad.in"
+    bad.write_text(text)
+    assert run(capsys, command, str(bad)) == (2, "", f"error: {message}\n")
+
+
 def test_resource_limit_exit_code(workdir, capsys):
     lines = ["vertices 30"] + [f"edge {i} {i+1}" for i in range(1, 30)]
     big = workdir / "big.graph"

@@ -38,6 +38,8 @@ INPUTS = {
     "bad.ideal": "(t1*bad^^2)\n",
     "big.graph": "\n".join(["vertices 30"] + [f"edge {i} {i + 1}" for i in range(1, 30)]) + "\n",
     "wide.ideal": "t1, t2\n",
+    # One exponent vector, whose parentheses are its own: the ideal (t1^2*t2).
+    "lone-vector.ideal": "(2,1)\n",
     "c5.ideal": "t1*t2, t2*t3, t3*t4, t4*t5, t5*t1\n",
     "c9.ideal": ", ".join(f"t{i}*t{i % 9 + 1}" for i in range(1, 10)) + "\n",
     # The Alexander dual of a 5-vertex graph.  Q(I) has 26 vertices, so the
@@ -51,6 +53,7 @@ CASES = [
     ("decompose-ex51", ["decompose", "ex51.ideal"]),
     ("decompose-ex52", ["decompose", "ex52.ideal"]),
     ("decompose-ex55", ["decompose", "ex55.ideal"]),
+    ("decompose-lone-vector", ["decompose", "lone-vector.ideal"]),
     ("ass-ex51", ["ass", "ex51.ideal"]),
     ("ass-ex52", ["ass", "ex52.ideal"]),
     ("ass-ex55", ["ass", "ex55.ideal"]),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from monideal.errors import ConsistencyError, DimensionMismatch, DomainError
-from monideal.ideals import MonomialIdeal, intersect_all, parse_ideal
+from monideal.ideals import MonomialIdeal, _check_vectors, intersect_all, parse_ideal
 from monideal.decomposition import (
     IrreducibleIdeal,
     MonomialPrime,
@@ -222,10 +222,6 @@ def test_decomposition_supports_are_the_associated_primes(I):
     }
 
 
-def _validated(vectors, num_vars):
-    return MonomialIdeal.from_gens(list(vectors), num_vars)
-
-
 def test_decomposition_cache_is_bounded():
     """A long run over distinct ideals keeps a bounded number of results."""
     _decomposition.cache_clear()
@@ -239,10 +235,17 @@ def test_decomposition_cache_is_bounded():
 
 @given(ideals())
 def test_decomposition_matches_validated_rebuild(I):
-    """With every trusted construction sent through from_gens instead, the
+    """With every trusted construction checked by _check_vectors first, the
     decomposition sees only valid vectors and ends in the same result."""
     trusted = irreducible_decomposition(I)
-    with patch.object(MonomialIdeal, "_from_trusted", staticmethod(_validated)):
+    original = MonomialIdeal._from_trusted
+
+    def checked(vectors, num_vars):
+        vectors = list(vectors)
+        _check_vectors(vectors, num_vars)
+        return original(vectors, num_vars)
+
+    with patch.object(MonomialIdeal, "_from_trusted", staticmethod(checked)):
         _decomposition.cache_clear()
         validated = irreducible_decomposition(I)
         assert validated.intersection() == I

@@ -26,6 +26,7 @@ from monideal.fixtures import (
 from monideal.graphs import (
     WeightedOrientedGraph,
     _partition_ideal,
+    _strong_partitions,
     alexander_dual,
     classify,
     cover_partition,
@@ -140,10 +141,12 @@ def test_strong_covers_on_fixtures():
 
 
 def test_strong_covers_of_a_long_vertex_range_need_no_recursion():
-    """1,200 vertices, one edge: the other vertices lie on no edge, so no
-    strong cover holds them and the loop skips them."""
+    """1,200 vertices, one edge, at the limit `wog-covers --max-covers 1200`
+    passes: the other vertices lie on no edge, so no strong cover holds
+    them and the loop skips them."""
     g = WeightedOrientedGraph.build(1200, [(1, 2)])
-    assert strong_covers(g, max_vertices=1200) == (frozenset({1}), frozenset({2}))
+    parts = _strong_partitions(g, 1200)
+    assert tuple(part.cover for part in parts) == (frozenset({1}), frozenset({2}))
 
 
 def test_vertices_on_no_edge_are_never_swept(monkeypatch):
@@ -419,15 +422,59 @@ def test_format_parse_round_trip(g):
     assert parse_graph(format_graph(g)) == g
 
 
-def test_parse_graph_errors_carry_line_numbers():
-    with pytest.raises(FormatError, match="line 2: vertex index 3 out of range"):
-        parse_graph("vertices 2\nedge 1 3\n")
-    with pytest.raises(FormatError, match="line 1: unknown directive 'edges'"):
-        parse_graph("edges 2\n")
-    with pytest.raises(FormatError, match="line 2: expected 2 weights, got 1"):
-        parse_graph("vertices 2\nweights 1\nedge 1 2\n")
-    with pytest.raises(FormatError, match="line 2: self loop at vertex 1"):
-        parse_graph("vertices 2\nedge 1 1\n")
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("vertices 2\nvertices 2\n", FormatError, "line 2: duplicate 'vertices' line"),
+        ("vertices two\n", FormatError, "line 1: expected: vertices <count>"),
+        ("vertices 1 2\n", FormatError, "line 1: expected: vertices <count>"),
+        pytest.param(
+            "vertices " + "9" * 5000 + "\n",
+            FormatError,
+            "line 1: an integer of 5000 digits is too long",
+            id="vertices-5000-digits",
+        ),
+        ("vertices 0\n", FormatError, "line 1: vertex count must be >= 1"),
+        (
+            "vertices 100001\nedge 1 2\n",
+            ResourceLimitExceeded,
+            "line 1: 100001 vertices exceed the parser's limit 100000",
+        ),
+        ("weights 1\n", FormatError, "line 1: 'weights' before 'vertices'"),
+        ("vertices 1\nweights 1\nweights 1\n", FormatError, "line 3: duplicate 'weights' line"),
+        (
+            "vertices 2\nedge 1 2\nweights 1 1\n",
+            FormatError,
+            "line 3: 'weights' must come before the edges",
+        ),
+        ("vertices 2\nweights 1\nedge 1 2\n", FormatError, "line 2: expected 2 weights, got 1"),
+        ("vertices 1\nweights one\n", FormatError, "line 2: weights must be integers"),
+        ("vertices 1\nweights 0\n", FormatError, "line 2: weights must be >= 1"),
+        ("edge 1 2\n", FormatError, "line 1: 'edge' before 'vertices'"),
+        ("vertices 2\nedge 1\n", FormatError, "line 2: expected: edge <from> <to>"),
+        ("vertices 2\nedge 1 b\n", FormatError, "line 2: expected: edge <from> <to>"),
+        ("vertices 2\nedge 1 3\n", FormatError, "line 2: vertex index 3 out of range (vertices=2)"),
+        ("vertices 2\nedge 0 1\n", FormatError, "line 2: vertex index 0 out of range (vertices=2)"),
+        ("vertices 2\nedge 1 1\n", FormatError, "line 2: self loop at vertex 1"),
+        (
+            "vertices 3\nedge 1 2\nedge 2 3\nedge 1 2\n",
+            FormatError,
+            "line 4: duplicate edge (1, 2)",
+        ),
+        (
+            "vertices 3\nedge 1 2\nedge 2 1\n",
+            FormatError,
+            "line 3: edge (2, 1) reorients the earlier edge (1, 2)",
+        ),
+        ("edges 2\n", FormatError, "line 1: unknown directive 'edges'"),
+        ("# no graph\n", FormatError, "missing 'vertices' line"),
+    ],
+)
+def test_parse_graph_refusals(text, error, message):
+    """Every refusal of the graph format, with its exact message."""
+    with pytest.raises(error) as info:
+        parse_graph(text)
+    assert str(info.value) == message
 
 
 def test_parse_graph_reads_a_long_path():

@@ -22,6 +22,7 @@ from monideal.ideals import (
     parse_ideal,
     power_contains,
 )
+from monideal.decomposition import irreducible_decomposition
 from monideal.polyhedra import integral_closure_power
 from monideal.symbolic import symbolic_power_min
 
@@ -164,6 +165,34 @@ def test_parse_basic_forms():
     I = parse_ideal("t1*t2^2, t2*t3")
     assert I.num_vars == 3
     assert I.gens == ((0, 1, 1), (1, 2, 0))
+
+
+@pytest.mark.parametrize(
+    "text, gens",
+    [
+        ("(2,1)", ((2, 1),)),
+        ("(1,0)", ((1, 0),)),
+        (" ( 2 , 1 ) ", ((2, 1),)),
+        ("((2,1))", ((2, 1),)),
+        ("(0,0)", ((0, 0),)),
+    ],
+)
+def test_parse_reads_a_lone_exponent_vector(text, gens):
+    """The parentheses of a lone vector are its own, not an outer wrapper."""
+    assert parse_ideal(text).gens == gens
+
+
+def test_a_lone_vector_past_the_variable_limit_is_refused_unwalked(monkeypatch):
+    """Its commas refuse a lone vector, as they refuse one in a wrapper."""
+    import monideal.ideals as ideals_module
+
+    def walked(text):
+        raise AssertionError("the text was walked")
+
+    monkeypatch.setattr(ideals_module, "_strip_outer_parens", walked)
+    limit = PARSE_VARIABLE_LIMIT
+    with pytest.raises(ResourceLimitExceeded, match=f"{limit + 1} variables exceed"):
+        parse_ideal("(" + "0," * limit + "1)")
 
 
 def test_parse_infers_num_vars_from_largest_index():
@@ -532,6 +561,27 @@ def test_from_gens_refuses_bad_vectors():
         MonomialIdeal(2, ((1, 0, 0),))
     with pytest.raises(ValueError, match="negative exponent"):
         MonomialIdeal(2, ((0, -2),))
+
+
+def test_constructor_stores_a_list_of_generators_as_a_tuple():
+    I = MonomialIdeal(2, [(0, 1), (1, 0)])
+    assert I.gens == ((0, 1), (1, 0)) and hash(I) == hash(MonomialIdeal.from_gens(I.gens, 2))
+    assert len(irreducible_decomposition(I).components) == 1
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [((1.0, 0),), ((1, 0), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (1, 0))],
+    ids=["float", "order", "not-minimal", "repeated"],
+)
+def test_constructor_refuses_generators_it_cannot_represent(gens):
+    message = (
+        f"generators {gens} are not the canonical minimal int vectors; "
+        "build the ideal with MonomialIdeal.from_gens"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MonomialIdeal(2, gens)
+    assert MonomialIdeal.from_gens(gens, 2).gens in {((1, 0),), ((0, 1), (1, 0))}
 
 
 def test_from_gens_refuses_a_ring_without_variables():

@@ -418,21 +418,22 @@ def test_closure_membership_matches_the_power_scan(I):
 
 def test_decomposition_minimality_flag():
     I = edge_ideal(PATH_MIDDLE.graph)
-    assert polyhedral_conditions_check(I, 1).minimal
+    assert polyhedral_conditions_check(I, 1, powers_equal=False).minimal
     J = parse_ideal("(t1^3, t1*t2, t2^2)")
-    report = polyhedral_conditions_check(J, 1)
+    report = polyhedral_conditions_check(J, 1, powers_equal=False)
     assert not report.minimal
     assert report.closure_intersections is None and report.closure_per_power is None
+    assert report.consistent is None
 
 
 def test_closure_intersection_check_reports():
     I = edge_ideal(FOUR_CYCLE_SINKS.graph)
-    report = polyhedral_conditions_check(I, 2)
+    report = polyhedral_conditions_check(I, 2, powers_equal=False)
     assert report.minimal and report.closure_intersections
     assert report.closure_per_power == ((1, True), (2, True))
 
     J = parse_ideal("(t1^3, t1*t2, t2^2)")
-    skipped = polyhedral_conditions_check(J, 2)
+    skipped = polyhedral_conditions_check(J, 2, powers_equal=False)
     assert not skipped.minimal
     assert skipped.closure_intersections is None
 
@@ -454,7 +455,7 @@ def test_polyhedral_conditions_match_the_enumerating_oracle(I, bound):
         np_eq_ip = polyhedra_equal(newton_hrep(I), irreducible_polyhedron(dec))
     except ResourceLimitExceeded:
         reject()
-    report = polyhedral_conditions_check(I, bound)
+    report = polyhedral_conditions_check(I, bound, powers_equal=False)
     assert report.newton_equals_irreducible == np_eq_ip
     if report.minimal:
         assert report.closure_per_power == tuple(
@@ -481,7 +482,7 @@ def test_polyhedral_conditions_enumerate_only_q(monkeypatch):
         return original(poly)
 
     monkeypatch.setattr(polyhedra, "_vertex_certificates", counted)
-    polyhedral_conditions_check(I, 2)
+    polyhedral_conditions_check(I, 2, powers_equal=False)
     assert calls == [covering_polyhedron(I)]
 
 
@@ -500,7 +501,7 @@ def test_polyhedral_conditions_search_once_per_power(monkeypatch):
         return original(ideal, rows, n)
 
     monkeypatch.setattr(polyhedra, "_closure_box_scan", counted)
-    assert polyhedral_conditions_check(I, 3).minimal
+    assert polyhedral_conditions_check(I, 3, powers_equal=False).minimal
     assert calls == [(columns, 1), (columns, 2), (columns, 3)]
 
 
@@ -511,9 +512,6 @@ def test_polyhedral_conditions_consistency_logic():
     assert full.newton_equals_irreducible
     assert full.vertices_are_component_inverses
     assert full.consistent is True
-
-    unknown = polyhedral_conditions_check(I, 2)
-    assert unknown.powers_equal is None and unknown.consistent is None
 
     C = edge_ideal(TRIANGLE_CYCLE.graph)
     vacuous = polyhedral_conditions_check(C, 2, powers_equal=False)
@@ -526,14 +524,15 @@ def test_four_cycle_dual_has_equal_and_normal_powers_to_three():
     assert is_normal_up_to(dual_ideal, 3)
 
 
-def test_is_normal_up_to_passes_its_limits_to_the_closure_scan():
-    """Nine variables exceed the default limit of 8; max_dim=9 must reach
-    the closure scan behind `is_normal_up_to`."""
+def test_closure_gaps_pass_their_limits_to_the_closure_scan():
+    """Nine variables exceed the default limit of 8, which `is_normal_up_to`
+    keeps; max_dim=9, as `monideal normal --max-vars 9` passes it, must
+    reach the closure scan behind `closure_gaps`."""
     one_edge = WeightedOrientedGraph.build(9, [(1, 2)])
     dual_ideal = alexander_dual(one_edge).ideal
     with pytest.raises(ResourceLimitExceeded):
         is_normal_up_to(dual_ideal, 1)
-    assert is_normal_up_to(dual_ideal, 2, max_dim=9)
+    assert list(closure_gaps(dual_ideal, 2, max_dim=9)) == [(), ()]
 
 
 # ------------------------------------------------------------- text format
@@ -566,10 +565,47 @@ def test_constraint_block_skips_output_keywords():
     assert poly.columns == ((1, 2),)
 
 
-def test_constraint_block_parse_errors():
-    with pytest.raises(FormatError, match="declared 3 constraints but found 1"):
-        parse_constraint_block("amb_space 2\nconstraints 3\n1 0 >= 0\n")
-    with pytest.raises(FormatError, match="line 3"):
-        parse_constraint_block("amb_space 2\nconstraints 1\n1 1 >= 0\n")
-    with pytest.raises(FormatError):
-        parse_constraint_block("constraints 1\n1 1 >= 1\n")
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("amb_space 2\namb_space 2\n", "line 2: duplicate amb_space"),
+        ("amb_space\n", "line 1: expected: amb_space <dimension>"),
+        ("amb_space two\n", "line 1: expected: amb_space <dimension>"),
+        ("amb_space 0\n", "line 1: expected: amb_space <dimension>"),
+        pytest.param(
+            "amb_space " + "9" * 5000 + "\n",
+            "line 1: an integer of 5000 digits is too long",
+            id="amb_space-5000-digits",
+        ),
+        ("constraints 1\n1 1 >= 1\n", "line 1: constraints before amb_space"),
+        ("amb_space 2\nconstraints many\n", "line 2: expected: constraints <count>"),
+        pytest.param(
+            "amb_space 2\nconstraints " + "9" * 5000 + "\n",
+            "line 2: an integer of 5000 digits is too long",
+            id="constraints-5000-digits",
+        ),
+        ("1 1 >= 1\n", "line 1: constraint row before amb_space"),
+        ("amb_space 2\n1 >= 1\n", "line 2: expected 2 coefficients, '>=' and a right-hand side"),
+        ("amb_space 2\n1 1 <= 1\n", "line 2: expected 2 coefficients, '>=' and a right-hand side"),
+        ("amb_space 2\n1 x >= 1\n", "line 2: coefficients must be integers or fractions p/q"),
+        ("amb_space 2\n1/0 1 >= 1\n", "line 2: coefficients must be integers or fractions p/q"),
+        ("amb_space 2\n-1 1 >= 1\n", "line 2: covering form needs nonnegative coefficients"),
+        (
+            "amb_space 2\n1 1 >= 0\n",
+            "line 2: right-hand side 0 is only for coordinate rows x_i >= 0",
+        ),
+        (
+            "amb_space 2\n2 0 >= 0\n",
+            "line 2: right-hand side 0 is only for coordinate rows x_i >= 0",
+        ),
+        ("amb_space 2\n1 1 >= 2\n", "line 2: right-hand side must be 0 or 1, got 2"),
+        ("# no block\n", "missing amb_space line"),
+        ("amb_space 2\nconstraints 3\n1 0 >= 0\n", "declared 3 constraints but found 1"),
+        ("amb_space 2\n1 0 >= 0\n", "no constraint rows with right-hand side 1"),
+    ],
+)
+def test_constraint_block_refusals(text, message):
+    """Every refusal of the constraint block format, with its exact message."""
+    with pytest.raises(FormatError) as info:
+        parse_constraint_block(text)
+    assert str(info.value) == message

@@ -502,7 +502,7 @@ def test_powers_match_the_chain_free_oracle(I, order):
         powers_equal_up_to,
         is_ntf_up_to,
         lambda I, bound: next(closure_gaps(I, bound)),
-        polyhedral_conditions_check,
+        lambda I, bound: polyhedral_conditions_check(I, bound, powers_equal=False),
     ],
     ids=["powers_equal_up_to", "is_ntf_up_to", "closure_gaps", "polyhedral_conditions_check"],
 )
