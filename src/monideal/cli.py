@@ -18,6 +18,7 @@ import sys
 from dataclasses import asdict
 
 from .decomposition import (
+    IrreducibleIdeal,
     MonomialPrime,
     associated_primes,
     irreducible_decomposition,
@@ -32,13 +33,12 @@ from .errors import (
 )
 from .graphs import (
     DEFAULT_COVER_VERTEX_LIMIT,
-    _partition_ideal,
-    _strong_partitions,
     alexander_dual,
     classify,
     edge_ideal,
     format_graph,
     parse_graph,
+    strong_covers,
 )
 from .ideals import format_ideal, format_monomial, parse_ideal
 from .polyhedra import (
@@ -235,8 +235,8 @@ def _cmd_wog_covers(args):
     graph = _load_graph(args)
     entries = []
     lines = []
-    for part in _strong_partitions(graph, args.max_covers):
-        ideal = _partition_ideal(graph, part)
+    for part in strong_covers(graph, args.max_covers):
+        ideal = IrreducibleIdeal(graph.num_vertices, part.alpha)
         entries.append(
             {
                 "cover": sorted(part.cover),
@@ -244,7 +244,7 @@ def _cmd_wog_covers(args):
                 "l2": sorted(part.l2),
                 "l3": sorted(part.l3),
                 "ideal": str(ideal),
-                "alpha": list(ideal.alpha),
+                "alpha": list(part.alpha),
             }
         )
         lines.append(

@@ -217,7 +217,7 @@ def _four_cycle_checks():
         ("two-component decomposition", dec.alphas() == FOUR_CYCLE_DEC_ALPHAS),
         (
             "strong covers",
-            tuple(tuple(sorted(c)) for c in strong_covers(graph))
+            tuple(tuple(sorted(p.cover)) for p in strong_covers(graph))
             == FOUR_CYCLE_STRONG_COVERS,
         ),
         ("cover decomposition matches splitting", decomposition_via_covers(graph) == dec),
@@ -286,7 +286,7 @@ def _triangle_cycle_checks():
         ("four-component decomposition", dec.alphas() == TRIANGLE_CYCLE_DEC_ALPHAS),
         (
             "strong covers include the whole vertex set",
-            tuple(tuple(sorted(c)) for c in strong_covers(graph))
+            tuple(tuple(sorted(p.cover)) for p in strong_covers(graph))
             == TRIANGLE_CYCLE_STRONG_COVERS,
         ),
         ("cover decomposition matches splitting", decomposition_via_covers(graph) == dec),
@@ -444,7 +444,7 @@ def _seven_cycle_checks():
         (
             "seven strong covers of size four",
             len(covers) == SEVEN_CYCLE_COVER_COUNT
-            and all(len(c) == 4 for c in covers),
+            and all(len(p.cover) == 4 for p in covers),
         ),
         (
             "cover decomposition matches splitting",

@@ -152,17 +152,20 @@ def alexander_dual(graph: WeightedOrientedGraph) -> AlexanderDual:
 
 @dataclass(frozen=True)
 class CoverPartition:
-    """The L1/L2/L3 partition of a vertex cover C.
+    """The L1/L2/L3 partition of a vertex cover C, with the exponent vector
+    of its cover ideal I_C.
 
     L1: members with a directed edge leaving the cover.
     L3: members whose whole underlying neighborhood lies inside the cover.
     L2: the rest.
+    alpha: 1 on L1, the weight on L2 u L3, 0 off the cover.
     """
 
     cover: frozenset[int]
     l1: frozenset[int]
     l2: frozenset[int]
     l3: frozenset[int]
+    alpha: Exponent
 
 
 def cover_partition(graph: WeightedOrientedGraph, cover) -> CoverPartition:
@@ -183,8 +186,11 @@ def _partition(graph: WeightedOrientedGraph, cover: frozenset[int]) -> CoverPart
     l3 = frozenset(
         x for x in cover if graph.underlying_neighbors(x) <= cover
     )
-    l2 = cover - l1 - l3
-    return CoverPartition(cover, l1, l2, l3)
+    alpha = tuple(
+        (1 if v in l1 else w) if v in cover else 0
+        for v, w in enumerate(graph.weights, start=1)
+    )
+    return CoverPartition(cover, l1, cover - l1 - l3, l3, alpha)
 
 
 def is_strong_cover(graph: WeightedOrientedGraph, cover) -> bool:
@@ -199,22 +205,11 @@ def is_strong_cover(graph: WeightedOrientedGraph, cover) -> bool:
     )
 
 
-def strong_covers(graph: WeightedOrientedGraph) -> tuple[frozenset[int], ...]:
-    """All nonempty strong vertex covers, sorted by size then contents.
-
-    The sweep of :func:`_strong_partitions` builds only vertex covers and
-    drops each as soon as it cannot be strong, but the number of covers is
-    still exponential, hence the limit of DEFAULT_COVER_VERTEX_LIMIT
-    vertices; :func:`decomposition_via_covers` and ``wog-covers
-    --max-covers`` take a larger one.
-    """
-    return tuple(p.cover for p in _strong_partitions(graph, DEFAULT_COVER_VERTEX_LIMIT))
-
-
-def _strong_partitions(
-    graph: WeightedOrientedGraph, max_vertices: int
+def strong_covers(
+    graph: WeightedOrientedGraph, max_vertices: int = DEFAULT_COVER_VERTEX_LIMIT
 ) -> tuple[CoverPartition, ...]:
-    """The partitions of the strong covers, in the order of :func:`strong_covers`.
+    """The partitions of all nonempty strong vertex covers, sorted by size
+    then contents; each carries its cover ideal's exponent vector.
 
     After vertex v the list holds the vertex covers of the edges among 1..v:
     each cover takes v, and also leaves it out if it holds v's earlier
@@ -225,7 +220,9 @@ def _strong_partitions(
     final, so a cover is dropped at the first step where it holds N[x] and
     each such y has an out-neighbour left out: at max N[x], or at a later
     out-neighbour of such a y.  The covers left are exactly the strong
-    ones, each partitioned once without checking its edges."""
+    ones, each partitioned once without checking its edges.  The number of
+    covers is still exponential, so a graph with more than `max_vertices`
+    vertices is refused (CLI: ``wog-covers --max-covers``)."""
     s = graph.num_vertices
     if s > max_vertices:
         raise ResourceLimitExceeded(
@@ -259,18 +256,6 @@ def _strong_partitions(
     return tuple(strong)
 
 
-def _partition_ideal(
-    graph: WeightedOrientedGraph, part: CoverPartition
-) -> IrreducibleIdeal:
-    """I_C of a cover the caller knows is strong: 1 on L1, the weight on L2 u L3."""
-    alpha = [0] * graph.num_vertices
-    for x in part.l1:
-        alpha[x - 1] = 1
-    for x in part.l2 | part.l3:
-        alpha[x - 1] = graph.weight(x)
-    return IrreducibleIdeal(graph.num_vertices, tuple(alpha))
-
-
 def decomposition_via_covers(
     graph: WeightedOrientedGraph,
     max_vertices: int = DEFAULT_COVER_VERTEX_LIMIT,
@@ -278,7 +263,8 @@ def decomposition_via_covers(
     """Irreducible decomposition of I(D) assembled from strong covers.
 
     The strong covers index the irredundant decomposition (Pitones-Reyes-
-    Toledo 2019), so their cover ideals are taken as they are:
+    Toledo 2019), so the cover ideals I_C of :func:`strong_covers`, swept
+    under `max_vertices`, are taken as they are:
     :func:`irredundant_subset` sorts them and checks that they intersect to
     I(D), and drops none.  A missing cover fails that check; a cover that
     is not strong adds a redundant component, so the result then differs
@@ -287,11 +273,9 @@ def decomposition_via_covers(
     """
     if not graph.edges:
         raise DomainError("the edgeless graph has the zero edge ideal; no decomposition")
-    ideal = edge_ideal(graph)
-    components = [
-        _partition_ideal(graph, p) for p in _strong_partitions(graph, max_vertices)
-    ]
-    return IrreducibleDecomposition(graph.num_vertices, irredundant_subset(components, ideal))
+    s = graph.num_vertices
+    components = [IrreducibleIdeal(s, p.alpha) for p in strong_covers(graph, max_vertices)]
+    return IrreducibleDecomposition(s, irredundant_subset(components, edge_ideal(graph)))
 
 
 # ------------------------------------------------------- graph-level checks

@@ -3,11 +3,12 @@
 import argparse
 import io
 import json
+import sys
 import tracemalloc
 
 import pytest
 
-from monideal import cli, polyhedra
+from monideal import cli, graphs, polyhedra
 from monideal.cli import main
 
 EX51_IDEAL = "t1*t2^2, t3*t2^2, t3*t4^2, t1*t4^2\n"
@@ -123,6 +124,26 @@ def test_wog_commands(workdir, capsys):
     code, out, _ = run(capsys, "wog-dual", path)
     assert code == 0
     assert out == "J: (t2^2, t1*t3, t1*t2)\ncomponents:\n  (t2, t3)\n  (t1, t2^2)\n"
+
+
+def test_wog_covers_sweeps_through_strong_covers_once(workdir, capsys, monkeypatch):
+    """`wog-covers` reaches the cover sweep through the public
+    `graphs.strong_covers`, so a wrapper that rebinds every binding of it in
+    the `monideal` modules, as the benchmark's tracer does, sees the sweep."""
+    real = graphs.strong_covers
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("monideal") and module is not None:
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counting)
+    code, _, _ = run(capsys, "wog-covers", str(workdir / "ex55.graph"))
+    assert code == 0 and len(calls) == 1
 
 
 def test_newton_enumerates_q_once(tmp_path, capsys, monkeypatch):

@@ -25,8 +25,6 @@ from monideal.fixtures import (
 )
 from monideal.graphs import (
     WeightedOrientedGraph,
-    _partition_ideal,
-    _strong_partitions,
     alexander_dual,
     classify,
     cover_partition,
@@ -130,11 +128,15 @@ def test_cover_partition_on_path():
         cover_partition(PATH_MIDDLE.graph, {3})
 
 
+def _covers(g, *limit):
+    return tuple(p.cover for p in strong_covers(g, *limit))
+
+
 def test_strong_covers_on_fixtures():
-    assert strong_covers(FOUR_CYCLE_SINKS.graph) == tuple(
+    assert _covers(FOUR_CYCLE_SINKS.graph) == tuple(
         frozenset(c) for c in FOUR_CYCLE_STRONG_COVERS
     )
-    assert strong_covers(TRIANGLE_CYCLE.graph) == tuple(
+    assert _covers(TRIANGLE_CYCLE.graph) == tuple(
         frozenset(c) for c in TRIANGLE_CYCLE_STRONG_COVERS
     )
     assert len(strong_covers(SEVEN_CYCLE.graph)) == SEVEN_CYCLE_COVER_COUNT
@@ -145,8 +147,7 @@ def test_strong_covers_of_a_long_vertex_range_need_no_recursion():
     passes: the other vertices lie on no edge, so no strong cover holds
     them and the loop skips them."""
     g = WeightedOrientedGraph.build(1200, [(1, 2)])
-    parts = _strong_partitions(g, 1200)
-    assert tuple(part.cover for part in parts) == (frozenset({1}), frozenset({2}))
+    assert _covers(g, 1200) == (frozenset({1}), frozenset({2}))
 
 
 def test_vertices_on_no_edge_are_never_swept(monkeypatch):
@@ -160,7 +161,7 @@ def test_vertices_on_no_edge_are_never_swept(monkeypatch):
     monkeypatch.setattr(
         graphs_module, "_partition", lambda g, c: calls.append(c) or partition(g, c)
     )
-    assert strong_covers(parse_graph("vertices 22\nedge 1 2\n")) == (
+    assert _covers(parse_graph("vertices 22\nedge 1 2\n")) == (
         frozenset({1}), frozenset({2})
     )
     assert len(calls) == 2
@@ -170,6 +171,20 @@ def test_strong_cover_enumeration_has_a_vertex_limit():
     big = WeightedOrientedGraph.build(30, [(i, i + 1) for i in range(1, 30)])
     with pytest.raises(ResourceLimitExceeded, match="--max-covers"):
         strong_covers(big)
+
+
+def test_strong_covers_take_the_vertex_limit_they_name():
+    """The refusal asks for a larger max_vertices, which strong_covers
+    takes: one edge on 23 vertices passes at a limit of 23, and the default
+    limit refuses it in the words of the golden entry error-covers-limit."""
+    g = WeightedOrientedGraph.build(23, [(1, 2)])
+    assert _covers(g, 23) == (frozenset({1}), frozenset({2}))
+    with pytest.raises(ResourceLimitExceeded) as refused:
+        strong_covers(g)
+    assert str(refused.value) == (
+        "cover enumeration over 23 vertices exceeds the limit 22; "
+        "pass a larger max_vertices (CLI: --max-covers) to proceed"
+    )
 
 
 @given(graphs())
@@ -196,7 +211,7 @@ def test_strong_cover_enumeration_matches_definition(g):
         for c in combinations(vertices, r)
         if is_vertex_cover(g, c) and is_strong_cover(g, c)
     }
-    assert set(strong_covers(g)) == brute
+    assert set(_covers(g)) == brute
 
 
 def _unpruned_strong_covers(g):
@@ -215,7 +230,7 @@ def _unpruned_strong_covers(g):
 @given(graphs(max_vertices=9))
 @settings(max_examples=50)
 def test_pruned_cover_sweep_matches_the_unpruned_one(g):
-    assert strong_covers(g) == _unpruned_strong_covers(g)
+    assert _covers(g) == _unpruned_strong_covers(g)
 
 
 def test_a_star_partitions_only_its_strong_covers(monkeypatch):
@@ -231,7 +246,7 @@ def test_a_star_partitions_only_its_strong_covers(monkeypatch):
         graphs_module, "_partition", lambda g, c: calls.append(c) or partition(g, c)
     )
     star = WeightedOrientedGraph.build(22, [(1, leaf) for leaf in range(2, 23)])
-    assert strong_covers(star) == (frozenset({1}), frozenset(range(2, 23)))
+    assert _covers(star) == (frozenset({1}), frozenset(range(2, 23)))
     assert len(calls) == 2
 
 
@@ -249,7 +264,7 @@ def test_a_hub_with_a_heavy_in_neighbour_partitions_only_its_strong_covers(monke
         graphs_module, "_partition", lambda g, c: calls.append(c) or partition(g, c)
     )
     hub = WeightedOrientedGraph.build(22, [(1, 2)] + [(2, j) for j in range(3, 23)], {2: 2})
-    assert strong_covers(hub) == (
+    assert _covers(hub) == (
         frozenset({2}), frozenset({1, *range(3, 23)}), frozenset(range(2, 23))
     )
     assert len(calls) == 3
@@ -257,9 +272,9 @@ def test_a_hub_with_a_heavy_in_neighbour_partitions_only_its_strong_covers(monke
 
 def test_cover_ideal_uses_weights_on_l2_and_l3():
     g = PATH_MIDDLE.graph
-    assert _partition_ideal(g, cover_partition(g, {2, 3})).alpha == (0, 2, 1)
-    assert _partition_ideal(g, cover_partition(g, {1, 3})).alpha == (1, 0, 1)
-    assert _partition_ideal(g, cover_partition(g, {2})).alpha == (0, 1, 0)
+    assert cover_partition(g, {2, 3}).alpha == (0, 2, 1)
+    assert cover_partition(g, {1, 3}).alpha == (1, 0, 1)
+    assert cover_partition(g, {2}).alpha == (0, 1, 0)
 
 
 @given(graphs(max_vertices=8))
@@ -273,10 +288,8 @@ def test_cover_decomposition_refuses_missing_covers(monkeypatch):
     re-intersection in irredundant_subset."""
     import monideal.graphs as graphs_module
 
-    parts = graphs_module._strong_partitions(
-        PATH_MIDDLE.graph, graphs_module.DEFAULT_COVER_VERTEX_LIMIT
-    )
-    monkeypatch.setattr(graphs_module, "_strong_partitions", lambda g, limit: parts[:1])
+    parts = graphs_module.strong_covers(PATH_MIDDLE.graph)
+    monkeypatch.setattr(graphs_module, "strong_covers", lambda g, limit: parts[:1])
     with pytest.raises(ConsistencyError):
         decomposition_via_covers(PATH_MIDDLE.graph)
 
@@ -289,9 +302,8 @@ def test_cover_decomposition_shows_extra_covers(monkeypatch):
     g = PATH_MIDDLE.graph
     extra = frozenset({1, 2, 3})
     assert not is_strong_cover(g, extra)
-    parts = graphs_module._strong_partitions(g, graphs_module.DEFAULT_COVER_VERTEX_LIMIT)
-    parts += (graphs_module._partition(g, extra),)
-    monkeypatch.setattr(graphs_module, "_strong_partitions", lambda g, limit: parts)
+    parts = graphs_module.strong_covers(g) + (graphs_module._partition(g, extra),)
+    monkeypatch.setattr(graphs_module, "strong_covers", lambda g, limit: parts)
     assert decomposition_via_covers(g) != irreducible_decomposition(edge_ideal(g))
 
 

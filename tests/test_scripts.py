@@ -97,10 +97,10 @@ def test_sweep_fails_a_cover_decomposition_that_differs(monkeypatch, capsys):
     mismatch even where the power comparison alone is undecided."""
     import monideal.graphs as graphs_module
 
-    sweep_covers = graphs_module._strong_partitions
+    sweep_covers = graphs_module.strong_covers
     monkeypatch.setattr(
         graphs_module,
-        "_strong_partitions",
+        "strong_covers",
         lambda g, limit: sweep_covers(g, limit)
         + (graphs_module._partition(g, frozenset(range(1, g.num_vertices + 1))),),
     )
