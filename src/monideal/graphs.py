@@ -63,9 +63,12 @@ class WeightedOrientedGraph:
         for w in self.weights:
             if not isinstance(w, int) or w < 1:
                 raise ValueError(f"weights must be positive integers, got {w!r}")
+        object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
         out: dict[int, set[int]] = {}
         into: dict[int, set[int]] = {}
         for i, j in self.edges:
+            if not (isinstance(i, int) and isinstance(j, int)):
+                raise ValueError(f"edge ({i!r}, {j!r}) needs integer endpoints")
             if not (1 <= i <= s and 1 <= j <= s):
                 raise ValueError(f"edge ({i}, {j}) out of range 1..{s}")
             if i == j:
@@ -92,6 +95,9 @@ class WeightedOrientedGraph:
         if weights is None:
             weights = (1,) * num_vertices
         elif isinstance(weights, dict):
+            stray = sorted(map(repr, weights.keys() - range(1, num_vertices + 1)))
+            if stray:
+                raise ValueError(f"weight of vertex {stray[0]} out of range 1..{num_vertices}")
             weights = tuple(weights.get(v, 1) for v in range(1, num_vertices + 1))
         else:
             weights = tuple(weights)

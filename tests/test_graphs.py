@@ -60,6 +60,27 @@ def test_build_accepts_weight_mapping():
     assert g.weights == (1, 4, 1)
 
 
+def test_build_refuses_a_weight_mapping_past_the_vertices():
+    """A weight for a vertex the graph does not have is refused, not dropped."""
+    with pytest.raises(ValueError, match="vertex 5 out of range 1..3"):
+        WeightedOrientedGraph.build(3, [(1, 2)], {5: 2, 2: 3})
+
+
+def test_constructor_refuses_non_integer_endpoints():
+    """A float endpoint would index no exponent vector in edge_ideal."""
+    with pytest.raises(ValueError, match=r"edge \(1.0, 2\) needs integer endpoints"):
+        WeightedOrientedGraph(3, frozenset({(1.0, 2)}), (1, 1, 1))
+
+
+def test_constructor_freezes_an_edge_list():
+    """Edges passed as a list of tuples or lists are stored as a frozenset
+    of tuples, so the graph hashes and equals the one build makes."""
+    g = WeightedOrientedGraph(3, [[1, 2]], (1, 2, 1))
+    assert g.edges == frozenset({(1, 2)})
+    assert g == WeightedOrientedGraph.build(3, [(1, 2)], (1, 2, 1))
+    assert hash(g) == hash(WeightedOrientedGraph.build(3, [(1, 2)], (1, 2, 1)))
+
+
 def test_construction_clears_source_and_isolated_weights():
     g = WeightedOrientedGraph.build(3, [(1, 2)], weights=(3, 2, 5))
     assert g.weights == (1, 2, 1)  # vertex 1 is a source, vertex 3 isolated
