@@ -40,7 +40,7 @@ from .graphs import (
     parse_graph,
     strong_covers,
 )
-from .ideals import format_ideal, format_monomial, parse_ideal
+from .ideals import _directives, format_ideal, format_monomial, parse_ideal
 from .polyhedra import (
     DEFAULT_CONSTRAINT_LIMIT,
     DEFAULT_DIMENSION_LIMIT,
@@ -275,11 +275,7 @@ def _cmd_wog_dual(args):
 
 
 def _looks_like_constraints(text: str) -> bool:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return line.split()[0] == "amb_space"
-    return False
+    return next((fields[0] == "amb_space" for _, fields in _directives(text)), False)
 
 
 def _cmd_poly_vertices(args):
@@ -409,6 +405,123 @@ def _cmd_examples(args):
 # ---------------------------------------------------------------- wiring
 
 
+def _ideal_arg(p):
+    p.add_argument("path", help="ideal file, or - for stdin")
+    p.add_argument(
+        "--vars",
+        type=_positive,
+        default=None,
+        help="number of variables (default: inferred)",
+    )
+
+
+def _graph_arg(p):
+    p.add_argument("path", help="graph file, or - for stdin")
+
+
+def _n_arg(p):
+    p.add_argument("--n", type=_positive, default=1, help="power (default 1)")
+
+
+def _bound_arg(p):
+    p.add_argument(
+        "--max-n",
+        "--power-bound",
+        dest="max_n",
+        type=_positive,
+        default=4,
+        help="largest power checked (default 4)",
+    )
+
+
+def _poly_limits(p):
+    p.add_argument(
+        "--max-vars",
+        type=_positive,
+        default=DEFAULT_DIMENSION_LIMIT,
+        help=f"dimension limit for vertex enumeration (default {DEFAULT_DIMENSION_LIMIT})",
+    )
+    p.add_argument(
+        "--max-constraints",
+        type=_positive,
+        default=DEFAULT_CONSTRAINT_LIMIT,
+        help=f"constraint limit for vertex enumeration (default {DEFAULT_CONSTRAINT_LIMIT})",
+    )
+
+
+def _symbolic_mode(p):
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--min", action="store_true", help="intersect over minimal primes (default)"
+    )
+    mode.add_argument(
+        "--ass", action="store_true", help="intersect over maximal associated primes"
+    )
+
+
+def _max_covers(p):
+    p.add_argument(
+        "--max-covers",
+        type=_positive,
+        default=DEFAULT_COVER_VERTEX_LIMIT,
+        help=f"vertex limit for cover enumeration (default {DEFAULT_COVER_VERTEX_LIMIT})",
+    )
+
+
+def _normaliz_format(p):
+    p.add_argument(
+        "--normaliz-format",
+        action="store_true",
+        help="emit the solver exchange block instead of bare vertices",
+    )
+
+
+def _examples_args(p):
+    p.add_argument("name", nargs="?", help="run a single fixture")
+    p.add_argument(
+        "--list", action="store_true", help="list fixture names and summaries"
+    )
+    p.add_argument(
+        "--show", action="store_true", help="print the named fixture's graph file"
+    )
+
+
+# One row per command, in the order the top-level help lists them: name,
+# handler, argument adders (after --json, which every command takes), help.
+_COMMANDS = (
+    ("decompose", _cmd_decompose, (_ideal_arg,),
+     "irreducible decomposition"),
+    ("ass", _cmd_ass, (_ideal_arg,),
+     "associated primes, minimal/embedded"),
+    ("symbolic", _cmd_symbolic, (_ideal_arg, _n_arg, _symbolic_mode),
+     "symbolic power I^(n) or I<n>"),
+    ("compare", _cmd_compare, (_ideal_arg, _n_arg),
+     "ordinary vs symbolic powers with witnesses"),
+    ("ntf", _cmd_ntf, (_ideal_arg, _bound_arg),
+     "stability of Ass(I^n) up to a bound"),
+    ("wog-classify", _cmd_wog_classify, (_graph_arg,),
+     "power-equality classification"),
+    ("wog-covers", _cmd_wog_covers, (_graph_arg, _max_covers),
+     "strong vertex covers with partitions"),
+    ("wog-ideal", _cmd_wog_ideal, (_graph_arg,),
+     "edge ideal of a graph"),
+    ("wog-dual", _cmd_wog_dual, (_graph_arg,),
+     "dual edge ideal and its components"),
+    ("poly-vertices", _cmd_poly_vertices, (_ideal_arg, _poly_limits, _normaliz_format),
+     "vertices of a covering-form polyhedron (ideal file or constraint block)"),
+    ("newton", _cmd_newton, (_ideal_arg, _poly_limits),
+     "generators lying on vertices of the Newton polyhedron"),
+    ("closure", _cmd_closure, (_ideal_arg, _n_arg, _poly_limits),
+     "integral closure of I^n"),
+    ("normal", _cmd_normal, (_ideal_arg, _bound_arg, _poly_limits),
+     "compare each I^n with its integral closure"),
+    ("thm41", _cmd_thm41, (_ideal_arg, _bound_arg, _poly_limits),
+     "polyhedral conditions accompanying power equality"),
+    ("examples", _cmd_examples, (_examples_args,),
+     "run the built-in fixtures"),
+)
+
+
 class _Subcommand:
     """The sub-parser of one command, built only when that command is parsed.
 
@@ -417,11 +530,14 @@ class _Subcommand:
     parser's cost.  argparse calls only `parse_known_args` on this class.
     """
 
-    def __init__(self, **kwargs):
-        self.kwargs = kwargs
+    def __init__(self, handler, arguments, **kwargs):
+        self.handler, self.arguments, self.kwargs = handler, arguments, kwargs
 
     def parse_known_args(self, args=None, namespace=None):
         parser = argparse.ArgumentParser(**self.kwargs)
+        parser.add_argument(
+            "--json", action="store_true", help="emit a JSON mirror of the report"
+        )
         for add in self.arguments:
             add(parser)
         parser.set_defaults(handler=self.handler)
@@ -437,138 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-
-    def common(p):
-        p.add_argument(
-            "--json", action="store_true", help="emit a JSON mirror of the report"
-        )
-
-    def ideal_arg(p):
-        p.add_argument("path", help="ideal file, or - for stdin")
-        p.add_argument(
-            "--vars",
-            type=_positive,
-            default=None,
-            help="number of variables (default: inferred)",
-        )
-
-    def graph_arg(p):
-        p.add_argument("path", help="graph file, or - for stdin")
-
-    def n_arg(p):
-        p.add_argument("--n", type=_positive, default=1, help="power (default 1)")
-
-    def bound_arg(p):
-        p.add_argument(
-            "--max-n",
-            "--power-bound",
-            dest="max_n",
-            type=_positive,
-            default=4,
-            help="largest power checked (default 4)",
-        )
-
-    def poly_limits(p):
-        p.add_argument(
-            "--max-vars",
-            type=_positive,
-            default=DEFAULT_DIMENSION_LIMIT,
-            help=f"dimension limit for vertex enumeration (default {DEFAULT_DIMENSION_LIMIT})",
-        )
-        p.add_argument(
-            "--max-constraints",
-            type=_positive,
-            default=DEFAULT_CONSTRAINT_LIMIT,
-            help=f"constraint limit for vertex enumeration (default {DEFAULT_CONSTRAINT_LIMIT})",
-        )
-
-    def register(name, handler, arguments, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.handler, p.arguments = handler, [common, *arguments]
-
-    def symbolic_mode(p):
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument(
-            "--min", action="store_true", help="intersect over minimal primes (default)"
-        )
-        mode.add_argument(
-            "--ass", action="store_true", help="intersect over maximal associated primes"
-        )
-
-    def max_covers(p):
-        p.add_argument(
-            "--max-covers",
-            type=_positive,
-            default=DEFAULT_COVER_VERTEX_LIMIT,
-            help=f"vertex limit for cover enumeration (default {DEFAULT_COVER_VERTEX_LIMIT})",
-        )
-
-    def normaliz_format(p):
-        p.add_argument(
-            "--normaliz-format",
-            action="store_true",
-            help="emit the solver exchange block instead of bare vertices",
-        )
-
-    def examples_args(p):
-        p.add_argument("name", nargs="?", help="run a single fixture")
-        p.add_argument(
-            "--list", action="store_true", help="list fixture names and summaries"
-        )
-        p.add_argument(
-            "--show", action="store_true", help="print the named fixture's graph file"
-        )
-
-    register("decompose", _cmd_decompose, [ideal_arg], "irreducible decomposition")
-    register("ass", _cmd_ass, [ideal_arg], "associated primes, minimal/embedded")
-    register(
-        "symbolic",
-        _cmd_symbolic,
-        [ideal_arg, n_arg, symbolic_mode],
-        "symbolic power I^(n) or I<n>",
-    )
-    register(
-        "compare",
-        _cmd_compare,
-        [ideal_arg, n_arg],
-        "ordinary vs symbolic powers with witnesses",
-    )
-    register("ntf", _cmd_ntf, [ideal_arg, bound_arg], "stability of Ass(I^n) up to a bound")
-    register("wog-classify", _cmd_wog_classify, [graph_arg], "power-equality classification")
-    register(
-        "wog-covers",
-        _cmd_wog_covers,
-        [graph_arg, max_covers],
-        "strong vertex covers with partitions",
-    )
-    register("wog-ideal", _cmd_wog_ideal, [graph_arg], "edge ideal of a graph")
-    register("wog-dual", _cmd_wog_dual, [graph_arg], "dual edge ideal and its components")
-    register(
-        "poly-vertices",
-        _cmd_poly_vertices,
-        [ideal_arg, poly_limits, normaliz_format],
-        "vertices of a covering-form polyhedron (ideal file or constraint block)",
-    )
-    register(
-        "newton",
-        _cmd_newton,
-        [ideal_arg, poly_limits],
-        "generators lying on vertices of the Newton polyhedron",
-    )
-    register("closure", _cmd_closure, [ideal_arg, n_arg, poly_limits], "integral closure of I^n")
-    register(
-        "normal",
-        _cmd_normal,
-        [ideal_arg, bound_arg, poly_limits],
-        "compare each I^n with its integral closure",
-    )
-    register(
-        "thm41",
-        _cmd_thm41,
-        [ideal_arg, bound_arg, poly_limits],
-        "polyhedral conditions accompanying power equality",
-    )
-    register("examples", _cmd_examples, [examples_args], "run the built-in fixtures")
+    for name, handler, arguments, help_text in _COMMANDS:
+        sub.add_parser(name, help=help_text, handler=handler, arguments=arguments)
     return parser
 
 

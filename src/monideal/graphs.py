@@ -33,7 +33,7 @@ from .errors import (
     FormatError,
     ResourceLimitExceeded,
 )
-from .ideals import PARSE_VARIABLE_LIMIT, Exponent, MonomialIdeal, _fail, _read_int
+from .ideals import PARSE_VARIABLE_LIMIT, Exponent, MonomialIdeal, _directives, _fail, _read_int
 
 DEFAULT_COVER_VERTEX_LIMIT = 22
 _NONE: frozenset[int] = frozenset()
@@ -424,11 +424,7 @@ def parse_graph(text: str) -> WeightedOrientedGraph:
     num_vertices = None
     weights = None
     edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, fields in _directives(text):
         keyword, args = fields[0], fields[1:]
         if keyword == "vertices":
             if num_vertices is not None:

@@ -13,7 +13,9 @@ by the zero vector, and variables are written t1..ts (1-indexed).
 Vectors are validated in one place, :func:`_check_vectors`, which checks
 the vectors that come from outside: those given to
 :meth:`MonomialIdeal.from_gens` (and so to :func:`parse_ideal`), the `gens`
-of the public constructor, irreducible ideals and polyhedron columns.
+of the public constructor, irreducible ideals, polyhedron columns and the
+monomials asked about by `contains` and :func:`power_contains`.  Entries
+must be ints (Fractions for columns); nothing is coerced.
 Results derived from ideals the library already holds (products,
 intersections, localizations, closures) go through the private
 :meth:`MonomialIdeal._from_trusted`, which minimalizes without checking
@@ -33,8 +35,8 @@ A query reads the tables of the nonzero coordinates of t^g only.
 Minimalization sorts its candidates by total degree alone, drops the
 multiples of each minimal generator in one step, and puts only the kept
 generators in graded-lex order at the end.  The membership split behind
-intersection and inclusion ORs the multiples of the other ideal's
-generators.  An intersection J ^ K passes through the generators of either
+intersection, inclusion and `contains` ORs the multiples of the other
+ideal's generators.  An intersection J ^ K passes through the generators of either
 side that lie in the other side, and pairs only the rest: if u in J lies in
 K, then u lies in J ^ K, and every lcm(u, v) is a multiple of u, so those
 lcms add nothing.  Products and intersections build their candidates column
@@ -62,14 +64,6 @@ Exponent = tuple[int, ...]
 def graded_lex_key(v: Exponent):
     """Sort key: total degree first, ties broken lexicographically."""
     return (sum(v), v)
-
-
-def divides(a: Exponent, b: Exponent) -> bool:
-    """Componentwise a <= b, i.e. t^a divides t^b."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
 
 
 # _REACH[x] is a bytes.translate table that maps a byte b to the digit "1"
@@ -180,18 +174,23 @@ def minimal_generators(vectors) -> tuple[Exponent, ...]:
     return tuple(out)
 
 
-def _check_vectors(vectors, num_vars: int, noun: str = "generator"):
-    """Refuse a ring without variables, and vectors that are not exponent
-    vectors of length `num_vars`; messages call each vector a `noun`."""
-    if num_vars < 1:
-        raise ValueError(f"need at least one variable, got {num_vars}")
-    for v in vectors:
+def _check_vectors(vectors, num_vars: int, noun: str = "generator", entry=int):
+    """The `vectors` as a tuple of tuples, refusing a ring without an int
+    count of variables and vectors that are not length-`num_vars` vectors
+    of nonnegative `entry` values; messages call each vector a `noun`."""
+    if not isinstance(num_vars, int) or num_vars < 1:
+        raise ValueError(f"need an int count of at least one variable, got {num_vars!r}")
+    vecs = tuple(map(tuple, vectors))
+    for v in vecs:
         if len(v) != num_vars:
             raise DimensionMismatch(
                 f"{noun} {v} has length {len(v)}, expected {num_vars}"
             )
+        if not all(isinstance(e, entry) for e in v):
+            raise ValueError(f"{noun} {v} has a non-{entry.__name__} entry")
         if any(e < 0 for e in v):
             raise ValueError(f"{noun} {v} has a negative exponent")
+    return vecs
 
 
 @dataclass(frozen=True)
@@ -208,10 +207,8 @@ class MonomialIdeal:
     gens: tuple[Exponent, ...]
 
     def __post_init__(self):
-        gens = tuple(map(tuple, self.gens))
-        _check_vectors(gens, self.num_vars)
-        ints = all(isinstance(e, int) for v in gens for e in v)
-        if not ints or gens != minimal_generators(gens):
+        gens = _check_vectors(self.gens, self.num_vars)
+        if gens != minimal_generators(gens):
             raise ValueError(
                 f"generators {gens} are not the canonical minimal int vectors; "
                 "build the ideal with MonomialIdeal.from_gens"
@@ -221,9 +218,7 @@ class MonomialIdeal:
     @staticmethod
     def from_gens(vectors, num_vars: int) -> "MonomialIdeal":
         """The ideal generated by `vectors`, in canonical minimal form."""
-        vecs = [tuple(int(e) for e in v) for v in vectors]
-        _check_vectors(vecs, num_vars)
-        return MonomialIdeal._from_trusted(vecs, num_vars)
+        return MonomialIdeal._from_trusted(_check_vectors(vectors, num_vars), num_vars)
 
     @staticmethod
     def _from_trusted(vectors, num_vars: int) -> "MonomialIdeal":
@@ -255,23 +250,12 @@ class MonomialIdeal:
 
     def contains(self, a: Exponent) -> bool:
         """Is the monomial t^a in the ideal?"""
-        a = tuple(a)
-        if len(a) != self.num_vars:
-            raise DimensionMismatch(
-                f"monomial {a} has length {len(a)}, expected {self.num_vars}"
-            )
-        return any(divides(g, a) for g in self.gens)
+        return bool(_sift(_check_vectors((a,), self.num_vars, "monomial"), self.gens)[0])
 
     def __le__(self, other: "MonomialIdeal") -> bool:
         """Ideal inclusion: every generator of self lies in other."""
         self._check_compatible(other)
-        return not self._split(other)[1]
-
-    def _split(self, other: "MonomialIdeal"):
-        """The generators of self that lie in `other`, and those that do
-        not, each list in generator order.  Both ideals must live in the
-        same ring."""
-        return _sift(self.gens, other.gens)
+        return not _sift(self.gens, other.gens)[1]
 
     def _check_compatible(self, other: "MonomialIdeal"):
         if not isinstance(other, MonomialIdeal):
@@ -372,11 +356,7 @@ def power_contains(ideal: MonomialIdeal, a: Exponent, n: int) -> bool:
     p*a in I^{p*n} are scanned.
     """
     _check_power(n, "ideal power")
-    a = tuple(int(e) for e in a)
-    if len(a) != ideal.num_vars:
-        raise DimensionMismatch(
-            f"monomial {a} has length {len(a)}, expected {ideal.num_vars}"
-        )
+    (a,) = _check_vectors((a,), ideal.num_vars, "monomial")
     if ideal.is_unit():
         return True
     gens = ideal.gens
@@ -433,6 +413,15 @@ def _read_int(digits: str, lineno: int | None = None) -> int:
     except ValueError:
         pass
     _fail(lineno, f"an integer of {len(digits)} digits is too long")
+
+
+def _directives(text: str):
+    """(lineno, fields) for each line of a line-oriented format that keeps a
+    field once its `#` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, fields
 
 
 def _check_entry_counts(text: str):

@@ -53,7 +53,7 @@ from fractions import Fraction
 from .decomposition import IrreducibleDecomposition, irreducible_decomposition
 from .errors import DomainError, FormatError, ResourceLimitExceeded
 from .ideals import Exponent, MonomialIdeal, _check_bound, _powers, power_contains
-from .ideals import _check_power, _check_vectors, _fail, _read_int
+from .ideals import _check_power, _check_vectors, _directives, _fail, _read_int, _sift
 
 FractionVector = tuple[Fraction, ...]
 
@@ -71,7 +71,7 @@ class CoveringFormPolyhedron:
     def __post_init__(self):
         columns = tuple(tuple(Fraction(x) for x in c) for c in self.columns)
         object.__setattr__(self, "columns", columns)
-        _check_vectors(columns, self.num_vars, "column")
+        _check_vectors(columns, self.num_vars, "column", Fraction)
 
 
 def _dot(a, b):
@@ -300,7 +300,7 @@ def closure_gaps(ideal: MonomialIdeal, bound: int, **limits):
     powers = _powers(ideal, bound)
     vertices = enumerate_vertices(covering_polyhedron(ideal), **limits)
     for n, power in enumerate(powers, 1):
-        yield tuple(_closure_box_scan(ideal, vertices, n)._split(power)[1])
+        yield tuple(_sift(_closure_box_scan(ideal, vertices, n).gens, power.gens)[1])
 
 
 def is_normal_up_to(ideal: MonomialIdeal, bound: int) -> bool:
@@ -435,11 +435,7 @@ def parse_constraint_block(text: str) -> CoveringFormPolyhedron:
     expected: int | None = None
     seen = 0
     columns = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, fields in _directives(text):
         if fields[0] == "amb_space":
             if amb is not None:
                 _fail(lineno, "duplicate amb_space")

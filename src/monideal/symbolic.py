@@ -40,7 +40,7 @@ from .decomposition import (
     minimal_primes,
 )
 from .errors import ConsistencyError, DomainError
-from .ideals import Exponent, MonomialIdeal, _check_power, _powers, intersect_all
+from .ideals import Exponent, MonomialIdeal, _check_power, _powers, _sift, intersect_all
 
 
 def localize(ideal: MonomialIdeal, prime: MonomialPrime) -> MonomialIdeal:
@@ -126,7 +126,7 @@ class SymbolicPowerReport:
         # I^n lies in I^(n), so equal powers leave no witness to look for.
         if self.equal_min:
             return ()
-        return tuple(self.symbolic_min._split(self.ordinary)[1])
+        return tuple(_sift(self.symbolic_min.gens, self.ordinary.gens)[1])
 
 
 def compare_powers(ideal: MonomialIdeal, n: int) -> SymbolicPowerReport:

@@ -2,7 +2,8 @@
 
 They form sums and lcms of exponent vectors one pair at a time, as the
 products and intersections of ideals did before they worked column by
-column.  They recompute associated primes from the colon definition,
+column, and test divisibility one pair at a time, against the bitset
+kernel behind membership, inclusion and intersection.  They recompute associated primes from the colon definition,
 (I : t^f) = p, by scanning a box of exponent vectors, and the pure powers
 that generate the irreducible components, all together and one component
 at a time.  Containment between components is read off their exponents,
@@ -41,6 +42,11 @@ def vec_max(a: Exponent, b: Exponent) -> Exponent:
 def vec_sub_clamped(a: Exponent, b: Exponent) -> Exponent:
     """Exponent vector of t^a : t^b, clamping below at zero."""
     return tuple(x - y if x > y else 0 for x, y in zip(a, b))
+
+
+def divides(a: Exponent, b: Exponent) -> bool:
+    """Componentwise a <= b, i.e. t^a divides t^b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def naive_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:

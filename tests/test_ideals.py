@@ -14,7 +14,7 @@ from monideal.ideals import (
     PARSE_ENTRY_LIMIT,
     PARSE_VARIABLE_LIMIT,
     MonomialIdeal,
-    divides,
+    _sift,
     format_ideal,
     format_monomial,
     graded_lex_key,
@@ -27,7 +27,7 @@ from monideal.polyhedra import integral_closure_power
 from monideal.symbolic import symbolic_power_min
 
 from conftest import ideals, random_ideal
-from oracles import vec_add, vec_max, vec_sub_clamped
+from oracles import divides, vec_add, vec_max, vec_sub_clamped
 
 
 def test_vector_helpers():
@@ -500,8 +500,9 @@ def test_split_matches_tuple_divisibility(pair):
     J, K = pair
     inside = [u for u in J.gens if any(divides(v, u) for v in K.gens)]
     outside = [u for u in J.gens if u not in inside]
-    assert J._split(K) == (inside, outside)
+    assert _sift(J.gens, K.gens) == (inside, outside)
     assert (J <= K) == (not outside)
+    assert [u for u in J.gens if K.contains(u)] == inside
 
 
 @given(ideal_pairs())
@@ -539,7 +540,7 @@ def test_kernel_at_the_byte_boundary():
         for A, B in ((J, K), (K, J)):
             inside = [u for u in A.gens if any(divides(v, u) for v in B.gens)]
             outside = [u for u in A.gens if u not in inside]
-            assert A._split(B) == (inside, outside)
+            assert _sift(A.gens, B.gens) == (inside, outside)
             assert (A <= B) == (not outside)
         assert J & K == naive_intersection(J, K)
         vectors = list(J.gens + K.gens)
@@ -570,18 +571,29 @@ def test_constructor_stores_a_list_of_generators_as_a_tuple():
 
 
 @pytest.mark.parametrize(
-    "gens",
-    [((1.0, 0),), ((1, 0), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (1, 0))],
+    "gens, entry_refusal",
+    [
+        (((1.0, 0),), "generator (1.0, 0) has a non-int entry"),
+        (((1, 0), (0, 1)), None),
+        (((1, 0), (1, 1)), None),
+        (((1, 0), (1, 0)), None),
+    ],
     ids=["float", "order", "not-minimal", "repeated"],
 )
-def test_constructor_refuses_generators_it_cannot_represent(gens):
-    message = (
+def test_constructor_refuses_generators_it_cannot_represent(gens, entry_refusal):
+    """A non-int entry is refused by from_gens as well, never coerced; a
+    vector list that is not canonical is refused by the constructor alone."""
+    message = entry_refusal or (
         f"generators {gens} are not the canonical minimal int vectors; "
         "build the ideal with MonomialIdeal.from_gens"
     )
     with pytest.raises(ValueError, match=re.escape(message)):
         MonomialIdeal(2, gens)
-    assert MonomialIdeal.from_gens(gens, 2).gens in {((1, 0),), ((0, 1), (1, 0))}
+    if entry_refusal:
+        with pytest.raises(ValueError, match=re.escape(entry_refusal)):
+            MonomialIdeal.from_gens(gens, 2)
+    else:
+        assert MonomialIdeal.from_gens(gens, 2).gens in {((1, 0),), ((0, 1), (1, 0))}
 
 
 def test_from_gens_refuses_a_ring_without_variables():
