@@ -54,8 +54,8 @@ class WeightedOrientedGraph:
 
     def __post_init__(self):
         s = self.num_vertices
-        if s < 1:
-            raise ValueError(f"need at least one vertex, got {s}")
+        if not isinstance(s, int) or s < 1:
+            raise ValueError(f"need an int count of at least one vertex, got {s!r}")
         if len(self.weights) != s:
             raise ValueError(
                 f"got {len(self.weights)} weights for {s} vertices"
@@ -63,7 +63,11 @@ class WeightedOrientedGraph:
         for w in self.weights:
             if not isinstance(w, int) or w < 1:
                 raise ValueError(f"weights must be positive integers, got {w!r}")
-        object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
+        edges = tuple(self.edges)
+        for e in edges:
+            if not isinstance(e, (tuple, list)) or len(e) != 2:
+                raise ValueError(f"edge {e!r} is not a pair of vertices")
+        object.__setattr__(self, "edges", frozenset(map(tuple, edges)))
         out: dict[int, set[int]] = {}
         into: dict[int, set[int]] = {}
         for i, j in self.edges:
@@ -101,9 +105,7 @@ class WeightedOrientedGraph:
             weights = tuple(weights.get(v, 1) for v in range(1, num_vertices + 1))
         else:
             weights = tuple(weights)
-        return WeightedOrientedGraph(
-            num_vertices, frozenset((int(i), int(j)) for i, j in edges), weights
-        )
+        return WeightedOrientedGraph(num_vertices, edges, weights)
 
     def weight(self, v: int) -> int:
         return self.weights[v - 1]

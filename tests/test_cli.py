@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import re
 import sys
 import tracemalloc
 
@@ -421,6 +422,15 @@ def test_each_command_parses_its_own_arguments(command, capsys, monkeypatch):
     args = cli.build_parser().parse_args([command, "x"] if command != "examples" else [command])
     assert args.command == command and args.json is False
     assert args.handler is getattr(cli, "_cmd_" + command.replace("-", "_"))
+
+
+def test_top_level_help_lists_the_commands_in_order(capsys, monkeypatch):
+    """The command table's rows give the order of the top-level help."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    listed = re.findall(r"^    (\S+) +\S", capsys.readouterr().out, flags=re.M)
+    assert listed == list(USAGE_LINES)
 
 
 def test_main_builds_only_the_named_sub_parser(workdir, capsys, monkeypatch):

@@ -31,6 +31,10 @@ INPUTS = {
     "ex55.ideal": EX55_IDEAL,
     "ex55.graph": EX55_GRAPH,
     "block.in": VERTEX_BLOCK,
+    # The same block, led by a comment and broken by blank lines and trailing
+    # comments: poly-vertices still reads it as a constraint block.
+    "commented-block.in": "# the 4-cycle's covering polyhedron\n\n"
+    + "".join(f"{line}  # row {k}\n\n" for k, line in enumerate(VERTEX_BLOCK.splitlines())),
     "edgeless.graph": "vertices 3\nweights 1 2 1\n",
     "triangle.graph": "vertices 3\nweights 1 2 1\nedge 1 2\nedge 2 3\nedge 1 3\n",
     # Vertex 1 is a source of weight 5, which I(D) never reads.
@@ -78,6 +82,7 @@ CASES = [
     ("poly-vertices-ex51", ["poly-vertices", "ex51.ideal"]),
     ("poly-vertices-block", ["poly-vertices", "block.in"]),
     ("poly-vertices-block-normaliz", ["poly-vertices", "block.in", "--normaliz-format"]),
+    ("poly-vertices-commented-block", ["poly-vertices", "commented-block.in"]),
     ("newton-ex51", ["newton", "ex51.ideal"]),
     # 5 generators but 26 vertices of Q(I): the vertex test reads all 26
     # columns of the Newton description, beyond the column limit.

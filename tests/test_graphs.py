@@ -1,5 +1,6 @@
 """Weighted oriented graphs: covers, edge ideals, duality, classification."""
 
+import re
 from dataclasses import asdict
 from itertools import combinations
 
@@ -70,6 +71,30 @@ def test_constructor_refuses_non_integer_endpoints():
     """A float endpoint would index no exponent vector in edge_ideal."""
     with pytest.raises(ValueError, match=r"edge \(1.0, 2\) needs integer endpoints"):
         WeightedOrientedGraph(3, frozenset({(1.0, 2)}), (1, 1, 1))
+
+
+@pytest.mark.parametrize("edge", [(1.5, 2), ("1", 2)], ids=["float", "str"])
+def test_build_passes_edges_through_uncoerced(edge):
+    """build hands its edges to the constructor as given, so an endpoint
+    that is no int is refused there, not rounded or parsed into one."""
+    message = f"edge ({edge[0]!r}, {edge[1]!r}) needs integer endpoints"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        WeightedOrientedGraph.build(3, [edge])
+
+
+@pytest.mark.parametrize(
+    "num_vertices, edges, message",
+    [
+        (3.0, [(1, 2)], "need an int count of at least one vertex, got 3.0"),
+        (3, [1], "edge 1 is not a pair of vertices"),
+    ],
+    ids=["float-count", "bare-edge"],
+)
+def test_constructor_refuses_untyped_input(num_vertices, edges, message):
+    """A vertex count that is no int, or an edge that is no pair, is a
+    ValueError naming it, not a TypeError from deeper in the graph."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        WeightedOrientedGraph(num_vertices, edges, (1, 2, 1))
 
 
 def test_constructor_freezes_an_edge_list():
@@ -508,6 +533,26 @@ def test_parse_graph_refusals(text, error, message):
     with pytest.raises(error) as info:
         parse_graph(text)
     assert str(info.value) == message
+
+
+def test_parse_graph_skips_blank_and_comment_lines():
+    """Blank and whitespace-only lines, whole-line comments and trailing
+    comments hold no field, so the graph parses as its clean form; error
+    messages still count every line."""
+    clean = "vertices 3\nweights 1 2 1\nedge 1 2\nedge 2 3\n"
+    noisy = (
+        "# a weighted path\n\n   \n\t\n"
+        "vertices 3   # three vertices\n"
+        "  # the weights come before the edges\n"
+        "weights 1 2 1#no space before this comment\n"
+        "\n"
+        "edge 1 2\n"
+        "edge 2 3 # the last edge\n"
+        "   \n"
+    )
+    assert parse_graph(noisy) == parse_graph(clean)
+    with pytest.raises(FormatError, match="^line 4: self loop at vertex 1$"):
+        parse_graph("# a loop\n\nvertices 3\nedge 1 1  # here\n")
 
 
 def test_parse_graph_reads_a_long_path():

@@ -22,8 +22,8 @@ from monideal.ideals import (
     parse_ideal,
     power_contains,
 )
-from monideal.decomposition import irreducible_decomposition
-from monideal.polyhedra import integral_closure_power
+from monideal.decomposition import IrreducibleIdeal, irreducible_decomposition
+from monideal.polyhedra import CoveringFormPolyhedron, integral_closure_power
 from monideal.symbolic import symbolic_power_min
 
 from conftest import ideals, random_ideal
@@ -594,6 +594,52 @@ def test_constructor_refuses_generators_it_cannot_represent(gens, entry_refusal)
             MonomialIdeal.from_gens(gens, 2)
     else:
         assert MonomialIdeal.from_gens(gens, 2).gens in {((1, 0),), ((0, 1), (1, 0))}
+
+
+NOT_AN_INT_COUNT = "need an int count of at least one variable, got 2.0"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MonomialIdeal.from_gens([(1.5, 1)], 2), "generator (1.5, 1) has a non-int entry"),
+        (lambda: MonomialIdeal.from_gens([(1, 1)], 2.0), NOT_AN_INT_COUNT),
+        (lambda: MonomialIdeal(2, ((1.5, 1),)), "generator (1.5, 1) has a non-int entry"),
+        (lambda: MonomialIdeal(2.0, ((1, 1),)), NOT_AN_INT_COUNT),
+        (lambda: IrreducibleIdeal(2, (1.5, 1)), "alpha (1.5, 1) has a non-int entry"),
+        (lambda: IrreducibleIdeal(2.0, (1, 1)), NOT_AN_INT_COUNT),
+        (lambda: CoveringFormPolyhedron(2.0, [(1, 1)]), NOT_AN_INT_COUNT),
+        (lambda: parse_ideal("t1*t2").contains((1.5, 1)), "monomial (1.5, 1) has a non-int entry"),
+        (lambda: parse_ideal("t1*t2").contains((-1, 1)), "monomial (-1, 1) has a negative exponent"),
+        (
+            lambda: power_contains(parse_ideal("t1*t2"), (1.5, 1), 1),
+            "monomial (1.5, 1) has a non-int entry",
+        ),
+        (
+            lambda: power_contains(parse_ideal("t1*t2"), (-1, 1), 1),
+            "monomial (-1, 1) has a negative exponent",
+        ),
+    ],
+    ids=[
+        "from_gens-float-entry",
+        "from_gens-float-count",
+        "constructor-float-entry",
+        "constructor-float-count",
+        "irreducible-float-entry",
+        "irreducible-float-count",
+        "polyhedron-float-count",
+        "contains-float-entry",
+        "contains-negative-entry",
+        "power_contains-float-entry",
+        "power_contains-negative-entry",
+    ],
+)
+def test_outside_vectors_are_refused_not_coerced(build, message):
+    """Every vector from outside passes the one check: an entry or a
+    variable count that is no int is refused, never rounded, and a
+    monomial asked about must be an exponent vector too."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_from_gens_refuses_a_ring_without_variables():

@@ -550,6 +550,24 @@ def test_constraint_block_round_trip():
     assert parse_constraint_block(block) == poly
 
 
+def test_parse_constraint_block_skips_blank_and_comment_lines():
+    """Blank and whitespace-only lines, whole-line comments and trailing
+    comments hold no field, so the block parses as its clean form."""
+    clean = "amb_space 2\nconstraints 3\n1 0 >= 0\n1 2 >= 1\n2 1 >= 1\n"
+    noisy = (
+        "# a covering-form block\n\n  \n"
+        "amb_space 2   # the dimension\n"
+        "\t\n"
+        "constraints 3\n"
+        "   # the rows\n"
+        "1 0 >= 0\n"
+        "1 2 >= 1 # first column\n"
+        "2 1 >= 1#second column\n"
+        "\n"
+    )
+    assert parse_constraint_block(noisy) == parse_constraint_block(clean)
+
+
 def test_constraint_block_skips_output_keywords():
     text = (
         "amb_space 2\n"
