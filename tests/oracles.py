@@ -3,9 +3,10 @@
 They form sums and lcms of exponent vectors one pair at a time, as the
 products and intersections of ideals did before they worked column by
 column, and test divisibility one pair at a time, against the bitset
-kernel behind membership, inclusion and intersection.  They recompute associated primes from the colon definition,
-(I : t^f) = p, by scanning a box of exponent vectors, and the pure powers
-that generate the irreducible components, all together and one component
+kernel behind membership, inclusion and intersection.  They recompute
+associated primes from the colon definition, (I : t^f) = p, by scanning a
+box of exponent vectors, and the pure powers that generate the irreducible
+components, all together and one component
 at a time.  Containment between components is read off their exponents,
 one pair at a time.  Vertex covers and their minimality are read off the
 edges, membership in a covering-form polyhedron off its inequalities, and the
