@@ -99,6 +99,8 @@ CASES = [
     # Equal up to n = 2 while (b) and (c) fail: the powers differ at n = 3.
     ("thm41-c5", ["thm41", "c5.ideal", "--max-n", "2"]),
     ("thm41-dual52", ["thm41", "dual52.ideal", "--max-n", "2"]),
+    # Every fixture's checks: all 71 labels, their order and the summary line.
+    ("examples-all", ["examples"]),
     ("examples-triangle-sink", ["examples", "triangle_sink"]),
     ("examples-list", ["examples", "--list"]),
     ("examples-show", ["examples", "seven_cycle", "--show"]),
