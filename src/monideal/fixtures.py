@@ -4,16 +4,24 @@ Each fixture is a graph whose edge ideal exercises one corner of the
 power-equality story: both classification conditions holding, each one
 failing separately, embedded primes, and the smallest odd cycle whose
 powers only go wrong at n = 4.  The expected values recorded next to each
-builder were computed by hand (decompositions by repeated generator
-splitting, symbolic powers through the localizations, polyhedron vertices
-from the tight-constraint systems) and the test suite holds the code to
-them exactly.
+builder, or in its rows, were computed by hand (decompositions by repeated
+generator splitting, symbolic powers through the localizations, polyhedron
+vertices from the tight-constraint systems) and the test suite holds the
+code to them exactly.
+
+The checks are one table read by one evaluator.  `_TABLE` holds each
+fixture's rows (label, probe, args, expected), and a row holds when the
+probe, looked up in the shared `_PROBES`, returns the expected value.
+`fixture_checks` evaluates a fixture's rows over its facts (edge ideal,
+decomposition, `classify` report, dual, closure, one power walk), each
+computed at most once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .decomposition import (
     MonomialPrime,
@@ -40,7 +48,7 @@ from .polyhedra import (
     is_normal_up_to,
     polyhedral_conditions_check,
 )
-from .symbolic import compare_powers, compare_powers_up_to, localize, max_ass
+from .symbolic import compare_powers_up_to, localize, max_ass
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,6 @@ TRIANGLE_CYCLE = NamedGraph(
     WeightedOrientedGraph.build(3, [(1, 2), (2, 3), (3, 1)], {1: 2, 2: 2, 3: 2}),
 )
 
-TRIANGLE_CYCLE_IDEAL_GENS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 TRIANGLE_CYCLE_DEC_ALPHAS = ((0, 2, 1), (1, 0, 2), (2, 1, 0), (2, 2, 2))
 TRIANGLE_CYCLE_STRONG_COVERS = ((1, 2), (1, 3), (2, 3), (1, 2, 3))
 TRIANGLE_CYCLE_MIN_SUPPORTS = frozenset(
@@ -130,7 +137,6 @@ TRIANGLE_NONSINK = NamedGraph(
     WeightedOrientedGraph.build(3, [(1, 2), (2, 3), (1, 3)], {2: 2}),
 )
 
-TRIANGLE_NONSINK_IDEAL_GENS = ((0, 1, 1), (1, 0, 1), (1, 2, 0))
 TRIANGLE_NONSINK_DEC_ALPHAS = ((1, 0, 1), (1, 1, 0), (0, 2, 1))
 TRIANGLE_NONSINK_SQUARE_WITNESS = (1, 2, 1)
 
@@ -142,7 +148,6 @@ TRIANGLE_SINK = NamedGraph(
     WeightedOrientedGraph.build(3, [(2, 1), (3, 1), (2, 3)], {1: 2}),
 )
 
-TRIANGLE_SINK_IDEAL_GENS = ((0, 1, 1), (2, 0, 1), (2, 1, 0))
 TRIANGLE_SINK_DEC_ALPHAS = ((0, 1, 1), (2, 0, 1), (2, 1, 0))
 TRIANGLE_SINK_SQUARE_WITNESS = (2, 1, 1)
 
@@ -155,10 +160,7 @@ PATH_MIDDLE = NamedGraph(
     WeightedOrientedGraph.build(3, [(1, 2), (2, 3)], {2: 2}),
 )
 
-PATH_MIDDLE_IDEAL_GENS = ((0, 1, 1), (1, 2, 0))
 PATH_MIDDLE_DEC_ALPHAS = ((0, 1, 0), (1, 0, 1), (0, 2, 1))
-PATH_MIDDLE_MIN_SUPPORTS = frozenset({frozenset({2}), frozenset({1, 3})})
-PATH_MIDDLE_EMBEDDED_SUPPORTS = frozenset({frozenset({2, 3})})
 PATH_MIDDLE_MAX_ASS_SUPPORTS = frozenset({frozenset({2, 3}), frozenset({1, 3})})
 # localizations at the two maximal associated primes
 PATH_MIDDLE_LOCALIZED_23 = ((0, 1, 1), (0, 2, 0))
@@ -197,285 +199,195 @@ def fixture(name: str) -> NamedGraph:
     raise UnknownFixture(f"no fixture named {name!r} (known: {known})")
 
 
-# ------------------------------------------------------------ check lists
+# ------------------------------------------------------------- check table
 #
-# Each fixture carries a list of (label, holds) assertions tying the code
-# to the expected values above.  The CLI `examples` command prints them as
-# PASS/FAIL lines and the acceptance tests require every one to hold.
+# A row (label, probe, args, expected) of `_TABLE` holds when
+# `_PROBES[probe](facts, *args) == expected`, where the facts are the
+# objects a fixture's rows share (`_FACTS`).  The CLI `examples` command
+# prints the rows as PASS/FAIL lines and the acceptance tests require every
+# one to hold.
+
+_FACTS = {
+    "ideal": lambda f: edge_ideal(f.graph),
+    "dec": lambda f: irreducible_decomposition(f.ideal),
+    "report": lambda f: classify(f.graph),
+    "dual": lambda f: alexander_dual(f.graph),
+    "dual_vertices": lambda f: enumerate_vertices(covering_polyhedron(f.dual.ideal)),
+    "closure": lambda f: integral_closure_power(f.ideal, 1),
+    # the reports of one walk to the fixture's largest n, keyed by n
+    "powers": lambda f: {rep.n: rep for rep in compare_powers_up_to(f.ideal, f.max_n)},
+}
 
 
-def _four_cycle_checks():
-    graph = FOUR_CYCLE_SINKS.graph
-    ideal = edge_ideal(graph)
-    dec = irreducible_decomposition(ideal)
-    dual = alexander_dual(graph)
-    dual_vertices = enumerate_vertices(covering_polyhedron(dual.ideal))
-    closure = integral_closure_power(ideal, 1)
-    report = classify(graph)
-    checks = [
-        ("edge ideal generators", ideal.gens == FOUR_CYCLE_IDEAL_GENS),
-        ("two-component decomposition", dec.alphas() == FOUR_CYCLE_DEC_ALPHAS),
-        (
-            "strong covers",
-            tuple(tuple(sorted(p.cover)) for p in strong_covers(graph))
-            == FOUR_CYCLE_STRONG_COVERS,
-        ),
-        ("cover decomposition matches splitting", decomposition_via_covers(graph) == dec),
-        (
-            "covering polyhedron vertices",
-            enumerate_vertices(covering_polyhedron(ideal)) == FOUR_CYCLE_Q_VERTICES,
-        ),
-        (
-            "t1*t2*t4 joins the closure of I",
-            closure.contains((1, 1, 0, 1)) and not ideal.contains((1, 1, 0, 1)),
-        ),
-        ("closure of I generators", closure.gens == FOUR_CYCLE_CLOSURE_GENS),
-        ("dual ideal generators", dual.ideal.gens == FOUR_CYCLE_DUAL_GENS),
-        (
-            "dual has four components",
-            dual.decomposition.alphas() == FOUR_CYCLE_DUAL_COMPONENT_ALPHAS,
-        ),
-        (
-            "dual decomposition recomputed",
-            irreducible_decomposition(dual.ideal) == dual.decomposition,
-        ),
-        (
-            "dual covering polyhedron vertices",
-            dual_vertices == FOUR_CYCLE_DUAL_Q_VERTICES,
-        ),
-        ("dual normal up to 3", is_normal_up_to(dual.ideal, 3)),
-        (
-            # NP(I) == IP(I) iff V <= C; see the polyhedra module docstring.
-            "dual Newton equals irreducible polyhedron",
-            set(dual_vertices) <= set(irreducible_polyhedron(dual.decomposition).columns),
-        ),
-        (
-            "classified square/all-powers/ntf",
-            report.square and report.all_powers and report.ntf is True,
-        ),
-    ]
-    for rep in compare_powers_up_to(ideal, 4):
-        checks.append((f"powers agree at n={rep.n}", rep.equal_min and rep.equal_ass))
-    for label, target in (("I", ideal), ("J", dual.ideal)):
-        cond = polyhedral_conditions_check(target, 2, powers_equal=True)
-        checks.append(
-            (
-                f"polyhedral conditions (a)(b)(c) for {label}",
-                bool(
-                    cond.minimal
-                    and cond.closure_intersections
-                    and cond.newton_equals_irreducible
-                    and cond.vertices_are_component_inverses
-                    and cond.consistent
-                ),
-            )
-        )
-    return checks
+class _Facts:
+    """One fixture's facts: each is computed on first read and then stored,
+    so a `fixture_checks` call computes it at most once."""
+
+    def __init__(self, graph: WeightedOrientedGraph, max_n: int):
+        self.graph = graph
+        self.max_n = max_n
+
+    def __getattr__(self, name):
+        if name not in _FACTS:
+            raise AttributeError(name)
+        value = self.__dict__[name] = _FACTS[name](self)
+        return value
 
 
-def _triangle_cycle_checks():
-    graph = TRIANGLE_CYCLE.graph
-    ideal = edge_ideal(graph)
-    dec = irreducible_decomposition(ideal)
-    reps = list(compare_powers_up_to(ideal, 3))
-    rep2 = reps[1]
-    report = classify(graph)
-    witness = non_sink_witness(graph)
-    checks = [
-        ("edge ideal generators", ideal.gens == TRIANGLE_CYCLE_IDEAL_GENS),
-        ("four-component decomposition", dec.alphas() == TRIANGLE_CYCLE_DEC_ALPHAS),
-        (
-            "strong covers include the whole vertex set",
-            tuple(tuple(sorted(p.cover)) for p in strong_covers(graph))
-            == TRIANGLE_CYCLE_STRONG_COVERS,
-        ),
-        ("cover decomposition matches splitting", decomposition_via_covers(graph) == dec),
-        (
-            "minimal primes",
-            {p.support for p in minimal_primes(ideal)} == TRIANGLE_CYCLE_MIN_SUPPORTS,
-        ),
-        (
-            "embedded primes",
-            {p.support for p in embedded_primes(ideal)}
-            == TRIANGLE_CYCLE_EMBEDDED_SUPPORTS,
-        ),
-        ("full prime associated via all three criteria", irrelevant_in_ass(graph)),
-        ("first symbolic power exceeds I", reps[0].symbolic_min != ideal),
-        (
-            "symbolic square generators",
-            rep2.symbolic_min.gens == TRIANGLE_CYCLE_SYMBOLIC_SQUARE,
-        ),
-        (
-            "square witnesses",
-            not rep2.equal_min and rep2.witnesses == TRIANGLE_CYCLE_SQUARE_WITNESSES,
-        ),
-        (
-            "non-sink witness monomial",
-            witness == (2, 2, 1) and witness in rep2.witnesses,
-        ),
-        (
-            "classified with embedded primes",
-            not report.square
-            and not report.all_powers
-            and report.ntf is None
-            and report.has_embedded_primes is True,
-        ),
-    ]
-    for rep in reps:
-        checks.append((f"I<{rep.n}> equals I^{rep.n}", rep.equal_ass))
-    return checks
+def _separates(facts, n, m):
+    rep = facts.powers[n]
+    return rep.equal_min, m in rep.witnesses, rep.ordinary.contains(m)
 
 
-def _triangle_nonsink_checks():
-    graph = TRIANGLE_NONSINK.graph
-    ideal = edge_ideal(graph)
-    dec = irreducible_decomposition(ideal)
-    rep2 = compare_powers(ideal, 2)
-    report = classify(graph)
-    wit = TRIANGLE_NONSINK_SQUARE_WITNESS
-    return [
-        ("edge ideal generators", ideal.gens == TRIANGLE_NONSINK_IDEAL_GENS),
-        ("decomposition", dec.alphas() == TRIANGLE_NONSINK_DEC_ALPHAS),
-        ("cover decomposition matches splitting", decomposition_via_covers(graph) == dec),
-        ("no embedded primes", not embedded_primes(ideal)),
-        (
-            "t1*t2^2*t3 separates the squares",
-            not rep2.equal_min
-            and wit in rep2.witnesses
-            and not rep2.ordinary.contains(wit),
-        ),
-        ("witness from the heavy non-sink", non_sink_witness(graph) == wit),
-        (
-            "square fails with a heavy non-sink cause",
-            not report.square and report.heavy_non_sinks == (2,),
-        ),
-        ("not torsion-free", report.ntf is False),
-    ]
+def _non_sink_witness(facts, n):
+    w = non_sink_witness(facts.graph)
+    return w, w in facts.powers[n].witnesses
 
 
-def _triangle_sink_checks():
-    graph = TRIANGLE_SINK.graph
-    ideal = edge_ideal(graph)
-    dec = irreducible_decomposition(ideal)
-    rep2 = compare_powers(ideal, 2)
-    report = classify(graph)
-    wit = TRIANGLE_SINK_SQUARE_WITNESS
-    return [
-        ("edge ideal generators", ideal.gens == TRIANGLE_SINK_IDEAL_GENS),
-        ("decomposition", dec.alphas() == TRIANGLE_SINK_DEC_ALPHAS),
-        ("cover decomposition matches splitting", decomposition_via_covers(graph) == dec),
-        (
-            "t1^2*t2*t3 separates the squares",
-            not rep2.equal_min
-            and wit in rep2.witnesses
-            and not rep2.ordinary.contains(wit),
-        ),
-        (
-            "heavy vertex is a sink",
-            graph.weights == (2, 1, 1) and report.all_heavy_are_sinks,
-        ),
-        (
-            "square fails through the triangle alone",
-            not report.square and report.has_triangle and not report.heavy_non_sinks,
-        ),
-        ("no witness from non-sinks", non_sink_witness(graph) is None),
-    ]
+_CONDITIONS = ("minimal", "closure_intersections", "newton_equals_irreducible",
+               "vertices_are_component_inverses", "consistent")
 
+# `read` takes dotted paths from the facts, `power` from the report at n:
+# one path reads its value, several a tuple of their values.
+_PROBES = {
+    "read": lambda f, *paths: attrgetter(*paths)(f),
+    "power": lambda f, n, *paths: attrgetter(*paths)(f.powers[n]),
+    "alphas": lambda f, path: attrgetter(path)(f).alphas(),
+    "covers": lambda f: tuple(tuple(sorted(p.cover)) for p in strong_covers(f.graph)),
+    "cover sizes": lambda f: tuple(len(p.cover) for p in strong_covers(f.graph)),
+    "cover route": lambda f: decomposition_via_covers(f.graph) == f.dec,
+    "supports": lambda f, primes: {p.support for p in primes(f.ideal)},
+    "localized": lambda f, *support: localize(
+        f.ideal, MonomialPrime(f.graph.num_vertices, frozenset(support))
+    ).gens,
+    "vertices": lambda f: enumerate_vertices(covering_polyhedron(f.ideal)),
+    # (m in the closure of I, m in I)
+    "closure joins": lambda f, m: (f.closure.contains(m), f.ideal.contains(m)),
+    "dual recomputed": lambda f: irreducible_decomposition(f.dual.ideal) == f.dual.decomposition,
+    "dual normal": lambda f, n: is_normal_up_to(f.dual.ideal, n),
+    # NP(J) == IP(J) iff V <= C; see the polyhedra module docstring.
+    "dual newton": lambda f: set(f.dual_vertices) <= set(
+        irreducible_polyhedron(f.dual.decomposition).columns
+    ),
+    "irrelevant prime": lambda f: irrelevant_in_ass(f.graph),
+    "symbolic exceeds I": lambda f, n: f.powers[n].symbolic_min != f.ideal,
+    # (equal_min at n, m a witness at n, m in I^n)
+    "separates": _separates,
+    # (the non-sink witness, whether it is a witness at n)
+    "non-sink witness": _non_sink_witness,
+    "conditions": lambda f, path: attrgetter(*_CONDITIONS)(
+        polyhedral_conditions_check(attrgetter(path)(f), 2, powers_equal=True)
+    ),
+}
 
-def _path_middle_checks():
-    graph = PATH_MIDDLE.graph
-    ideal = edge_ideal(graph)
-    dec = irreducible_decomposition(ideal)
-    reps = list(compare_powers_up_to(ideal, 3))
-    rep2 = reps[1]
-    report = classify(graph)
-    p23 = MonomialPrime(3, frozenset({2, 3}))
-    p13 = MonomialPrime(3, frozenset({1, 3}))
-    checks = [
-        ("edge ideal generators", ideal.gens == PATH_MIDDLE_IDEAL_GENS),
-        ("three-component decomposition", dec.alphas() == PATH_MIDDLE_DEC_ALPHAS),
-        ("cover decomposition matches splitting", decomposition_via_covers(graph) == dec),
-        (
-            "minimal primes",
-            {p.support for p in minimal_primes(ideal)} == PATH_MIDDLE_MIN_SUPPORTS,
-        ),
-        (
-            "embedded primes",
-            {p.support for p in embedded_primes(ideal)} == PATH_MIDDLE_EMBEDDED_SUPPORTS,
-        ),
-        (
-            "maximal associated primes",
-            {p.support for p in max_ass(ideal)} == PATH_MIDDLE_MAX_ASS_SUPPORTS,
-        ),
-        (
-            "localization at (t2, t3)",
-            localize(ideal, p23).gens == PATH_MIDDLE_LOCALIZED_23,
-        ),
-        (
-            "localization at (t1, t3)",
-            localize(ideal, p13).gens == PATH_MIDDLE_LOCALIZED_13,
-        ),
-        (
-            "symbolic square and witnesses",
-            rep2.witnesses == PATH_MIDDLE_SQUARE_WITNESSES
-            and rep2.symbolic_min.gens == PATH_MIDDLE_SYMBOLIC_SQUARE,
-        ),
-        (
-            "t1*t2^2*t3 separates the squares",
-            not rep2.equal_min and (1, 2, 1) in rep2.witnesses,
-        ),
-        (
-            "classified with embedded primes",
-            not report.square and report.ntf is None and report.has_embedded_primes,
-        ),
-    ]
-    for rep in reps:
-        checks.append((f"I<{rep.n}> equals I^{rep.n}", rep.equal_ass))
-    return checks
+_ROUTE = ("cover decomposition matches splitting", "cover route", (), True)
+_SEPARATED = (False, True, False)
 
-
-def _seven_cycle_checks():
-    graph = SEVEN_CYCLE.graph
-    ideal = edge_ideal(graph)
-    covers = strong_covers(graph)
-    *agree, rep4 = compare_powers_up_to(ideal, SEVEN_CYCLE_FIRST_FAILURE)
-    report = classify(graph)
-    checks = [
-        (
-            "seven strong covers of size four",
-            len(covers) == SEVEN_CYCLE_COVER_COUNT
-            and all(len(p.cover) == 4 for p in covers),
-        ),
-        (
-            "cover decomposition matches splitting",
-            decomposition_via_covers(graph) == irreducible_decomposition(ideal),
-        ),
-        (
-            "failure at n=4 with the all-ones witness",
-            not rep4.equal_min and rep4.witnesses == (SEVEN_CYCLE_WITNESS,),
-        ),
-        (
-            "triangle-free non-bipartite classification",
-            report.square and not report.all_powers and report.odd_girth == 7,
-        ),
-    ]
-    for rep in agree:
-        checks.append((f"powers agree at n={rep.n}", rep.equal_min))
-    return checks
-
-
-_CHECKS = {
-    "four_cycle_sinks": _four_cycle_checks,
-    "triangle_cycle": _triangle_cycle_checks,
-    "triangle_nonsink": _triangle_nonsink_checks,
-    "triangle_sink": _triangle_sink_checks,
-    "path_middle": _path_middle_checks,
-    "seven_cycle": _seven_cycle_checks,
+# name -> (largest n of the power walk, rows in output order)
+_TABLE = {
+    "four_cycle_sinks": (4, (
+        ("edge ideal generators", "read", ("ideal.gens",), FOUR_CYCLE_IDEAL_GENS),
+        ("two-component decomposition", "alphas", ("dec",), FOUR_CYCLE_DEC_ALPHAS),
+        ("strong covers", "covers", (), FOUR_CYCLE_STRONG_COVERS),
+        _ROUTE,
+        ("covering polyhedron vertices", "vertices", (), FOUR_CYCLE_Q_VERTICES),
+        ("t1*t2*t4 joins the closure of I", "closure joins", ((1, 1, 0, 1),), (True, False)),
+        ("closure of I generators", "read", ("closure.gens",), FOUR_CYCLE_CLOSURE_GENS),
+        ("dual ideal generators", "read", ("dual.ideal.gens",), FOUR_CYCLE_DUAL_GENS),
+        ("dual has four components", "alphas", ("dual.decomposition",),
+         FOUR_CYCLE_DUAL_COMPONENT_ALPHAS),
+        ("dual decomposition recomputed", "dual recomputed", (), True),
+        ("dual covering polyhedron vertices", "read", ("dual_vertices",),
+         FOUR_CYCLE_DUAL_Q_VERTICES),
+        ("dual normal up to 3", "dual normal", (3,), True),
+        ("dual Newton equals irreducible polyhedron", "dual newton", (), True),
+        ("classified square/all-powers/ntf", "read",
+         ("report.square", "report.all_powers", "report.ntf"), (True, True, True)),
+        *((f"powers agree at n={n}", "power", (n, "equal_min", "equal_ass"), (True, True))
+          for n in range(1, 5)),
+        *((f"polyhedral conditions (a)(b)(c) for {label}", "conditions", (path,), (True,) * 5)
+          for label, path in (("I", "ideal"), ("J", "dual.ideal"))),
+    )),
+    "triangle_cycle": (3, (
+        ("edge ideal generators", "read", ("ideal.gens",), ((0, 1, 2), (1, 2, 0), (2, 0, 1))),
+        ("four-component decomposition", "alphas", ("dec",), TRIANGLE_CYCLE_DEC_ALPHAS),
+        ("strong covers include the whole vertex set", "covers", (),
+         TRIANGLE_CYCLE_STRONG_COVERS),
+        _ROUTE,
+        ("minimal primes", "supports", (minimal_primes,), TRIANGLE_CYCLE_MIN_SUPPORTS),
+        ("embedded primes", "supports", (embedded_primes,), TRIANGLE_CYCLE_EMBEDDED_SUPPORTS),
+        ("full prime associated via all three criteria", "irrelevant prime", (), True),
+        ("first symbolic power exceeds I", "symbolic exceeds I", (1,), True),
+        ("symbolic square generators", "power", (2, "symbolic_min.gens"),
+         TRIANGLE_CYCLE_SYMBOLIC_SQUARE),
+        ("square witnesses", "power", (2, "equal_min", "witnesses"),
+         (False, TRIANGLE_CYCLE_SQUARE_WITNESSES)),
+        ("non-sink witness monomial", "non-sink witness", (2,), ((2, 2, 1), True)),
+        ("classified with embedded primes", "read",
+         ("report.square", "report.all_powers", "report.ntf", "report.has_embedded_primes"),
+         (False, False, None, True)),
+        *((f"I<{n}> equals I^{n}", "power", (n, "equal_ass"), True) for n in range(1, 4)),
+    )),
+    "triangle_nonsink": (2, (
+        ("edge ideal generators", "read", ("ideal.gens",), ((0, 1, 1), (1, 0, 1), (1, 2, 0))),
+        ("decomposition", "alphas", ("dec",), TRIANGLE_NONSINK_DEC_ALPHAS),
+        _ROUTE,
+        ("no embedded primes", "supports", (embedded_primes,), set()),
+        ("t1*t2^2*t3 separates the squares", "separates",
+         (2, TRIANGLE_NONSINK_SQUARE_WITNESS), _SEPARATED),
+        ("witness from the heavy non-sink", "non-sink witness", (2,),
+         (TRIANGLE_NONSINK_SQUARE_WITNESS, True)),
+        ("square fails with a heavy non-sink cause", "read",
+         ("report.square", "report.heavy_non_sinks"), (False, (2,))),
+        ("not torsion-free", "read", ("report.ntf",), False),
+    )),
+    "triangle_sink": (2, (
+        ("edge ideal generators", "read", ("ideal.gens",), ((0, 1, 1), (2, 0, 1), (2, 1, 0))),
+        ("decomposition", "alphas", ("dec",), TRIANGLE_SINK_DEC_ALPHAS),
+        _ROUTE,
+        ("t1^2*t2*t3 separates the squares", "separates",
+         (2, TRIANGLE_SINK_SQUARE_WITNESS), _SEPARATED),
+        ("heavy vertex is a sink", "read",
+         ("graph.weights", "report.all_heavy_are_sinks"), ((2, 1, 1), True)),
+        ("square fails through the triangle alone", "read",
+         ("report.square", "report.has_triangle", "report.heavy_non_sinks"), (False, True, ())),
+        ("no witness from non-sinks", "non-sink witness", (2,), (None, False)),
+    )),
+    "path_middle": (3, (
+        ("edge ideal generators", "read", ("ideal.gens",), ((0, 1, 1), (1, 2, 0))),
+        ("three-component decomposition", "alphas", ("dec",), PATH_MIDDLE_DEC_ALPHAS),
+        _ROUTE,
+        ("minimal primes", "supports", (minimal_primes,), {frozenset({2}), frozenset({1, 3})}),
+        ("embedded primes", "supports", (embedded_primes,), {frozenset({2, 3})}),
+        ("maximal associated primes", "supports", (max_ass,), PATH_MIDDLE_MAX_ASS_SUPPORTS),
+        ("localization at (t2, t3)", "localized", (2, 3), PATH_MIDDLE_LOCALIZED_23),
+        ("localization at (t1, t3)", "localized", (1, 3), PATH_MIDDLE_LOCALIZED_13),
+        ("symbolic square and witnesses", "power", (2, "witnesses", "symbolic_min.gens"),
+         (PATH_MIDDLE_SQUARE_WITNESSES, PATH_MIDDLE_SYMBOLIC_SQUARE)),
+        ("t1*t2^2*t3 separates the squares", "separates", (2, (1, 2, 1)), _SEPARATED),
+        ("classified with embedded primes", "read",
+         ("report.square", "report.ntf", "report.has_embedded_primes"), (False, None, True)),
+        *((f"I<{n}> equals I^{n}", "power", (n, "equal_ass"), True) for n in range(1, 4)),
+    )),
+    "seven_cycle": (SEVEN_CYCLE_FIRST_FAILURE, (
+        ("seven strong covers of size four", "cover sizes", (), (4,) * SEVEN_CYCLE_COVER_COUNT),
+        _ROUTE,
+        ("failure at n=4 with the all-ones witness", "power",
+         (SEVEN_CYCLE_FIRST_FAILURE, "equal_min", "witnesses"), (False, (SEVEN_CYCLE_WITNESS,))),
+        ("triangle-free non-bipartite classification", "read",
+         ("report.square", "report.all_powers", "report.odd_girth"), (True, False, 7)),
+        *((f"powers agree at n={n}", "power", (n, "equal_min"), True)
+          for n in range(1, SEVEN_CYCLE_FIRST_FAILURE)),
+    )),
 }
 
 
 def fixture_checks(name: str) -> tuple[tuple[str, bool], ...]:
     """(label, holds) pairs tying one fixture to its expected values."""
-    if name not in _CHECKS:
-        fixture(name)  # raises with the known names
-    return tuple((label, bool(ok)) for label, ok in _CHECKS[name]())
+    named = fixture(name)
+    max_n, rows = _TABLE[named.name]
+    facts = _Facts(named.graph, max_n)
+    return tuple(
+        (label, bool(_PROBES[probe](facts, *args) == expected))
+        for label, probe, args, expected in rows
+    )
