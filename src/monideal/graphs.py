@@ -39,6 +39,11 @@ DEFAULT_COVER_VERTEX_LIMIT = 22
 _NONE: frozenset[int] = frozenset()
 
 
+def _check_vertex_count(s):
+    if not isinstance(s, int) or s < 1:
+        raise ValueError(f"need an int count of at least one vertex, got {s!r}")
+
+
 @dataclass(frozen=True)
 class WeightedOrientedGraph:
     """Directed edges over vertices 1..num_vertices with vertex weights.
@@ -54,8 +59,7 @@ class WeightedOrientedGraph:
 
     def __post_init__(self):
         s = self.num_vertices
-        if not isinstance(s, int) or s < 1:
-            raise ValueError(f"need an int count of at least one vertex, got {s!r}")
+        _check_vertex_count(s)
         if len(self.weights) != s:
             raise ValueError(
                 f"got {len(self.weights)} weights for {s} vertices"
@@ -96,6 +100,7 @@ class WeightedOrientedGraph:
     def build(num_vertices, edges, weights=None) -> "WeightedOrientedGraph":
         """Construct from an edge list and either a full weight sequence or
         a {vertex: weight} mapping (unmentioned vertices get weight 1)."""
+        _check_vertex_count(num_vertices)  # before it sizes the weights
         if weights is None:
             weights = (1,) * num_vertices
         elif isinstance(weights, dict):

@@ -97,6 +97,17 @@ def test_constructor_refuses_untyped_input(num_vertices, edges, message):
         WeightedOrientedGraph(num_vertices, edges, (1, 2, 1))
 
 
+@pytest.mark.parametrize(
+    "weights", [None, {2: 2}, (1, 2, 1)], ids=["default", "mapping", "sequence"]
+)
+def test_build_refuses_a_float_count_before_forming_weights(weights):
+    """build checks the count as the constructor does, before it forms the
+    default or mapped weights from it, so no TypeError escapes."""
+    message = "need an int count of at least one vertex, got 3.0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        WeightedOrientedGraph.build(3.0, [(1, 2)], weights)
+
+
 def test_constructor_freezes_an_edge_list():
     """Edges passed as a list of tuples or lists are stored as a frozenset
     of tuples, so the graph hashes and equals the one build makes."""
