@@ -436,9 +436,7 @@ def parse_graph(text: str) -> WeightedOrientedGraph:
         if keyword == "vertices":
             if num_vertices is not None:
                 _fail(lineno, "duplicate 'vertices' line")
-            if len(args) != 1 or not args[0].isdigit():
-                _fail(lineno, "expected: vertices <count>")
-            num_vertices = _read_int(args[0], lineno)
+            num_vertices = _read_int(" ".join(args), lineno, "expected: vertices <count>")
             if num_vertices < 1:
                 _fail(lineno, "vertex count must be >= 1")
             if num_vertices > PARSE_VARIABLE_LIMIT:  # a variable of I(D) per vertex
@@ -455,19 +453,16 @@ def parse_graph(text: str) -> WeightedOrientedGraph:
                 _fail(lineno, "'weights' must come before the edges")
             if len(args) != num_vertices:
                 _fail(lineno, f"expected {num_vertices} weights, got {len(args)}")
-            try:
-                weights = tuple(int(a) for a in args)
-            except ValueError:
-                _fail(lineno, "weights must be integers")
+            weights = tuple(_read_int(a, lineno, "weights must be integers") for a in args)
             if any(w < 1 for w in weights):
                 _fail(lineno, "weights must be >= 1")
         elif keyword == "edge":
             if num_vertices is None:
                 _fail(lineno, "'edge' before 'vertices'")
-            try:
-                i, j = (int(a) for a in args)
-            except ValueError:
-                _fail(lineno, "expected: edge <from> <to>")
+            usage = "expected: edge <from> <to>"
+            if len(args) != 2:
+                _fail(lineno, usage)
+            i, j = (_read_int(a, lineno, usage) for a in args)
             for v in (i, j):
                 if not 1 <= v <= num_vertices:
                     _fail(lineno, f"vertex index {v} out of range (vertices={num_vertices})")

@@ -405,14 +405,27 @@ def _fail(lineno: int | None, message: str):
     raise FormatError(message if lineno is None else f"line {lineno}: {message}")
 
 
-def _read_int(digits: str, lineno: int | None = None) -> int:
-    """`int` of a token its format has matched as digits, refusing one past
-    the interpreter's limit on `int(str)` (4,300 digits by default)."""
+def _ascii(token: str, lineno: int | None) -> str:
+    """Refuse a number token with a character outside ASCII, naming it."""
+    if not token.isascii():
+        _fail(lineno, f"{token!r} is not written in ASCII digits 0-9")
+    return token
+
+
+def _read_int(token: str, lineno: int | None, usage: str) -> int:
+    """The integer a token spells in ASCII digits 0-9, the one digit rule of
+    the text formats.  `str.isdigit`, `\\d`, `int` and `Fraction` also take
+    other scripts' digits, so the formats' patterns only find the tokens,
+    and this and `_ascii` decide them.  A token of other ASCII characters
+    fails with its format's `usage`, and one past the interpreter's limit on
+    `int(str)` (4,300 digits by default) as too long."""
+    if not _ascii(token, lineno).isdigit():
+        _fail(lineno, usage)
     try:
-        return int(digits)
+        return int(token)
     except ValueError:
         pass
-    _fail(lineno, f"an integer of {len(digits)} digits is too long")
+    _fail(lineno, f"an integer of {len(token)} digits is too long")
 
 
 def _directives(text: str):
@@ -474,25 +487,21 @@ def _parse_term(term: str):
         if not term.endswith(")"):
             raise FormatError(f"malformed exponent vector {term!r}")
         body = term[1:-1].strip()
-        try:
-            vec = tuple(int(tok) for tok in body.split(",")) if body else ()
-        except ValueError:
-            raise FormatError(f"malformed exponent vector {term!r}") from None
-        if not vec:
+        if not body:
             raise FormatError(f"empty exponent vector {term!r}")
-        if any(e < 0 for e in vec):
-            raise FormatError(f"negative exponent in vector {term!r}")
-        return ("vec", vec)
+        malformed = f"malformed exponent vector {term!r}"
+        return ("vec", tuple(_read_int(tok.strip(), None, malformed) for tok in body.split(",")))
     if term == "1":
         return ("factors", [])
     factors = []
     for factor in term.split("*"):
         factor = factor.strip()
         m = _FACTOR_RE.match(factor)
+        malformed = f"malformed monomial factor {factor!r}"
         if not m:
-            raise FormatError(f"malformed monomial factor {factor!r}")
-        index = _read_int(m.group(1))
-        exp = _read_int(m.group(2)) if m.group(2) is not None else 1
+            raise FormatError(malformed)
+        index = _read_int(m.group(1), None, malformed)
+        exp = _read_int(m.group(2), None, malformed) if m.group(2) is not None else 1
         if index < 1:
             raise FormatError(f"variable index must be >= 1 in {factor!r}")
         factors.append((index, exp))

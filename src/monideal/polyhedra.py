@@ -53,7 +53,7 @@ from fractions import Fraction
 from .decomposition import IrreducibleDecomposition, irreducible_decomposition
 from .errors import DomainError, FormatError, ResourceLimitExceeded
 from .ideals import Exponent, MonomialIdeal, _check_bound, _powers, power_contains
-from .ideals import _check_power, _check_vectors, _directives, _fail, _read_int, _sift
+from .ideals import _ascii, _check_power, _check_vectors, _directives, _fail, _read_int, _sift
 
 FractionVector = tuple[Fraction, ...]
 
@@ -439,15 +439,13 @@ def parse_constraint_block(text: str) -> CoveringFormPolyhedron:
         if fields[0] == "amb_space":
             if amb is not None:
                 _fail(lineno, "duplicate amb_space")
-            amb = _read_int(fields[1], lineno) if len(fields) == 2 and fields[1].isdigit() else 0
+            amb = _read_int(" ".join(fields[1:]), lineno, "expected: amb_space <dimension>")
             if amb < 1:
                 _fail(lineno, "expected: amb_space <dimension>")
         elif fields[0] == "constraints":
             if amb is None:
                 _fail(lineno, "constraints before amb_space")
-            if len(fields) != 2 or not fields[1].isdigit():
-                _fail(lineno, "expected: constraints <count>")
-            expected = _read_int(fields[1], lineno)
+            expected = _read_int(" ".join(fields[1:]), lineno, "expected: constraints <count>")
         elif fields[0] in _OUTPUT_KEYWORDS:
             # An output section (and any data rows under it) ends the input.
             break
@@ -456,6 +454,8 @@ def parse_constraint_block(text: str) -> CoveringFormPolyhedron:
                 _fail(lineno, "constraint row before amb_space")
             if len(fields) != amb + 2 or fields[-2] != ">=":
                 _fail(lineno, f"expected {amb} coefficients, '>=' and a right-hand side")
+            for tok in fields:
+                _ascii(tok, lineno)
             try:
                 row = tuple(Fraction(tok) for tok in fields[:amb])
                 rhs = Fraction(fields[-1])

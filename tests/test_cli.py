@@ -279,6 +279,22 @@ def test_graph_and_constraint_block_refusals_exit_two(command, text, message, wo
     assert run(capsys, command, str(bad)) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("decompose", "t1*t\u0663\n", "'\u0663'"),
+        ("wog-classify", "vertices \u00b2\nedge 1 2\n", "line 1: '\u00b2'"),
+        ("poly-vertices", "amb_space \u0663\n", "line 1: '\u0663'"),
+    ],
+    ids=["ideal", "graph", "constraint-block"],
+)
+def test_non_ascii_digits_exit_two_naming_the_token(command, text, message, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, command, "-")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message} is not written in ASCII digits 0-9\n"
+
+
 def test_resource_limit_exit_code(workdir, capsys):
     lines = ["vertices 30"] + [f"edge {i} {i+1}" for i in range(1, 30)]
     big = workdir / "big.graph"

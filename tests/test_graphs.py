@@ -546,6 +546,25 @@ def test_parse_graph_refusals(text, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vertices \u00b2\n", "line 1: '\u00b2' is not written in ASCII digits 0-9"),
+        ("vertices \u0663\n", "line 1: '\u0663' is not written in ASCII digits 0-9"),
+        ("vertices 2\nweights \u0663 1\n", "line 2: '\u0663' is not written in ASCII digits 0-9"),
+        ("vertices 2\nedge 1 \u0662\n", "line 2: '\u0662' is not written in ASCII digits 0-9"),
+    ],
+    ids=["superscript-count", "arabic-indic-count", "weight", "endpoint"],
+)
+def test_parse_graph_refuses_digits_outside_ascii_by_name(text, message):
+    """`str.isdigit` takes a superscript two, which `int` refuses, and both
+    take the Arabic-Indic digits: the first was called too long, the second
+    read as a number.  Both are now refused by name."""
+    with pytest.raises(FormatError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+
+
 def test_parse_graph_skips_blank_and_comment_lines():
     """Blank and whitespace-only lines, whole-line comments and trailing
     comments hold no field, so the graph parses as its clean form; error

@@ -217,6 +217,35 @@ def test_parse_rejects_malformed_input():
         parse_ideal("(t3)", num_vars=2)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["t\u0663", "t1^\u0663", "((\u0663,1))", "(2,\u0663)"],
+    ids=["index", "exponent", "wrapped-vector", "lone-vector"],
+)
+def test_parse_refuses_digits_outside_ascii_by_name(text):
+    """ASCII 0-9 is the one digit rule.  `\\d` and `int` take the
+    Arabic-Indic three, which was read as 3 until now."""
+    with pytest.raises(FormatError) as info:
+        parse_ideal(text)
+    assert str(info.value) == "'\u0663' is not written in ASCII digits 0-9"
+
+
+@pytest.mark.parametrize("text", ["((1_0,2))", "((+1,2))", "((-1,2))"])
+def test_parse_refuses_vector_entries_that_are_not_digits(text):
+    """`int` also reads underscores and signs; a vector entry is digits only."""
+    with pytest.raises(FormatError) as info:
+        parse_ideal(text)
+    assert str(info.value) == f"malformed exponent vector {text[1:-1]!r}"
+
+
+def test_parse_calls_an_over_long_vector_entry_too_long():
+    """Not a malformed vector quoting all its digits: the integer is named
+    as too long, as over-long factors are."""
+    with pytest.raises(FormatError) as info:
+        parse_ideal("(" + "9" * 5000 + ",1)")
+    assert str(info.value) == "an integer of 5000 digits is too long"
+
+
 def test_parse_refuses_variable_counts_past_its_limit():
     """The count is checked before any dense vector is built."""
     limit = PARSE_VARIABLE_LIMIT

@@ -627,3 +627,22 @@ def test_constraint_block_refusals(text, message):
     with pytest.raises(FormatError) as info:
         parse_constraint_block(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, token, lineno",
+    [
+        ("amb_space \u00b2\n", "\u00b2", 1),
+        ("amb_space \u0663\n", "\u0663", 1),
+        ("amb_space 2\nconstraints \u0661\n1 1 >= 1\n", "\u0661", 2),
+        ("amb_space 2\n\u0663 1 >= 1\n", "\u0663", 2),
+        ("amb_space 2\n1/\u0663 1 >= 1\n", "1/\u0663", 2),
+    ],
+    ids=["superscript-dimension", "arabic-indic-dimension", "count", "coefficient", "fraction"],
+)
+def test_constraint_block_refuses_digits_outside_ascii_by_name(text, token, lineno):
+    """`Fraction` and `int` read Arabic-Indic digits as numbers, and the
+    superscript two was called too long; each is now refused by name."""
+    with pytest.raises(FormatError) as info:
+        parse_constraint_block(text)
+    assert str(info.value) == f"line {lineno}: {token!r} is not written in ASCII digits 0-9"
