@@ -590,6 +590,10 @@ def test_constraint_block_skips_output_keywords():
         ("amb_space\n", "line 1: expected: amb_space <dimension>"),
         ("amb_space two\n", "line 1: expected: amb_space <dimension>"),
         ("amb_space 0\n", "line 1: expected: amb_space <dimension>"),
+        # Fraction and int read Arabic-Indic digits as numbers, and the
+        # superscript two passed str.isdigit only to fail int.
+        ("amb_space \u00b2\n", "line 1: '\u00b2' is not written in ASCII digits 0-9"),
+        ("amb_space \u0663\n", "line 1: '\u0663' is not written in ASCII digits 0-9"),
         pytest.param(
             "amb_space " + "9" * 5000 + "\n",
             "line 1: an integer of 5000 digits is too long",
@@ -597,6 +601,10 @@ def test_constraint_block_skips_output_keywords():
         ),
         ("constraints 1\n1 1 >= 1\n", "line 1: constraints before amb_space"),
         ("amb_space 2\nconstraints many\n", "line 2: expected: constraints <count>"),
+        (
+            "amb_space 2\nconstraints \u0661\n",
+            "line 2: '\u0661' is not written in ASCII digits 0-9",
+        ),
         pytest.param(
             "amb_space 2\nconstraints " + "9" * 5000 + "\n",
             "line 2: an integer of 5000 digits is too long",
@@ -607,6 +615,8 @@ def test_constraint_block_skips_output_keywords():
         ("amb_space 2\n1 1 <= 1\n", "line 2: expected 2 coefficients, '>=' and a right-hand side"),
         ("amb_space 2\n1 x >= 1\n", "line 2: coefficients must be integers or fractions p/q"),
         ("amb_space 2\n1/0 1 >= 1\n", "line 2: coefficients must be integers or fractions p/q"),
+        ("amb_space 2\n\u0663 1 >= 1\n", "line 2: '\u0663' is not written in ASCII digits 0-9"),
+        ("amb_space 2\n1/\u0663 1 >= 1\n", "line 2: '1/\u0663' is not written in ASCII digits 0-9"),
         ("amb_space 2\n-1 1 >= 1\n", "line 2: covering form needs nonnegative coefficients"),
         (
             "amb_space 2\n1 1 >= 0\n",
@@ -627,22 +637,3 @@ def test_constraint_block_refusals(text, message):
     with pytest.raises(FormatError) as info:
         parse_constraint_block(text)
     assert str(info.value) == message
-
-
-@pytest.mark.parametrize(
-    "text, token, lineno",
-    [
-        ("amb_space \u00b2\n", "\u00b2", 1),
-        ("amb_space \u0663\n", "\u0663", 1),
-        ("amb_space 2\nconstraints \u0661\n1 1 >= 1\n", "\u0661", 2),
-        ("amb_space 2\n\u0663 1 >= 1\n", "\u0663", 2),
-        ("amb_space 2\n1/\u0663 1 >= 1\n", "1/\u0663", 2),
-    ],
-    ids=["superscript-dimension", "arabic-indic-dimension", "count", "coefficient", "fraction"],
-)
-def test_constraint_block_refuses_digits_outside_ascii_by_name(text, token, lineno):
-    """`Fraction` and `int` read Arabic-Indic digits as numbers, and the
-    superscript two was called too long; each is now refused by name."""
-    with pytest.raises(FormatError) as info:
-        parse_constraint_block(text)
-    assert str(info.value) == f"line {lineno}: {token!r} is not written in ASCII digits 0-9"
