@@ -40,7 +40,7 @@ from .graphs import (
     parse_graph,
     strong_covers,
 )
-from .ideals import _directives, format_ideal, format_monomial, parse_ideal
+from .ideals import _directives, _read_int, format_ideal, format_monomial, parse_ideal
 from .polyhedra import (
     DEFAULT_CONSTRAINT_LIMIT,
     DEFAULT_DIMENSION_LIMIT,
@@ -65,13 +65,14 @@ from .symbolic import (
 
 
 def _at_least(low: int):
-    """The argparse type of an integer option whose least value is `low`."""
+    """The argparse type of an integer option whose least value is `low`,
+    written in ASCII digits 0-9 as the text formats' integers are."""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+            value = _read_int(text, None, f"expected an integer, got {text!r}")
+        except FormatError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if value < low:
             raise argparse.ArgumentTypeError(f"expected a value >= {low}, got {value}")
         return value

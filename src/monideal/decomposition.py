@@ -38,7 +38,7 @@ from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, DomainError
 from .ideals import Exponent, MonomialIdeal, graded_lex_key
-from .ideals import _check_vectors, _pure_powers
+from .ideals import _check_int, _check_vectors, _pure_powers
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,8 @@ class MonomialPrime:
         bad = [i for i in self.support if not 1 <= i <= self.num_vars]
         if bad:
             raise ValueError(f"variable indices {bad} out of range 1..{self.num_vars}")
+        for x in (self.num_vars, *self.support):  # 2.5 or 1.0 passes the range test
+            _check_int(x, None, "a monomial prime takes an int count and int indices, got {!r}")
 
     def sort_key(self):
         return (len(self.support), tuple(sorted(self.support)))

@@ -33,15 +33,12 @@ from .errors import (
     FormatError,
     ResourceLimitExceeded,
 )
-from .ideals import PARSE_VARIABLE_LIMIT, Exponent, MonomialIdeal, _directives, _fail, _read_int
+from .ideals import PARSE_VARIABLE_LIMIT, Exponent, MonomialIdeal
+from .ideals import _check_int, _directives, _fail, _read_int
 
 DEFAULT_COVER_VERTEX_LIMIT = 22
 _NONE: frozenset[int] = frozenset()
-
-
-def _check_vertex_count(s):
-    if not isinstance(s, int) or s < 1:
-        raise ValueError(f"need an int count of at least one vertex, got {s!r}")
+_VERTEX_COUNT = "need an int count of at least one vertex, got {!r}"
 
 
 @dataclass(frozen=True)
@@ -59,14 +56,13 @@ class WeightedOrientedGraph:
 
     def __post_init__(self):
         s = self.num_vertices
-        _check_vertex_count(s)
+        _check_int(s, 1, _VERTEX_COUNT)
         if len(self.weights) != s:
             raise ValueError(
                 f"got {len(self.weights)} weights for {s} vertices"
             )
         for w in self.weights:
-            if not isinstance(w, int) or w < 1:
-                raise ValueError(f"weights must be positive integers, got {w!r}")
+            _check_int(w, 1, "weights must be positive integers, got {!r}")
         edges = tuple(self.edges)
         for e in edges:
             if not isinstance(e, (tuple, list)) or len(e) != 2:
@@ -75,8 +71,8 @@ class WeightedOrientedGraph:
         out: dict[int, set[int]] = {}
         into: dict[int, set[int]] = {}
         for i, j in self.edges:
-            if not (isinstance(i, int) and isinstance(j, int)):
-                raise ValueError(f"edge ({i!r}, {j!r}) needs integer endpoints")
+            for v in (i, j):
+                _check_int(v, None, "edge ({!r}, {!r}) needs integer endpoints", i, j)
             if not (1 <= i <= s and 1 <= j <= s):
                 raise ValueError(f"edge ({i}, {j}) out of range 1..{s}")
             if i == j:
@@ -100,7 +96,7 @@ class WeightedOrientedGraph:
     def build(num_vertices, edges, weights=None) -> "WeightedOrientedGraph":
         """Construct from an edge list and either a full weight sequence or
         a {vertex: weight} mapping (unmentioned vertices get weight 1)."""
-        _check_vertex_count(num_vertices)  # before it sizes the weights
+        _check_int(num_vertices, 1, _VERTEX_COUNT)  # before it sizes the weights
         if weights is None:
             weights = (1,) * num_vertices
         elif isinstance(weights, dict):
@@ -188,6 +184,8 @@ def cover_partition(graph: WeightedOrientedGraph, cover) -> CoverPartition:
     for i, j in graph.sorted_edges():
         if i not in cover and j not in cover:
             raise DomainError(f"cover {sorted(cover)} misses edge ({i}, {j})")
+    for v in cover:  # 1.0 and True equal vertex 1, so they pass the tests above
+        _check_int(v, None, "cover vertex {!r} is not an int", error=DomainError)
     return _partition(graph, cover)
 
 
@@ -237,6 +235,7 @@ def strong_covers(
     covers is still exponential, so a graph with more than `max_vertices`
     vertices is refused (CLI: ``wog-covers --max-covers``)."""
     s = graph.num_vertices
+    _check_int(max_vertices, None, "max_vertices must be an int, got {!r}")
     if s > max_vertices:
         raise ResourceLimitExceeded(
             f"cover enumeration over {s} vertices exceeds the limit {max_vertices}; "

@@ -14,8 +14,8 @@ Vectors are validated in one place, :func:`_check_vectors`, which checks
 the vectors that come from outside: those given to
 :meth:`MonomialIdeal.from_gens` (and so to :func:`parse_ideal`), the `gens`
 of the public constructor, irreducible ideals, polyhedron columns and the
-monomials asked about by `contains` and :func:`power_contains`.  Entries
-must be ints (Fractions for columns); nothing is coerced.
+monomials asked about by `contains` and :func:`power_contains`.  Entries are
+ints (or Fractions in columns), and every int taken passes :func:`_check_int`.
 Results derived from ideals the library already holds (products,
 intersections, localizations, closures) go through the private
 :meth:`MonomialIdeal._from_trusted`, which minimalizes without checking
@@ -59,6 +59,7 @@ from operator import mul
 from .errors import DimensionMismatch, DomainError, FormatError, ResourceLimitExceeded
 
 Exponent = tuple[int, ...]
+_VARIABLE_COUNT = "need an int count of at least one variable, got {!r}"
 
 
 def graded_lex_key(v: Exponent):
@@ -174,20 +175,28 @@ def minimal_generators(vectors) -> tuple[Exponent, ...]:
     return tuple(out)
 
 
+def _check_int(value, least, message, *shown, error=ValueError):
+    """The API's one int rule: refuse `value` unless it is an int (a bool is
+    not) of at least `least` (None: no least), raising `error` with `message`
+    formatted, only then, with `shown` or else with the value."""
+    if type(value) is not int or (least is not None and value < least):
+        raise error(message.format(*shown or (value,)))
+
+
 def _check_vectors(vectors, num_vars: int, noun: str = "generator", entry=int):
     """The `vectors` as a tuple of tuples, refusing a ring without an int
-    count of variables and vectors that are not length-`num_vars` vectors
-    of nonnegative `entry` values; messages call each vector a `noun`."""
-    if not isinstance(num_vars, int) or num_vars < 1:
-        raise ValueError(f"need an int count of at least one variable, got {num_vars!r}")
+    count of variables and vectors that are not length-`num_vars` vectors of
+    nonnegative ints or `entry` values; messages call each vector a `noun`."""
+    _check_int(num_vars, 1, _VARIABLE_COUNT)
     vecs = tuple(map(tuple, vectors))
     for v in vecs:
         if len(v) != num_vars:
             raise DimensionMismatch(
                 f"{noun} {v} has length {len(v)}, expected {num_vars}"
             )
-        if not all(isinstance(e, entry) for e in v):
-            raise ValueError(f"{noun} {v} has a non-{entry.__name__} entry")
+        for e in v:
+            if type(e) is not entry:
+                _check_int(e, None, "{} {} has a non-{} entry", noun, v, entry.__name__)
         if any(e < 0 for e in v):
             raise ValueError(f"{noun} {v} has a negative exponent")
     return vecs
@@ -322,22 +331,14 @@ def intersect_all(ideals, num_vars: int) -> MonomialIdeal:
     return out
 
 
-def _check_bound(bound):
-    if not isinstance(bound, int):
-        raise DomainError(f"bound must be an integer, got {bound!r}")
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
-
-
 def _check_power(n, noun):
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"{noun} requires an integer n >= 1, got {n!r}")
+    _check_int(n, 1, "{} requires an integer n >= 1, got {!r}", noun, n, error=DomainError)
 
 
 def _powers(ideal: MonomialIdeal, bound: int):
     """I^1..I^bound, each formed when asked for as the previous power times
     I; the bound is checked at the call, before any power is formed."""
-    _check_bound(bound)
+    _check_power(bound, "bound")
     return accumulate(repeat(ideal, bound), mul)
 
 
@@ -553,6 +554,8 @@ def parse_ideal(text: str, num_vars: int | None = None) -> MonomialIdeal:
         num_vars = vec_lengths.pop() if vec_lengths else max_index
         if num_vars == 0:
             num_vars = 1  # the ideal (1) in an unnamed ring: default to one variable
+    else:
+        _check_int(num_vars, None, _VARIABLE_COUNT)
     if num_vars > PARSE_VARIABLE_LIMIT:
         raise ResourceLimitExceeded(
             f"{num_vars} variables exceed the parser's limit {PARSE_VARIABLE_LIMIT}"

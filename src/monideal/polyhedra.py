@@ -52,8 +52,8 @@ from fractions import Fraction
 
 from .decomposition import IrreducibleDecomposition, irreducible_decomposition
 from .errors import DomainError, FormatError, ResourceLimitExceeded
-from .ideals import Exponent, MonomialIdeal, _check_bound, _powers, power_contains
-from .ideals import _ascii, _check_power, _check_vectors, _directives, _fail, _read_int, _sift
+from .ideals import Exponent, MonomialIdeal, _powers, _read_int, _sift, power_contains
+from .ideals import _ascii, _check_int, _check_power, _check_vectors, _directives, _fail
 
 FractionVector = tuple[Fraction, ...]
 
@@ -63,15 +63,14 @@ DEFAULT_CONSTRAINT_LIMIT = 24
 
 @dataclass(frozen=True)
 class CoveringFormPolyhedron:
-    """{x >= 0, x . c >= 1 per column c}; columns are nonnegative rationals."""
+    """{x >= 0, x . c >= 1 per column c}; columns are nonnegative ints or Fractions."""
 
     num_vars: int
     columns: tuple[FractionVector, ...]
 
     def __post_init__(self):
-        columns = tuple(tuple(Fraction(x) for x in c) for c in self.columns)
-        object.__setattr__(self, "columns", columns)
-        _check_vectors(columns, self.num_vars, "column", Fraction)
+        columns = _check_vectors(self.columns, self.num_vars, "column", Fraction)
+        object.__setattr__(self, "columns", tuple(tuple(map(Fraction, c)) for c in columns))
 
 
 def _dot(a, b):
@@ -148,6 +147,8 @@ def enumerate_vertices(
     """
     if not poly.columns:
         raise DomainError("vertex enumeration needs at least one column")
+    _check_int(max_dim, None, "max_dim must be an int, got {!r}")
+    _check_int(max_constraints, None, "max_constraints must be an int, got {!r}")
     if poly.num_vars > max_dim:
         raise ResourceLimitExceeded(
             f"dimension {poly.num_vars} exceeds the limit {max_dim}; "
@@ -356,7 +357,7 @@ def polyhedral_conditions_check(
     powers_equal: bool,
     **limits,
 ) -> PolyhedralConditionsReport:
-    _check_bound(bound)
+    _check_power(bound, "bound")
     dec = irreducible_decomposition(ideal)
     supports = [c.support() for c in dec.components]
     minimal = len(supports) == len(set(supports))
@@ -445,6 +446,8 @@ def parse_constraint_block(text: str) -> CoveringFormPolyhedron:
         elif fields[0] == "constraints":
             if amb is None:
                 _fail(lineno, "constraints before amb_space")
+            if expected is not None:
+                _fail(lineno, "duplicate constraints")
             expected = _read_int(" ".join(fields[1:]), lineno, "expected: constraints <count>")
         elif fields[0] in _OUTPUT_KEYWORDS:
             # An output section (and any data rows under it) ends the input.

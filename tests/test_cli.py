@@ -396,6 +396,26 @@ def test_bad_flag_value_exits_two(workdir, capsys):
     with pytest.raises(SystemExit) as info:
         main(["compare", str(workdir / "ex52.ideal"), "--n", "0"])
     assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("argument --n: expected a value >= 1, got 0\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1_0", "expected an integer, got '1_0'"),
+        ("+1", "expected an integer, got '+1'"),
+        (" 2", "expected an integer, got ' 2'"),
+        ("\u0662", "'\u0662' is not written in ASCII digits 0-9"),
+    ],
+    ids=["underscore", "plus", "space", "arabic-indic"],
+)
+def test_flags_take_ascii_digits_only(text, message, workdir, capsys):
+    """A flag's integer follows the text formats' digit rule; int() read
+    these as 10, 1, 2 and 2."""
+    with pytest.raises(SystemExit) as info:
+        main(["compare", str(workdir / "ex52.ideal"), "--n", text])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"argument --n: {message}\n")
 
 
 # The usage line of each command, as the parser built every sub-parser up

@@ -1,5 +1,6 @@
 """Irreducible decompositions, associated primes, and their brute-force oracles."""
 
+import re
 from unittest.mock import patch
 
 import pytest
@@ -54,6 +55,19 @@ def test_prime_display_and_sorting():
     q = MonomialPrime(3, frozenset({2}))
     assert str(p) == "(t1, t3)"
     assert sorted({p, q}, key=MonomialPrime.sort_key) == [q, p]
+
+
+@pytest.mark.parametrize(
+    "num_vars, support, bad",
+    [(3, {1.0, 2}, 1.0), (2.5, {1}, 2.5), (True, {1}, True), (3, {True, 2}, True)],
+    ids=["float-index", "float-count", "bool-count", "bool-index"],
+)
+def test_prime_refuses_what_is_no_int(num_vars, support, bad):
+    """A float index equal to an int passed the range test and printed as
+    t1.0; a float count passed it too."""
+    message = f"a monomial prime takes an int count and int indices, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MonomialPrime(num_vars, frozenset(support))
 
 
 def test_decomposition_requires_proper_nonzero():

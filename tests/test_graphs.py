@@ -56,6 +56,13 @@ def test_build_rejects_bad_graphs():
         WeightedOrientedGraph.build(1, [], weights=(0,))
 
 
+def test_a_bool_weight_is_refused():
+    """A weight is checked before sources are reset to 1, so True is not
+    stored as the weight 1 it equals."""
+    with pytest.raises(ValueError, match="^weights must be positive integers, got True$"):
+        WeightedOrientedGraph.build(1, [], weights=(True,))
+
+
 def test_build_accepts_weight_mapping():
     g = WeightedOrientedGraph.build(3, [(1, 2)], weights={2: 4})
     assert g.weights == (1, 4, 1)
@@ -73,7 +80,7 @@ def test_constructor_refuses_non_integer_endpoints():
         WeightedOrientedGraph(3, frozenset({(1.0, 2)}), (1, 1, 1))
 
 
-@pytest.mark.parametrize("edge", [(1.5, 2), ("1", 2)], ids=["float", "str"])
+@pytest.mark.parametrize("edge", [(1.5, 2), ("1", 2), (True, 2)], ids=["float", "str", "bool"])
 def test_build_passes_edges_through_uncoerced(edge):
     """build hands its edges to the constructor as given, so an endpoint
     that is no int is refused there, not rounded or parsed into one."""
@@ -87,8 +94,9 @@ def test_build_passes_edges_through_uncoerced(edge):
     [
         (3.0, [(1, 2)], "need an int count of at least one vertex, got 3.0"),
         (3, [1], "edge 1 is not a pair of vertices"),
+        (True, [], "need an int count of at least one vertex, got True"),
     ],
-    ids=["float-count", "bare-edge"],
+    ids=["float-count", "bare-edge", "bool-count"],
 )
 def test_constructor_refuses_untyped_input(num_vertices, edges, message):
     """A vertex count that is no int, or an edge that is no pair, is a
@@ -185,6 +193,15 @@ def test_cover_partition_on_path():
         cover_partition(PATH_MIDDLE.graph, {3})
 
 
+@pytest.mark.parametrize("vertex", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("check", [cover_partition, is_strong_cover])
+def test_cover_vertices_are_refused_unless_ints(check, vertex):
+    """1.0 and True equal vertex 1, so they lie in the graph and cover its
+    edges; the partition held them as vertices until now."""
+    with pytest.raises(DomainError, match=f"^cover vertex {vertex!r} is not an int$"):
+        check(PATH_MIDDLE.graph, {vertex, 2, 3})
+
+
 def _covers(g, *limit):
     return tuple(p.cover for p in strong_covers(g, *limit))
 
@@ -228,6 +245,14 @@ def test_strong_cover_enumeration_has_a_vertex_limit():
     big = WeightedOrientedGraph.build(30, [(i, i + 1) for i in range(1, 30)])
     with pytest.raises(ResourceLimitExceeded, match="--max-covers"):
         strong_covers(big)
+
+
+@pytest.mark.parametrize("limit", ["x", 1.5, True], ids=["str", "float", "bool"])
+def test_cover_limit_is_refused_unless_an_int(limit):
+    """"x" ended in a TypeError, and 1.5 and True were taken as limits."""
+    message = f"max_vertices must be an int, got {limit!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        strong_covers(PATH_MIDDLE.graph, limit)
 
 
 def test_strong_covers_take_the_vertex_limit_they_name():

@@ -137,7 +137,7 @@ def test_power_contains_validates():
     assert power_contains(MonomialIdeal.unit(2), (0, 0), 5)
 
 
-@pytest.mark.parametrize("n", [0, 2.5])
+@pytest.mark.parametrize("n", [0, 2.5, True])
 @pytest.mark.parametrize(
     "noun, call",
     [
@@ -648,6 +648,18 @@ NOT_AN_INT_COUNT = "need an int count of at least one variable, got 2.0"
             lambda: power_contains(parse_ideal("t1*t2"), (-1, 1), 1),
             "monomial (-1, 1) has a negative exponent",
         ),
+        # A bool is no int: True would pass as 1 and print as "true" in JSON.
+        (lambda: MonomialIdeal.from_gens([(True, 2)], 2), "generator (True, 2) has a non-int entry"),
+        (
+            lambda: MonomialIdeal.from_gens([(1,)], True),
+            "need an int count of at least one variable, got True",
+        ),
+        (lambda: IrreducibleIdeal(2, (True, 1)), "alpha (True, 1) has a non-int entry"),
+        (lambda: parse_ideal("t1*t2").contains((True, 1)), "monomial (True, 1) has a non-int entry"),
+        # Columns take ints and Fractions only, not whatever Fraction() reads.
+        (lambda: CoveringFormPolyhedron(2, [(0.5, 1)]), "column (0.5, 1) has a non-Fraction entry"),
+        (lambda: CoveringFormPolyhedron(2, [("1/2", 1)]), "column ('1/2', 1) has a non-Fraction entry"),
+        (lambda: CoveringFormPolyhedron(2, [(True, 1)]), "column (True, 1) has a non-Fraction entry"),
     ],
     ids=[
         "from_gens-float-entry",
@@ -661,6 +673,13 @@ NOT_AN_INT_COUNT = "need an int count of at least one variable, got 2.0"
         "contains-negative-entry",
         "power_contains-float-entry",
         "power_contains-negative-entry",
+        "from_gens-bool-entry",
+        "from_gens-bool-count",
+        "irreducible-bool-entry",
+        "contains-bool-entry",
+        "polyhedron-float-entry",
+        "polyhedron-str-entry",
+        "polyhedron-bool-entry",
     ],
 )
 def test_outside_vectors_are_refused_not_coerced(build, message):
@@ -669,6 +688,15 @@ def test_outside_vectors_are_refused_not_coerced(build, message):
     monomial asked about must be an exponent vector too."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize("num_vars", [2.0, "3", True], ids=["float", "str", "bool"])
+def test_parse_ideal_refuses_a_variable_count_that_is_no_int(num_vars):
+    """A float or str count ended in a TypeError inside the parser, and
+    True was read as one variable."""
+    message = f"need an int count of at least one variable, got {num_vars!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_ideal("t1", num_vars=num_vars)
 
 
 def test_from_gens_refuses_a_ring_without_variables():

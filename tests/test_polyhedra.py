@@ -2,6 +2,7 @@
 constraint-block exchange format."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -182,6 +183,29 @@ def test_enumeration_limits_are_enforced():
     with pytest.raises(ResourceLimitExceeded, match="--max-constraints"):
         enumerate_vertices(many)
     assert enumerate_vertices(wide, max_dim=9)  # override works
+
+
+@pytest.mark.parametrize(
+    "limits, message",
+    [
+        ({"max_dim": "8"}, "max_dim must be an int, got '8'"),
+        ({"max_constraints": 2.5}, "max_constraints must be an int, got 2.5"),
+        ({"max_dim": True}, "max_dim must be an int, got True"),
+    ],
+    ids=["str-dim", "float-constraints", "bool-dim"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda I, limits: enumerate_vertices(covering_polyhedron(I), **limits),
+        lambda I, limits: integral_closure_power(I, 1, **limits),
+    ],
+    ids=["enumerate_vertices", "integral_closure_power"],
+)
+def test_enumeration_limits_are_refused_unless_ints(call, limits, message):
+    """"8" ended in a TypeError, and 2.5 and True were taken as limits."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(MonomialIdeal.from_gens([(1, 0), (0, 1)], 2), limits)
 
 
 @given(ideals(max_vars=4, max_gens=5))
@@ -601,6 +625,10 @@ def test_constraint_block_skips_output_keywords():
         ),
         ("constraints 1\n1 1 >= 1\n", "line 1: constraints before amb_space"),
         ("amb_space 2\nconstraints many\n", "line 2: expected: constraints <count>"),
+        (
+            "amb_space 2\nconstraints 5\nconstraints 2\n1 0 >= 1\n0 1 >= 1\n",
+            "line 3: duplicate constraints",
+        ),
         (
             "amb_space 2\nconstraints \u0661\n",
             "line 2: '\u0661' is not written in ASCII digits 0-9",

@@ -50,6 +50,28 @@ def test_graph_bounds_below_their_least_are_usage_errors(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "script, argv, message",
+    [
+        ("verify_classification", ["--count", "1_0"], "expected an integer, got '1_0'"),
+        (
+            "verify_classification",
+            ["--count", "1", "--max-vertices", "\u0663"],
+            "'\u0663' is not written in ASCII digits 0-9",
+        ),
+        ("odd_cycle_powers", ["--lengths", "+3"], "expected an integer, got '+3'"),
+        ("odd_cycle_powers", ["--max-n", "\u0662"], "'\u0662' is not written in ASCII digits 0-9"),
+    ],
+    ids=["count-underscore", "max-vertices-arabic-indic", "lengths-plus", "max-n-arabic-indic"],
+)
+def test_flags_take_ascii_digits_only(script, argv, message, capsys):
+    """The scripts read their integer flags by the CLI's rule."""
+    with pytest.raises(SystemExit) as info:
+        load(script).main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(f": {message}\n")
+
+
 def test_small_runs_answer(capsys):
     assert load("verify_classification").main(["--count", "3"]) == 0
     assert load("odd_cycle_powers").main(["--lengths", "3", "--max-n", "2"]) == 0

@@ -494,7 +494,11 @@ def test_powers_match_the_chain_free_oracle(I, order):
 
 @pytest.mark.parametrize(
     "bound, message",
-    [(2.5, "bound must be an integer, got 2.5"), (0, "bound must be >= 1, got 0")],
+    [
+        (2.5, "bound requires an integer n >= 1, got 2.5"),
+        (0, "bound requires an integer n >= 1, got 0"),
+        (True, "bound requires an integer n >= 1, got True"),
+    ],
 )
 @pytest.mark.parametrize(
     "walk",
